@@ -17,10 +17,6 @@ from .errors import DegenerateGeometryError
 UNIT_TOL = 1e-9
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
 def normalize(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     if n < UNIT_TOL:

@@ -8,11 +8,14 @@ of the surviving pixels through the depth image.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyInputError, InsufficientDepthError
@@ -138,34 +141,46 @@ def rgb_to_lab(rgb: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _mst_edges(features: np.ndarray, k: int) -> list[tuple[float, int, int]]:
-    """Prim's MST over mutual-reachability distances, O(n^2) time."""
+def _components(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """Component labels of the mutual-reachability graph at `threshold`.
+
+    Points i, j are linked when max(core_i, core_j, |f_i - f_j|) <= threshold,
+    core being the distance to the k-th nearest neighbour; the components
+    equal those of the mutual-reachability MST cut at `threshold`. Linked
+    kNN pairs give fragments, and two fragments join when any pair across
+    them is within the threshold. The kd-tree only nominates pairs: every
+    `<=` test uses the row-wise norm, so a pair exactly at the threshold links.
+    """
     n = len(features)
     k_eff = min(k, n - 1)
     if k_eff <= 0:
-        return []
-    tree = cKDTree(features)
-    core = tree.query(features, k=k_eff + 1)[0][:, -1]
+        return np.arange(n)
+    dist, nbr = cKDTree(features).query(features, k=min(max(k_eff, 8), n - 1) + 1)
+    core_ok = dist[:, k_eff] <= threshold
+    src = np.repeat(np.arange(n), nbr.shape[1])
+    dst = nbr.ravel()
+    keep = core_ok[src] & core_ok[dst]
+    src, dst = src[keep], dst[keep]
+    keep = np.linalg.norm(features[src] - features[dst], axis=1) <= threshold
+    labels = _components(src[keep], dst[keep], n)
 
-    in_tree = np.zeros(n, dtype=bool)
-    best_dist = np.full(n, np.inf)
-    best_from = np.full(n, -1)
-    in_tree[0] = True
-    current = 0
-    edges = []
-    for _ in range(n - 1):
-        d = np.linalg.norm(features - features[current], axis=1)
-        mreach = np.maximum(np.maximum(core, core[current]), d)
-        update = ~in_tree & (mreach < best_dist)
-        best_dist[update] = mreach[update]
-        best_from[update] = current
-        best_dist[in_tree] = np.inf
-        nxt = int(np.argmin(best_dist))
-        edges.append((float(best_dist[nxt]), int(best_from[nxt]), nxt))
-        in_tree[nxt] = True
-        best_dist[nxt] = np.inf
-        current = nxt
-    return edges
+    ids = np.unique(labels[core_ok])
+    frags = [features[labels == f] for f in ids]
+    bound = threshold * (1 + 1e-9)  # the kd-tree's bound excludes a pair exactly at it
+    joins = []
+    for a, b in itertools.combinations(range(len(ids)), 2):
+        small, large = sorted((frags[a], frags[b]), key=len)
+        d, j = cKDTree(large).query(small, k=1, distance_upper_bound=bound)
+        hit = np.isfinite(d)
+        if (np.linalg.norm(small[hit] - large[j[hit]], axis=1) <= threshold).any():
+            joins.append((ids[a], ids[b]))
+    ja, jb = np.array(joins, dtype=int).reshape(-1, 2).T
+    return _components(ja, jb, labels.max() + 1)[labels]
 
 
 def cluster_pixels(
@@ -177,10 +192,12 @@ def cluster_pixels(
 ) -> PixelClusterSet:
     """Separate cables by color and position with a density MST cut.
 
-    Each foreground pixel becomes a feature (s*row, s*col, L, a, b). A
-    minimum spanning tree over mutual-reachability distances (core size =
-    `min_cluster_size`) is cut at edges longer than `cut_threshold`;
-    components smaller than `min_cluster_size` are returned as noise. With
+    Each foreground pixel becomes a feature (s*row, s*col, L, a, b). The
+    partition equals a minimum spanning tree over mutual-reachability
+    distances (core size = `min_cluster_size`) cut at edges longer than
+    `cut_threshold`, computed as the components of the threshold graph of
+    those distances in near-linear time, without the tree. Components
+    smaller than `min_cluster_size` are returned as noise. With
     the default weights, color dominates, so one cable split spatially by
     an occluder stays a single cluster while differently colored cables
     separate.
@@ -195,24 +212,11 @@ def cluster_pixels(
         [spatial_weight * rows, spatial_weight * cols, lab]
     ).astype(float)
 
-    edges = _mst_edges(features, k=min_cluster_size)
-    parent = np.arange(len(rows))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for weight, a, b in edges:
-        if weight <= cut_threshold:
-            parent[find(a)] = find(b)
-
-    labels = np.array([find(i) for i in range(len(rows))])
+    labels = _reach_components(features, min_cluster_size, cut_threshold)
     clusters = []
     noise_parts = []
-    for root in np.unique(labels):
-        members = np.nonzero(labels == root)[0]
+    for label in np.unique(labels):
+        members = np.nonzero(labels == label)[0]
         pix = np.column_stack([rows[members], cols[members]]).astype(int)
         if len(members) < min_cluster_size:
             noise_parts.append(pix)

@@ -48,7 +48,6 @@ class CableRunStats:
     color: list[float]
     radius: float
     first_sort_segments: int = 0
-    first_sort_endpoints: int = 0
     raw_merged_segments: int = 0
     final_segments: int = 0
     final_endpoints: int = 0
@@ -172,7 +171,6 @@ def run_pipeline(
         )
         topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
         stats.first_sort_segments = len(poly.segments)
-        stats.first_sort_endpoints = 2 * len(poly.segments)
 
         if tactile:
             probe_fn = worldsim.TactileProbe(scene, eps_contact=params.eps_contact)

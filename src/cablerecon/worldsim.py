@@ -357,17 +357,15 @@ def map_centroid(tmap: TactileMap, plane: PlaneModel, pad: TactilePad | None = N
 
 
 class TactileProbe:
-    """Probe interface handed to the exploration loop; counts its calls."""
+    """Probe interface handed to the exploration loop."""
 
     def __init__(self, scene: WorldScene, eps_contact: float = EPS_CONTACT):
         self.scene = scene
         self.eps_contact = eps_contact
-        self.calls = 0
 
     @property
     def pad(self) -> TactilePad:
         return self.scene.pad
 
     def __call__(self, pad_pose: Pose) -> tuple[bool, TactileMap]:
-        self.calls += 1
         return probe(self.scene, pad_pose, self.scene.pad, self.eps_contact)

@@ -161,22 +161,81 @@ class TestClusterPixels:
                     continue
                 mask = np.zeros((45, 45), dtype=bool)
                 mask[pix[:, 0], pix[:, 1]] = True
-                out = cluster_pixels(
-                    grid(mask),
-                    color_like(mask),
-                    min_cluster_size=min_size,
-                    cut_threshold=cut,
-                )
-                rows, cols = np.nonzero(mask)
-                lab = rgb_to_lab(np.full((len(rows), 3), 120.0))
-                feats = np.column_stack([0.5 * rows, 0.5 * cols, lab])
-                expected = brute_force_clusters(feats, min_size, cut)
-                index_of = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
-                got = sorted(
-                    frozenset(index_of[(r, c)] for r, c in cluster.pixels)
-                    for cluster in out.clusters
+                got, expected, _ = self.clusters_and_oracle(
+                    mask, color_like(mask).data, min_size, cut
                 )
                 assert got == expected
+
+    @staticmethod
+    def clusters_and_oracle(mask, color, min_cluster_size, cut_threshold):
+        """cluster_pixels' clusters and the brute-force MST cut's, as index sets."""
+        out = cluster_pixels(
+            grid(mask),
+            ImageGrid(color),
+            min_cluster_size=min_cluster_size,
+            cut_threshold=cut_threshold,
+        )
+        rows, cols = np.nonzero(mask)
+        feats = np.column_stack([0.5 * rows, 0.5 * cols, rgb_to_lab(color[rows, cols])])
+        index_of = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
+        got = sorted(
+            frozenset(index_of[(r, c)] for r, c in cluster.pixels)
+            for cluster in out.clusters
+        )
+        return got, brute_force_clusters(feats, min_cluster_size, cut_threshold), out
+
+    def test_gapped_bar_fragments_rejoin_like_brute_force(self):
+        # Three 3-row segments of one colour split by 3- and 4-column gaps:
+        # every pixel's 11 nearest neighbours lie in its own segment, so the
+        # kNN graph holds three fragments that only the join step can link.
+        # Two specks far below have no dense neighbourhood and stay noise.
+        mask = np.zeros((60, 60), dtype=bool)
+        mask[2:5, 0:16] = mask[2:5, 19:35] = mask[2:5, 39:55] = True
+        mask[58, 2] = mask[58, 50] = True
+        color = np.full((60, 60, 3), 120.0)
+        for cut, n_clusters in [(12.0, 1), (2.0, 2), (1.9, 3)]:
+            got, expected, out = self.clusters_and_oracle(mask, color, 10, cut)
+            assert got == expected
+            assert len(out.clusters) == n_clusters
+            assert len(out.noise) == 2
+
+    def test_color_boundary_at_the_cut_matches_brute_force(self):
+        # Two touching bars of two colours about 15 LAB units apart. The
+        # closest cross-colour pairs, one row apart, lie at hypot(0.5, that
+        # distance) in feature space; cuts just under and over it split and join.
+        mask = np.ones((6, 20), dtype=bool)
+        color = np.zeros((6, 20, 3))
+        color[:3] = (120, 120, 120)
+        color[3:] = (120, 120, 145)
+        lab = rgb_to_lab(np.array([(120, 120, 120), (120, 120, 145)], dtype=float))
+        cross = float(np.linalg.norm([0.5, 0, *(lab[0] - lab[1])]))
+        assert 5.0 < cross < 20.0
+        for cut, n_clusters in [(cross * (1 - 1e-6), 2), (cross * (1 + 1e-6), 1)]:
+            got, expected, out = self.clusters_and_oracle(mask, color, 5, cut)
+            assert got == expected
+            assert len(out.clusters) == n_clusters
+
+    def test_fewer_pixels_than_min_cluster_size(self):
+        color = np.full((10, 10, 3), 120.0)
+        for pixels in ([(4, 4)], [(1, 1), (1, 2)], [(0, 0), (3, 3), (6, 6), (9, 9), (0, 9)]):
+            mask = np.zeros((10, 10), dtype=bool)
+            mask[tuple(np.array(pixels).T)] = True
+            for min_size in (1, len(pixels), 10):
+                got, expected, out = self.clusters_and_oracle(mask, color, min_size, 12.0)
+                assert got == expected
+                if min_size > len(pixels):
+                    assert out.clusters == [] and len(out.noise) == len(pixels)
+
+    def test_cut_is_inclusive_at_the_threshold(self):
+        # Same-colour bars on one row, 12 columns apart at their closest:
+        # a feature distance of exactly 6.0 at spatial weight 0.5.
+        mask = np.zeros((3, 51), dtype=bool)
+        mask[1, 0:20] = mask[1, 31:51] = True
+        color = np.full((3, 51, 3), 120.0)
+        for cut, n_clusters in [(6.0, 1), (5.999, 2)]:
+            got, expected, out = self.clusters_and_oracle(mask, color, 5, cut)
+            assert got == expected
+            assert len(out.clusters) == n_clusters
 
 
 class TestSkeletonize:
