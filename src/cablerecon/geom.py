@@ -135,19 +135,3 @@ class ReconParams:
             ratio - round(ratio)
         ) > 1e-9:
             raise ValueError("theta_deg must divide 360 evenly")
-
-    def replace(self, **overrides) -> "ReconParams":
-        """Copy with some fields overridden."""
-        kwargs = {
-            "d_min": self.d_min, "d_m": self.d_m, "t_p": self.t_p,
-            "t_h": self.t_h, "delta_y": self.delta_y, "delta_z": self.delta_z,
-            "theta_deg": self.theta_deg, "r_search": self.r_search,
-            "alpha_max_deg": self.alpha_max_deg,
-            "max_rotation_attempts": self.max_rotation_attempts,
-            "eps_contact": self.eps_contact,
-            "probe_budget": self.probe_budget,
-            "hover_height": self.hover_height,
-            "voxel_origin": self.voxel_origin.copy(),
-        }
-        kwargs.update(overrides)
-        return ReconParams(**kwargs)

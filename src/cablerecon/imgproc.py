@@ -51,10 +51,6 @@ class ImageGrid:
     def width(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return 1 if self.data.ndim == 2 else self.data.shape[2]
-
 
 @dataclass
 class CameraIntrinsics:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +80,10 @@ def _load_params(
         for k in ("min_cluster_size", "spatial_weight", "cut_threshold")
         if k in overrides
     }
-    params = ReconParams(**overrides)
-    return params, cluster_keys
+    unknown = sorted(set(overrides) - {f.name for f in fields(ReconParams)})
+    if unknown:
+        raise ValueError(f"unknown reconstruction parameter(s): {', '.join(unknown)}")
+    return ReconParams(**overrides), cluster_keys
 
 
 def _match_cable(scene: worldsim.WorldScene, mean_color: np.ndarray) -> int:
@@ -98,14 +100,14 @@ def run_pipeline(
 ) -> RunResult:
     """Execute the reconstruction pipeline and write the run directory."""
     t_start = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     doc = scenarios.load_scenario(scenario_path)
     if seed is not None:
         doc["seed"] = int(seed)
-    scenarios.save_scenario(out / "scenario.yaml", doc)
     params, cluster_keys = _load_params(doc, params_file)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    scenarios.save_scenario(out / "scenario.yaml", doc)
     scene = scenarios.build_scene(doc)
 
     rendered = worldsim.render(scene)
@@ -241,15 +243,7 @@ def run_pipeline(
         "seed": int(doc.get("seed", 0)),
         "no_tactile": not tactile,
         "params": {
-            "d_min": params.d_min, "d_m": params.d_m, "t_p": params.t_p,
-            "t_h": params.t_h, "delta_y": params.delta_y,
-            "delta_z": params.delta_z, "theta_deg": params.theta_deg,
-            "r_search": params.r_search,
-            "alpha_max_deg": params.alpha_max_deg,
-            "max_rotation_attempts": params.max_rotation_attempts,
-            "eps_contact": params.eps_contact,
-            "probe_budget": params.probe_budget,
-            "hover_height": params.hover_height,
+            **asdict(params),
             "voxel_origin": [float(v) for v in params.voxel_origin],
             **cluster_keys,
         },

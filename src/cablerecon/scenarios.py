@@ -37,11 +37,32 @@ def save_scenario(path, doc: dict) -> None:
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
 
 
+# required top-level keys -> keys each of their mappings must carry
+REQUIRED_KEYS = {
+    "plane": ("point", "normal"),
+    "camera": ("position", "look_at", "fx", "fy", "cx", "cy", "width", "height"),
+    "cables": ("radius", "control_points", "color"),
+}
+
+
+def _require(mapping, keys, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a mapping")
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{where} is missing required key {key!r}")
+
+
 def load_scenario(path) -> dict:
     doc = yaml.safe_load(Path(path).read_text())
-    version = doc.get("schema_version")
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version: {version!r}")
+    _require(doc, REQUIRED_KEYS, f"scenario {path}")
+    _require(doc["plane"], REQUIRED_KEYS["plane"], f"scenario {path} plane")
+    _require(doc["camera"], REQUIRED_KEYS["camera"], f"scenario {path} camera")
+    for i, cable in enumerate(doc["cables"] or []):
+        _require(cable, REQUIRED_KEYS["cables"], f"scenario {path} cable {i}")
     return doc
 
 
@@ -74,7 +95,7 @@ def build_scene(doc: dict) -> WorldScene:
     )
 
     cables = []
-    for cable_doc in doc.get("cables", []):
+    for cable_doc in doc["cables"] or []:
         radius = float(cable_doc["radius"])
         ctrl = np.asarray(cable_doc["control_points"], dtype=float)
         dist = plane.signed_distance(ctrl)

@@ -78,11 +78,6 @@ class GroundTruthCable:
     def dense_samples(self) -> np.ndarray:
         return self._samples
 
-    def arc_length(self) -> float:
-        return float(
-            np.linalg.norm(np.diff(self._samples, axis=0), axis=1).sum()
-        )
-
     def distance_to_centerline(self, points: np.ndarray) -> np.ndarray:
         d, _ = _point_to_polyline(points, self._samples, self._tree)
         return d
@@ -196,24 +191,32 @@ def _ray_grid(scene: WorldScene):
 
 
 def _box_entry_depth(origin, dirs, lo, hi):
-    """Camera-z of each ray's entry into the box; inf where it misses."""
+    """Camera-z of each ray's entry into the box; inf where it misses.
+
+    Slabs are folded one axis at a time with fmax/fmin, which is what
+    nanmax/nanmin over the last axis compute, in the same order.
+    """
+    t_near = t_far = np.full(dirs.shape[:-1], np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origin) / dirs
-        t2 = (hi - origin) / dirs
-    t_near = np.nanmax(np.minimum(t1, t2), axis=-1)
-    t_far = np.nanmin(np.maximum(t1, t2), axis=-1)
+        for k in range(3):
+            t1 = (lo[k] - origin[k]) / dirs[..., k]
+            t2 = (hi[k] - origin[k]) / dirs[..., k]
+            t_near = np.fmax(t_near, np.minimum(t1, t2))
+            t_far = np.fmin(t_far, np.maximum(t1, t2))
     hit = (t_near <= t_far) & (t_far > 0)
-    entry = np.where(hit, np.maximum(t_near, 0.0), np.inf)
-    return entry
+    return np.where(hit, np.maximum(t_near, 0.0), np.inf)
 
 
 def render(scene: WorldScene) -> RenderResult:
     """Rasterize the scene into per-cable masks, color, depth, shelf mask.
 
     Cable centerlines are stamped with their projected width and carry the
-    depth of the generating centerline sample; occluder boxes remove cable
-    pixels whose ray they block and cover the shelf where they project.
-    Depth is camera-frame z in meters, 0 where no surface is hit.
+    depth of the generating centerline sample; samples are stamped in one
+    batch per projected disk radius, and a minimum does not depend on the
+    order of its inputs, so the result equals a per-sample stamp. Occluder
+    boxes remove cable pixels whose ray they block and cover the shelf
+    where they project. Depth is camera-frame z in meters, 0 where no
+    surface is hit.
     """
     origin, dirs = _ray_grid(scene)
     h, w = scene.height, scene.width
@@ -232,29 +235,26 @@ def render(scene: WorldScene) -> RenderResult:
 
     intr = scene.camera
     cable_z = np.full((len(scene.cables), h, w), np.inf)
-    disk_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for ci, cable in enumerate(scene.cables):
         pts = cable.dense_samples
         cam = (pts - intr.pose.translation) @ intr.pose.rotation
         z = cam[:, 2]
         front = z > 1e-6
-        col = intr.fx * cam[front, 0] / z[front] + intr.cx
-        row = intr.fy * cam[front, 1] / z[front] + intr.cy
-        rad = 0.5 * (intr.fx + intr.fy) * cable.radius / z[front]
-        buf = cable_z[ci]
-        for r0, c0, z0, rp in zip(row, col, z[front], rad):
-            ri = int(round(rp))
-            if ri not in disk_cache:
-                dd = np.arange(-ri, ri + 1)
-                gr, gc = np.meshgrid(dd, dd, indexing="ij")
-                keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
-                disk_cache[ri] = (gr[keep], gc[keep])
-            dr, dc = disk_cache[ri]
-            rr = np.round(r0 + dr).astype(int)
-            cc = np.round(c0 + dc).astype(int)
+        zf = z[front]
+        col = intr.fx * cam[front, 0] / zf + intr.cx
+        row = intr.fy * cam[front, 1] / zf + intr.cy
+        radii = np.round(0.5 * (intr.fx + intr.fy) * cable.radius / zf).astype(int)
+        buf = cable_z[ci].reshape(-1)
+        for ri in np.unique(radii):
+            dd = np.arange(-ri, ri + 1)
+            gr, gc = np.meshgrid(dd, dd, indexing="ij")
+            keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
+            sel = radii == ri
+            rr = np.round(row[sel, None] + gr[keep]).astype(int)
+            cc = np.round(col[sel, None] + gc[keep]).astype(int)
             ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            rr, cc = rr[ok], cc[ok]
-            np.minimum.at(buf, (rr, cc), z0)
+            z0 = np.broadcast_to(zf[sel, None], ok.shape)
+            np.minimum.at(buf, rr[ok] * w + cc[ok], z0[ok])
 
     if scene.cables:
         nearest_cable = cable_z.min(axis=0)
@@ -307,6 +307,11 @@ def probe(
     minus the pad face height; pressure is PRESSURE_GAIN times positive
     penetration. Identical poses give bit-identical maps: optional noise is
     seeded from the scene seed and the pose bytes.
+
+    A tube top is never above 2r, so taxels whose face is higher than that
+    (with 1e-9 relative slack for the rounding of r + sqrt(r^2)) skip the
+    cable distance query: their penetration is negative from the plane and
+    the cable alike, and their pressure is exactly 0.0 either way.
     """
     if pad is None:
         pad = scene.pad
@@ -317,14 +322,17 @@ def probe(
 
     uv = plane.to_plane_coords(centers)
     for cable in scene.cables:
-        rho = cable.plan_distance(plane, uv)
-        under = rho <= cable.radius
-        if under.any():
-            surf = cable.radius + np.sqrt(
-                np.maximum(cable.radius**2 - rho[under] ** 2, 0.0)
-            )
-            pen_cable = surf - face_height[under]
-            penetration[under] = np.maximum(penetration[under], pen_cable)
+        near = np.flatnonzero(face_height <= 2 * cable.radius * (1 + 1e-9))
+        if near.size == 0:
+            continue
+        rho = cable.plan_distance(plane, uv[near])
+        inside = rho <= cable.radius
+        under = near[inside]
+        surf = cable.radius + np.sqrt(
+            np.maximum(cable.radius**2 - rho[inside] ** 2, 0.0)
+        )
+        pen_cable = surf - face_height[under]
+        penetration[under] = np.maximum(penetration[under], pen_cable)
 
     pressures = PRESSURE_GAIN * np.maximum(penetration, 0.0)
     if scene.pressure_noise_sigma > 0:
@@ -362,10 +370,6 @@ class TactileProbe:
     def __init__(self, scene: WorldScene, eps_contact: float = EPS_CONTACT):
         self.scene = scene
         self.eps_contact = eps_contact
-
-    @property
-    def pad(self) -> TactilePad:
-        return self.scene.pad
 
     def __call__(self, pad_pose: Pose) -> tuple[bool, TactileMap]:
         return probe(self.scene, pad_pose, self.scene.pad, self.eps_contact)

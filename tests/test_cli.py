@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cablerecon import cli, pipeline
+from cablerecon import cli, pipeline, scenarios
 from cablerecon.cloudproc import load_ply
 
 
@@ -84,6 +84,50 @@ class TestRun:
         heights = cloud @ plane[:3] + plane[3]
         radius = manifest["cables"][0]["radius"]
         assert np.allclose(heights, radius, atol=2e-4)
+
+
+class TestCleanErrors:
+    def _run(self, scenario, tmp_path, *extra):
+        return cli.main(["run", str(scenario), "--out", str(tmp_path / "out"), *extra])
+
+    def test_unknown_params_key_is_one_error_line(self, tmp_path, scenario_files, capsys):
+        params = tmp_path / "params.yaml"
+        params.write_text("d_min: 0.02\nno_such_knob: 3\n")
+        code = self._run(scenario_files["cs1_plain"], tmp_path, "--params", str(params))
+        assert code == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no_such_knob" in err and "d_min" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "drop",
+        [("plane",), ("camera",), ("cables",), ("plane", "normal"), ("camera", "fx")],
+    )
+    def test_scenario_missing_a_required_key_is_one_error_line(
+        self, tmp_path, capsys, drop
+    ):
+        doc = scenarios.make_template("cs1_plain", seed=1)
+        parent = doc
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        path = tmp_path / "broken.yaml"
+        scenarios.save_scenario(path, doc)
+        assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(drop[-1]) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cable_missing_its_radius_is_one_error_line(self, tmp_path, capsys):
+        doc = scenarios.make_template("cs2_plain", seed=1)
+        del doc["cables"][1]["radius"]
+        path = tmp_path / "broken.yaml"
+        scenarios.save_scenario(path, doc)
+        assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "cable 1" in err and "'radius'" in err
 
 
 class TestEval:

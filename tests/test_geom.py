@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -103,5 +105,5 @@ class TestReconParams:
 
     def test_replace_copies(self):
         p = ReconParams()
-        q = p.replace(delta_y=0.02)
+        q = dataclasses.replace(p, delta_y=0.02)
         assert q.delta_y == 0.02 and p.delta_y == 0.01

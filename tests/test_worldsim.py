@@ -1,10 +1,13 @@
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
 from cablerecon.cloudproc import PlaneModel
 from cablerecon.errors import EmptyContactError, InvalidViewError
 from cablerecon.fitting import bspline_from_control_points
-from cablerecon.geom import Pose, frame_from_y_z
+from cablerecon.geom import Pose, frame_from_y_z, rotation_about_axis
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
 from cablerecon.scenarios import (
     build_scene,
@@ -18,6 +21,7 @@ from cablerecon.worldsim import (
     TactileMap,
     TactilePad,
     WorldScene,
+    _box_entry_depth,
     map_centroid,
     probe,
     render,
@@ -165,6 +169,157 @@ class TestProbe:
         _, left = probe(scene, Pose(rotation, np.array([0.0, -0.002, h])))
         _, right = probe(scene, Pose(rotation, np.array([0.0, 0.002, h])))
         assert np.allclose(left.pressures, np.flipud(right.pressures), atol=1e-12)
+
+
+def per_sample_cable_z(scene):
+    """Reference stamp: one disk per centerline sample, as a plain loop."""
+    intr = scene.camera
+    out = np.full((len(scene.cables), scene.height, scene.width), np.inf)
+    for ci, cable in enumerate(scene.cables):
+        cam = (cable.dense_samples - intr.pose.translation) @ intr.pose.rotation
+        for x, y, z in cam:
+            if not z > 1e-6:
+                continue
+            r0 = intr.fy * y / z + intr.cy
+            c0 = intr.fx * x / z + intr.cx
+            ri = int(round(0.5 * (intr.fx + intr.fy) * cable.radius / z))
+            dd = np.arange(-ri, ri + 1)
+            gr, gc = np.meshgrid(dd, dd, indexing="ij")
+            keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
+            rr = np.round(r0 + gr[keep]).astype(int)
+            cc = np.round(c0 + gc[keep]).astype(int)
+            ok = (rr >= 0) & (rr < scene.height) & (cc >= 0) & (cc < scene.width)
+            np.minimum.at(out[ci], (rr[ok], cc[ok]), z)
+    return out
+
+
+class TestRenderOracles:
+    def test_batched_stamp_equals_per_sample_stamp(self):
+        # a low camera looking along the cables, so the projected disk
+        # radius varies along each cable; both cables run off the image
+        position = np.array([-0.3, 0.0, 0.1])
+        rotation = frame_from_y_z(
+            np.array([0.0, 0.0, -1.0]), np.array([0.35, 0.0, -0.12])
+        )
+        cam = CameraIntrinsics(
+            fx=150.0, fy=150.0, cx=80.0, cy=60.0, pose=Pose(rotation, position)
+        )
+        cables = [
+            straight_cable(radius=0.003, y=0.0),
+            straight_cable(radius=0.006, y=0.08, color=(40, 80, 200)),
+        ]
+        scene = WorldScene(
+            support_plane=PLANE, cables=cables, occluders=[], camera=cam,
+            width=160, height=120,
+        )
+        for cable in cables:
+            z = ((cable.dense_samples - position) @ rotation)[:, 2]
+            radii = np.round(0.5 * (cam.fx + cam.fy) * cable.radius / z)
+            assert len(np.unique(radii)) > 1
+
+        out = render(scene)
+        ref = per_sample_cable_z(scene)
+        winner = ref.argmin(axis=0)
+        covered = np.zeros((scene.height, scene.width), dtype=bool)
+        for ci, mask in enumerate(out.cable_masks):
+            expected = np.isfinite(ref[ci]) & (winner == ci)
+            assert np.array_equal(mask.data, expected)
+            assert mask.data[-1].any()
+            covered |= expected
+        bare = WorldScene(
+            support_plane=PLANE, cables=[], occluders=[], camera=cam,
+            width=160, height=120,
+        )
+        expected_depth = np.where(covered, ref.min(axis=0), render(bare).depth.data)
+        assert out.depth.data.tobytes() == expected_depth.tobytes()
+
+    def test_box_entry_matches_nan_reductions(self):
+        lo = np.array([-0.1, -0.1, 0.0])
+        hi = np.array([0.1, 0.1, 0.05])
+        axes = [-1.0, -0.0, 0.0, 0.5, 1.0]
+        dirs = np.array(
+            [[a, b, c] for a in axes for b in axes for c in axes]
+        ).reshape(5, 25, 3)
+        # on one slab plane, on two, at a corner, inside, and outside
+        origins = [
+            np.array([0.0, 0.0, 0.05]),
+            np.array([0.1, 0.0, 0.05]),
+            np.array([0.1, -0.1, 0.0]),
+            np.array([0.0, 0.02, 0.01]),
+            np.array([0.3, -0.2, 0.4]),
+        ]
+        saw_nan = False
+        for origin in origins:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (lo - origin) / dirs
+                t2 = (hi - origin) / dirs
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                t_near = np.nanmax(np.minimum(t1, t2), axis=-1)
+                t_far = np.nanmin(np.maximum(t1, t2), axis=-1)
+            hit = (t_near <= t_far) & (t_far > 0)
+            expected = np.where(hit, np.maximum(t_near, 0.0), np.inf)
+            got = _box_entry_depth(origin, dirs, lo, hi)
+            assert got.tobytes() == expected.tobytes()
+            saw_nan |= bool(np.isnan(t1).any() or np.isnan(t2).any())
+        assert saw_nan
+
+
+def all_taxel_pressures(scene, pose):
+    """Every taxel against every cable, with the noise draw probe uses."""
+    plane = scene.support_plane
+    centers = pose.transform(scene.pad.taxel_centers())
+    face_height = plane.signed_distance(centers)
+    penetration = -face_height
+    uv = plane.to_plane_coords(centers)
+    for cable in scene.cables:
+        rho = cable.plan_distance(plane, uv)
+        under = rho <= cable.radius
+        surf = cable.radius + np.sqrt(
+            np.maximum(cable.radius**2 - rho[under] ** 2, 0.0)
+        )
+        penetration[under] = np.maximum(penetration[under], surf - face_height[under])
+    pressures = PRESSURE_GAIN * np.maximum(penetration, 0.0)
+    if scene.pressure_noise_sigma > 0:
+        tag = zlib.crc32(pose.rotation.tobytes() + pose.translation.tobytes())
+        rng = np.random.default_rng(np.random.SeedSequence([scene.seed, tag]))
+        noise = rng.normal(0.0, scene.pressure_noise_sigma, 12)
+        pressures = np.maximum(pressures + noise, 0.0)
+    return pressures.reshape(6, 2)
+
+
+class TestProbeShortcut:
+    @pytest.mark.parametrize("sigma", [0.0, 0.01])
+    def test_pressures_equal_all_taxel_evaluation_around_2r(self, sigma):
+        radius = 0.003
+        scene = make_scene(
+            [straight_cable(radius=radius), straight_cable(radius=0.005, y=0.04)],
+            seed=3, pressure_noise_sigma=sigma,
+        )
+        top = 2 * radius
+        heights = [top, top - 1e-3, top + 1e-3, top - 1e-6, top + 1e-6]
+        up, down = top, top
+        for _ in range(4):
+            up, down = np.nextafter(up, 1.0), np.nextafter(down, 0.0)
+            heights += [up, down]
+        # pad x across the cable; one taxel column sits over the centerline
+        level = frame_from_y_z(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        tilts = [
+            level,
+            rotation_about_axis(np.array([1.0, 0.0, 0.0]), 4.0) @ level,
+            rotation_about_axis(np.array([0.0, 1.0, 0.0]), -7.0) @ level,
+        ]
+        touched = untouched = 0
+        for rotation in tilts:
+            for h in heights:
+                for x in (0.0, 0.0025, 0.0013):
+                    pose = Pose(rotation, np.array([0.01, x, h]))
+                    hit, tmap = probe(scene, pose)
+                    expected = all_taxel_pressures(scene, pose)
+                    assert tmap.pressures.tobytes() == expected.tobytes()
+                    touched += hit
+                    untouched += not hit
+        assert touched and untouched
 
 
 class TestMapCentroid:
