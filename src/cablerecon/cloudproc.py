@@ -41,6 +41,13 @@ class PlaneModel:
         if norm < 1e-12:
             raise DegenerateGeometryError("plane normal is zero")
         self.coefficients = coeffs / norm
+        n = self.normal
+        ref = np.array([1.0, 0.0, 0.0])
+        if abs(n[0]) > 0.9:
+            ref = np.array([0.0, 1.0, 0.0])
+        u = ref - np.dot(ref, n) * n
+        u = u / np.linalg.norm(u)
+        self._basis = (u, np.cross(n, u))
 
     @property
     def normal(self) -> np.ndarray:
@@ -55,15 +62,9 @@ class PlaneModel:
         return pts @ self.normal + self.offset
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic in-plane orthonormal basis (u, v) with u x v = n."""
-        n = self.normal
-        ref = np.array([1.0, 0.0, 0.0])
-        if abs(n[0]) > 0.9:
-            ref = np.array([0.0, 1.0, 0.0])
-        u = ref - np.dot(ref, n) * n
-        u = u / np.linalg.norm(u)
-        v = np.cross(n, u)
-        return u, v
+        """Deterministic in-plane orthonormal basis (u, v) with u x v = n,
+        computed once at construction."""
+        return self._basis
 
     def to_plane_coords(self, points: np.ndarray) -> np.ndarray:
         """2D (u, v) coordinates of points relative to the plane origin."""
@@ -96,7 +97,8 @@ def ransac_plane(
     seed: int = 0,
     orient_toward: np.ndarray | None = None,
 ) -> PlaneModel:
-    """Best plane by inlier count over seeded 3-point hypotheses.
+    """Best plane by inlier count over seeded 3-point hypotheses, stopping at
+    the first one every point supports (only a larger count could replace it).
 
     The winning consensus set is refit by least squares (centroid plus the
     smallest covariance eigenvector). `orient_toward` flips the normal so it
@@ -117,6 +119,8 @@ def ransac_plane(
         count = int(np.count_nonzero(dist <= inlier_tol))
         if best is None or count > best[0]:
             best = (count, it, coeffs)
+            if count == len(pts):
+                break  # full consensus: no later hypothesis can beat it
     if best is None:
         raise DegenerateGeometryError("all RANSAC samples were collinear")
 
@@ -215,9 +219,8 @@ def save_ply(path, cloud: np.ndarray) -> None:
         "property float z",
         "end_header",
     ]
-    for p in pts:
-        lines.append(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    body = "%.9g %.9g %.9g\n" * len(pts) % tuple(pts.ravel().tolist())
+    Path(path).write_text("\n".join(lines) + "\n" + body)
 
 
 def load_ply(path) -> np.ndarray:
@@ -231,18 +234,4 @@ def load_ply(path) -> np.ndarray:
         if line.startswith("element vertex"):
             count = int(line.split()[-1])
     rows = [tuple(map(float, line.split()[:3])) for line in text[end + 1 : end + 1 + count]]
-    return np.array(rows, dtype=float).reshape(-1, 3)
-
-
-def save_csv(path, cloud: np.ndarray) -> None:
-    pts = as_cloud(cloud)
-    lines = ["x,y,z"]
-    for p in pts:
-        lines.append(f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_csv(path) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    rows = [tuple(map(float, line.split(","))) for line in lines[1:] if line]
     return np.array(rows, dtype=float).reshape(-1, 3)

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import cloudproc, explore, fitting, imgproc, scenarios, topology, worldsim
-from .errors import EmptyInputError
+from .errors import EmptyInputError, ProbeBudgetError
 from .evaluation import curve_error, icp
 from .geom import ReconParams
 
@@ -107,161 +107,175 @@ def run_pipeline(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenarios.save_scenario(out / "scenario.yaml", doc)
-    scene = scenarios.build_scene(doc)
-
-    rendered = worldsim.render(scene)
-    images = out / "images"
-    images.mkdir(exist_ok=True)
-    union_mask = rendered.union_cable_mask()
-    imgproc.save_ppm(images / "color.ppm", rendered.color)
-    imgproc.save_depth(images / "depth.f32", rendered.depth)
-    imgproc.save_pgm(images / "mask_union.pgm", union_mask)
-    imgproc.save_pgm(images / "shelf.pgm", rendered.shelf_mask)
-    for i, mask in enumerate(rendered.cable_masks):
-        imgproc.save_pgm(images / f"mask_cable_{i:02d}.pgm", mask)
-
-    # support plane from the shelf pixels, exactly as a real scene would
-    shelf_pixels = np.argwhere(rendered.shelf_mask.data)
-    stride = max(1, len(shelf_pixels) // MAX_PLANE_PIXELS)
-    shelf_cloud = imgproc.pixels_to_cloud(
-        shelf_pixels[::stride], rendered.depth, scene.camera
-    )
-    plane = cloudproc.ransac_plane(
-        shelf_cloud,
-        seed=int(doc.get("seed", 0)),
-        orient_toward=scene.camera.pose.translation,
-    )
-
-    cleaned = imgproc.blur_and_clean(union_mask, rendered.color)
-    clusters = imgproc.cluster_pixels(cleaned, rendered.color, **cluster_keys)
-
-    stats_list: list[CableRunStats] = []
-    for ci, cluster in enumerate(clusters.clusters):
-        cable_dir = out / f"cable_{ci:02d}"
-        cable_dir.mkdir(exist_ok=True)
-        truth_idx = _match_cable(scene, cluster.mean_color)
-        radius = scene.cables[truth_idx].radius
-        stats = CableRunStats(
-            directory=cable_dir.name,
-            color=[float(c) for c in cluster.mean_color],
-            radius=radius,
-        )
-
-        dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
-        cloudproc.save_ply(cable_dir / "P_dense.ply", dense)
-
-        cluster_mask = cluster.as_mask(rendered.color.height, rendered.color.width)
-        skeleton = imgproc.skeletonize(cluster_mask)
-        skeleton_pixels = np.argwhere(skeleton.data)
-        p_skeleton = imgproc.pixels_to_cloud(
-            skeleton_pixels, rendered.depth, scene.camera
-        )
-        cloudproc.save_ply(cable_dir / "P_skeleton.ply", p_skeleton)
-
-        p_down = cloudproc.merge_close_points(
-            cloudproc.voxel_downsample(p_skeleton, params.d_m, params.voxel_origin),
-            params.t_p,
-        )
-        cloudproc.save_ply(cable_dir / "P_down.ply", p_down)
-
-        p_proj = cloudproc.project_to_plane(p_down, plane)
-        cloudproc.save_ply(cable_dir / "P_proj.ply", p_proj)
-
-        poly = topology.sort_and_find_endpoints(
-            p_proj, plane, params.r_search, params.alpha_max_deg
-        )
-        topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
-        stats.first_sort_segments = len(poly.segments)
-
-        if tactile:
-            probe_fn = worldsim.TactileProbe(scene, eps_contact=params.eps_contact)
-            result = explore.explore_from_endpoints(
-                poly, plane, probe_fn, params, pad_pitch=scene.pad.pitch
-            )
-            p_tactile = result.tactile_cloud
-            result.save_trace_csv(cable_dir / "trace.csv")
-            stats.probes_used = result.probes_used
-            stats.dead_ends = result.dead_ends
-        else:
-            p_tactile = np.zeros((0, 3))
-            explore.ExplorationResult(p_tactile).save_trace_csv(
-                cable_dir / "trace.csv"
-            )
-        stats.tactile_points = len(p_tactile)
-        cloudproc.save_ply(cable_dir / "P_tactile.ply", p_tactile)
-
-        p_merged = explore.merge_clouds(poly.ordered_points(), p_tactile)
-        cloudproc.save_ply(cable_dir / "P_merged.ply", p_merged)
-
-        # the plain greedy walk (no crossing recovery) fragments on dense
-        # merged clouds; recorded to witness that refinement is what makes
-        # the final sort viable
-        raw_sort = topology.sort_and_find_endpoints(
-            p_merged, plane, params.r_search, params.alpha_max_deg,
-            stitch_crossings=False,
-        )
-        stats.raw_merged_segments = len(raw_sort.segments)
-
-        p_refined = fitting.refine_merged(p_merged, params)
-        final = topology.sort_and_find_endpoints(
-            p_refined, plane, params.r_search, params.alpha_max_deg
-        )
-        topology.save_sorted_csv(cable_dir / "P_resorted.csv", final)
-        stats.final_segments = len(final.segments)
-        stats.final_endpoints = 2 * len(final.segments)
-
-        # reconstructed curves live on the fitted plane; real centerlines
-        # run one radius above it, so exported models are lifted back up
-        lift = radius * plane.normal
-        samples = []
-        fitted = 0
-        for sid, seg in enumerate(final.segments):
-            if len(seg) < 2:
-                continue
-            curve = fitting.fit_bspline(final.points[seg]).translated(lift)
-            fitting.save_spline(cable_dir / f"spline_seg{sid:02d}.yaml", curve)
-            samples.append(fitting.sample_curve(curve, curve.sampling_count))
-            fitted += 1
-        p_interp = np.vstack(samples) if samples else np.zeros((0, 3))
-        cloudproc.save_ply(cable_dir / "P_interpolated.ply", p_interp)
-
-        stats.complete = len(final.segments) == 1 and fitted == 1
-        stats_list.append(stats)
-
-    exit_status = (
-        EXIT_COMPLETE if all(s.complete for s in stats_list) else EXIT_PARTIAL
-    )
-
-    artifacts = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name not in ("manifest.json", "timing.txt"):
-            artifacts[str(path.relative_to(out))] = _sha256(path)
-
     manifest = {
         "scenario": "scenario.yaml",
         "seed": int(doc.get("seed", 0)),
         "no_tactile": not tactile,
-        "params": {
-            **asdict(params),
-            "voxel_origin": [float(v) for v in params.voxel_origin],
-            **cluster_keys,
-        },
-        "plane": [float(c) for c in plane.coefficients],
-        "cables": [vars(s) for s in stats_list],
-        "exit_status": exit_status,
-        "artifacts": artifacts,
+        "params": {**asdict(params), **cluster_keys,
+                   "voxel_origin": [float(v) for v in params.voxel_origin]},
+    }
+    stats_list: list[CableRunStats] = []
+    plane = current = None
+    try:
+        scenarios.save_scenario(out / "scenario.yaml", doc)
+        scene = scenarios.build_scene(doc)
+
+        rendered = worldsim.render(scene)
+        images = out / "images"
+        images.mkdir(exist_ok=True)
+        union_mask = rendered.union_cable_mask()
+        imgproc.save_ppm(images / "color.ppm", rendered.color)
+        imgproc.save_depth(images / "depth.f32", rendered.depth)
+        imgproc.save_pgm(images / "mask_union.pgm", union_mask)
+        imgproc.save_pgm(images / "shelf.pgm", rendered.shelf_mask)
+        for i, mask in enumerate(rendered.cable_masks):
+            imgproc.save_pgm(images / f"mask_cable_{i:02d}.pgm", mask)
+
+        # support plane from the shelf pixels, exactly as a real scene would
+        shelf_pixels = np.argwhere(rendered.shelf_mask.data)
+        stride = max(1, len(shelf_pixels) // MAX_PLANE_PIXELS)
+        shelf_cloud = imgproc.pixels_to_cloud(
+            shelf_pixels[::stride], rendered.depth, scene.camera
+        )
+        plane = cloudproc.ransac_plane(
+            shelf_cloud,
+            seed=int(doc.get("seed", 0)),
+            orient_toward=scene.camera.pose.translation,
+        )
+
+        cleaned = imgproc.blur_and_clean(union_mask, rendered.color)
+        clusters = imgproc.cluster_pixels(cleaned, rendered.color, **cluster_keys)
+
+        for ci, cluster in enumerate(clusters.clusters):
+            cable_dir = out / f"cable_{ci:02d}"
+            current = cable_dir.name
+            cable_dir.mkdir(exist_ok=True)
+            truth_idx = _match_cable(scene, cluster.mean_color)
+            radius = scene.cables[truth_idx].radius
+            stats = CableRunStats(
+                directory=cable_dir.name,
+                color=[float(c) for c in cluster.mean_color],
+                radius=radius,
+            )
+
+            dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
+            cloudproc.save_ply(cable_dir / "P_dense.ply", dense)
+
+            cluster_mask = cluster.as_mask(rendered.color.height, rendered.color.width)
+            skeleton = imgproc.skeletonize(cluster_mask)
+            skeleton_pixels = np.argwhere(skeleton.data)
+            p_skeleton = imgproc.pixels_to_cloud(
+                skeleton_pixels, rendered.depth, scene.camera
+            )
+            cloudproc.save_ply(cable_dir / "P_skeleton.ply", p_skeleton)
+
+            p_down = cloudproc.merge_close_points(
+                cloudproc.voxel_downsample(p_skeleton, params.d_m, params.voxel_origin),
+                params.t_p,
+            )
+            cloudproc.save_ply(cable_dir / "P_down.ply", p_down)
+
+            p_proj = cloudproc.project_to_plane(p_down, plane)
+            cloudproc.save_ply(cable_dir / "P_proj.ply", p_proj)
+
+            poly = topology.sort_and_find_endpoints(
+                p_proj, plane, params.r_search, params.alpha_max_deg
+            )
+            topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
+            stats.first_sort_segments = len(poly.segments)
+
+            if tactile:
+                probe_fn = worldsim.TactileProbe(scene, eps_contact=params.eps_contact)
+                result = explore.explore_from_endpoints(
+                    poly, plane, probe_fn, params, pad_pitch=scene.pad.pitch
+                )
+                p_tactile = result.tactile_cloud
+                result.save_trace_csv(cable_dir / "trace.csv")
+                stats.probes_used = result.probes_used
+                stats.dead_ends = result.dead_ends
+            else:
+                p_tactile = np.zeros((0, 3))
+                explore.ExplorationResult(p_tactile).save_trace_csv(
+                    cable_dir / "trace.csv"
+                )
+            stats.tactile_points = len(p_tactile)
+            cloudproc.save_ply(cable_dir / "P_tactile.ply", p_tactile)
+
+            p_merged = explore.merge_clouds(poly.ordered_points(), p_tactile)
+            cloudproc.save_ply(cable_dir / "P_merged.ply", p_merged)
+
+            # the plain greedy walk (no crossing recovery) fragments on dense
+            # merged clouds; recorded to witness that refinement is what makes
+            # the final sort viable
+            raw_sort = topology.sort_and_find_endpoints(
+                p_merged, plane, params.r_search, params.alpha_max_deg,
+                stitch_crossings=False,
+            )
+            stats.raw_merged_segments = len(raw_sort.segments)
+
+            p_refined = fitting.refine_merged(p_merged, params)
+            final = topology.sort_and_find_endpoints(
+                p_refined, plane, params.r_search, params.alpha_max_deg
+            )
+            topology.save_sorted_csv(cable_dir / "P_resorted.csv", final)
+            stats.final_segments = len(final.segments)
+            stats.final_endpoints = 2 * len(final.segments)
+
+            # reconstructed curves live on the fitted plane; real centerlines
+            # run one radius above it, so exported models are lifted back up
+            lift = radius * plane.normal
+            samples = []
+            fitted = 0
+            for sid, seg in enumerate(final.segments):
+                if len(seg) < 2:
+                    continue
+                curve = fitting.fit_bspline(final.points[seg]).translated(lift)
+                fitting.save_spline(cable_dir / f"spline_seg{sid:02d}.yaml", curve)
+                samples.append(fitting.sample_curve(curve, curve.sampling_count))
+                fitted += 1
+            p_interp = np.vstack(samples) if samples else np.zeros((0, 3))
+            cloudproc.save_ply(cable_dir / "P_interpolated.ply", p_interp)
+
+            stats.complete = len(final.segments) == 1 and fitted == 1
+            stats_list.append(stats)
+    except Exception as exc:
+        # a failed run still certifies what it wrote and says what failed
+        manifest["failure"] = {"cable": current, "error": type(exc).__name__, "message": str(exc)}
+        failed = EXIT_BUDGET if isinstance(exc, ProbeBudgetError) else EXIT_ERROR
+        _write_manifest(out, manifest, plane, stats_list, failed, t_start)
+        raise
+
+    exit_status = EXIT_COMPLETE if all(s.complete for s in stats_list) else EXIT_PARTIAL
+    _write_manifest(out, manifest, plane, stats_list, exit_status, t_start)
+    return RunResult(out_dir=out, exit_status=exit_status, stats=stats_list, manifest=manifest)
+
+
+def _write_manifest(out: Path, manifest: dict, plane, stats_list, exit_status, t_start) -> None:
+    """Add the outcome and the sha256 of every artifact, write the manifest and timing."""
+    manifest["plane"] = None if plane is None else [float(c) for c in plane.coefficients]
+    manifest["cables"] = [vars(s) for s in stats_list]
+    manifest["exit_status"] = exit_status
+    manifest["artifacts"] = {
+        str(path.relative_to(out)): _sha256(path)
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name not in ("manifest.json", "timing.txt")
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     (out / "timing.txt").write_text(f"{time.perf_counter() - t_start:.3f}\n")
-    return RunResult(out_dir=out, exit_status=exit_status, stats=stats_list, manifest=manifest)
+
+
+def _read_manifest(run: Path) -> dict:
+    manifest = json.loads((run / "manifest.json").read_text())
+    if "failure" in manifest:
+        raise ValueError(f"{run}: the run failed ({manifest['failure']['error']})")
+    return manifest
 
 
 def _reference_dense_clouds(reference) -> list[tuple[np.ndarray, np.ndarray]]:
     """(mean_color, dense cloud) pairs from a run dir or a scenario file."""
     ref = Path(reference)
     if ref.is_dir():
-        manifest = json.loads((ref / "manifest.json").read_text())
+        manifest = _read_manifest(ref)
         out = []
         for cable in manifest["cables"]:
             cloud = cloudproc.load_ply(ref / cable["directory"] / "P_dense.ply")
@@ -287,7 +301,7 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
     generating centerline of the run's own scenario.
     """
     run = Path(run_dir)
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = _read_manifest(run)
     scene = scenarios.build_scene(scenarios.load_scenario(run / "scenario.yaml"))
     references = _reference_dense_clouds(reference)
     runtime = None
@@ -399,7 +413,7 @@ def _svg_scatter(
 def plot_run(run_dir) -> list[Path]:
     """One SVG per canonical intermediate cloud for every cable."""
     run = Path(run_dir)
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = _read_manifest(run)
     plane = cloudproc.PlaneModel(np.asarray(manifest["plane"], dtype=float))
     written = []
     for cable in manifest["cables"]:

@@ -33,8 +33,13 @@ def _vec(v) -> list[float]:
     return [_fmt(x) for x in np.asarray(v, dtype=float)]
 
 
+# libyaml when present: same documents and bytes as SafeLoader/SafeDumper
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def save_scenario(path, doc: dict) -> None:
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))
+    Path(path).write_text(yaml.dump(doc, Dumper=_DUMPER, sort_keys=False))
 
 
 # required top-level keys -> keys each of their mappings must carry
@@ -54,7 +59,7 @@ def _require(mapping, keys, where: str) -> None:
 
 
 def load_scenario(path) -> dict:
-    doc = yaml.safe_load(Path(path).read_text())
+    doc = yaml.load(Path(path).read_text(), Loader=_LOADER)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version: {version!r}")

@@ -102,15 +102,15 @@ class TactilePad:
     def __post_init__(self):
         if (self.rows, self.cols) != (6, 2):
             raise ValueError("pad grid is fixed at 6x2")
-
-    def taxel_centers(self) -> np.ndarray:
-        """(12, 3) taxel centers in the pad frame, face at z = 0."""
         xs = (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.pitch
         ys = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.pitch
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.column_stack(
-            [gx.ravel(), gy.ravel(), np.zeros(self.rows * self.cols)]
-        )
+        self._centers = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+        self._centers.flags.writeable = False
+
+    def taxel_centers(self) -> np.ndarray:
+        """(12, 3) read-only taxel centers in the pad frame, face at z = 0."""
+        return self._centers
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -128,6 +129,65 @@ class TestCleanErrors:
         assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
         assert "cable 1" in err and "'radius'" in err
+
+
+def certified_files(run_dir):
+    """The manifest's artifact map, checked against every file on disk."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    on_disk = {
+        str(p.relative_to(run_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in run_dir.rglob("*")
+        if p.is_file() and p.name not in ("manifest.json", "timing.txt")
+    }
+    assert manifest["artifacts"] == on_disk
+    return manifest
+
+
+class TestFailureManifest:
+    def test_stage_error_leaves_a_manifest(self, tmp_path, capsys):
+        doc = scenarios.make_template("cs1_plain", seed=1)
+        doc["cables"] = []
+        path = tmp_path / "empty.yaml"
+        scenarios.save_scenario(path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: mask has no foreground pixels\n"
+        manifest = certified_files(out)
+        assert "scenario.yaml" in manifest["artifacts"]
+        assert "images/color.ppm" in manifest["artifacts"]
+        assert manifest["exit_status"] == pipeline.EXIT_ERROR
+        assert manifest["failure"] == {
+            "cable": None,
+            "error": "EmptyInputError",
+            "message": "mask has no foreground pixels",
+        }
+        assert manifest["cables"] == [] and len(manifest["plane"]) == 4
+        for command in (["eval", str(out), str(path)], ["plot", str(out)]):
+            assert cli.main(command) == pipeline.EXIT_ERROR
+            assert "the run failed (EmptyInputError)" in capsys.readouterr().err
+
+    def test_exhausted_probe_budget_leaves_a_manifest(self, tmp_path, scenario_files, capsys):
+        params = tmp_path / "params.yaml"
+        params.write_text("probe_budget: 20\n")
+        out = tmp_path / "out"
+        scenario = str(scenario_files["cs1_occluded"])
+        code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
+        assert code == pipeline.EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("error: probe budget exhausted:") and err.count("\n") == 1
+        manifest = certified_files(out)
+        assert manifest["exit_status"] == pipeline.EXIT_BUDGET
+        assert manifest["failure"]["cable"] == "cable_00"
+        assert manifest["failure"]["error"] == "ProbeBudgetError"
+        assert manifest["params"]["probe_budget"] == 20
+        assert manifest["cables"] == []
+        assert any(rel.startswith("cable_00/") for rel in manifest["artifacts"])
+
+    def test_successful_run_has_no_failure_record(self, tmp_path, scenario_files):
+        result = pipeline.run_pipeline(scenario_files["cs1_plain"], tmp_path / "out")
+        manifest = certified_files(result.out_dir)
+        assert "failure" not in manifest and manifest["exit_status"] == pipeline.EXIT_COMPLETE
 
 
 class TestEval:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cablerecon import cloudproc
 from cablerecon.cloudproc import (
     PlaneModel,
-    load_csv,
+    as_cloud,
     load_ply,
     merge_close_points,
     project_to_plane,
     ransac_plane,
-    save_csv,
     save_ply,
     voxel_downsample,
 )
@@ -72,6 +72,140 @@ class TestRansacPlane:
         camera = np.array([0.0, 0.0, 2.0])
         plane = ransac_plane(pts, seed=1, orient_toward=camera)
         assert plane.signed_distance(camera)[0] > 0
+
+
+def _full_loop_ransac(cloud, inlier_tol, max_iters, seed, orient_toward=None):
+    """Reference: the plane fit scoring all `max_iters` hypotheses."""
+    pts = as_cloud(cloud)
+    rng = np.random.default_rng(seed)
+    best = None
+    for it in range(max_iters):
+        idx = rng.choice(len(pts), size=3, replace=False)
+        coeffs = cloudproc._plane_through(*pts[idx])
+        if coeffs is None:
+            continue
+        dist = np.abs(pts @ coeffs[:3] + coeffs[3])
+        count = int(np.count_nonzero(dist <= inlier_tol))
+        if best is None or count > best[0]:
+            best = (count, it, coeffs)
+    inliers = pts[np.abs(pts @ best[2][:3] + best[2][3]) <= inlier_tol]
+    centroid = inliers.mean(axis=0)
+    cov = np.cov((inliers - centroid).T)
+    eigvals, eigvecs = np.linalg.eigh(np.atleast_2d(cov))
+    normal = eigvecs[:, 0]
+    coeffs = np.append(normal, -np.dot(normal, centroid))
+    if orient_toward is not None:
+        toward = np.asarray(orient_toward, dtype=float)
+        if np.dot(coeffs[:3], toward) + coeffs[3] < 0:
+            coeffs = -coeffs
+    else:
+        n = coeffs[:3]
+        if n[2] < 0 or (n[2] == 0 and (n[1] < 0 or (n[1] == 0 and n[0] < 0))):
+            coeffs = -coeffs
+    return PlaneModel(coeffs, inlier_count=int(best[0]))
+
+
+def _tilted_plane_points(rng, n):
+    plane = PlaneModel(np.array([0.26, -0.1, 0.96, -0.3]))
+    return plane.from_plane_coords(rng.uniform(-0.2, 0.2, (n, 2)))
+
+
+def _exact_plane(rng):
+    return _tilted_plane_points(rng, 300)
+
+
+def _plane_with_outliers(rng):
+    inliers = _tilted_plane_points(rng, 210)
+    return np.vstack([inliers, rng.uniform(-0.3, 0.6, (90, 3))])
+
+
+def _mostly_coincident(rng):
+    # 17 copies of one point: most 3-point draws are degenerate
+    distinct = _tilted_plane_points(rng, 4)
+    return np.vstack([np.repeat(distinct[:1], 17, axis=0), distinct[1:]])
+
+
+class TestRansacEarlyStop:
+    @pytest.mark.parametrize(
+        "make_cloud", [_exact_plane, _plane_with_outliers, _mostly_coincident]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_equals_the_full_loop(self, make_cloud, seed):
+        cloud = make_cloud(np.random.default_rng(seed))
+        camera = np.array([0.0, 0.0, 2.0])
+        for toward in (None, camera):
+            got = ransac_plane(cloud, seed=seed, orient_toward=toward)
+            want = _full_loop_ransac(cloud, cloudproc.RANSAC_INLIER_TOL, 500, seed, toward)
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got.inlier_count == want.inlier_count
+
+    def _hypotheses(self, monkeypatch, cloud):
+        calls = []
+        real = cloudproc._plane_through
+
+        def counting(*points):
+            coeffs = real(*points)
+            calls.append(coeffs is not None)
+            return coeffs
+
+        monkeypatch.setattr(cloudproc, "_plane_through", counting)
+        plane = ransac_plane(cloud, seed=3)
+        return plane, calls
+
+    def test_full_consensus_stops_after_one_hypothesis(self, monkeypatch, rng):
+        plane, calls = self._hypotheses(monkeypatch, _exact_plane(rng))
+        assert calls == [True]
+        assert plane.inlier_count == 300
+
+    def test_no_full_consensus_scores_every_hypothesis(self, monkeypatch, rng):
+        plane, calls = self._hypotheses(monkeypatch, _plane_with_outliers(rng))
+        assert len(calls) == cloudproc.RANSAC_MAX_ITERS
+        assert 210 <= plane.inlier_count < 300
+
+    def test_degenerate_draws_delay_the_stop(self, monkeypatch, rng):
+        plane, calls = self._hypotheses(monkeypatch, _mostly_coincident(rng))
+        assert 1 < len(calls) < cloudproc.RANSAC_MAX_ITERS
+        assert calls[-1] and not any(calls[:-1])
+        assert plane.inlier_count == 20
+
+
+def _fresh_basis(n):
+    """The in-plane basis as PlaneModel computed it on every call."""
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(n[0]) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    u = ref - np.dot(ref, n) * n
+    u = u / np.linalg.norm(u)
+    return u, np.cross(n, u)
+
+
+class TestPlaneBasis:
+    @pytest.mark.parametrize(
+        "normal",
+        [
+            [0.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.9, 0.43588989435406733, 0.0],  # |n0| = 0.9: stays on x ref
+            [0.9000001, 0.1, 0.2],
+            [-0.95, 0.2, -0.1],
+            [0.26, -0.1, 0.96],
+        ],
+    )
+    def test_cached_basis_is_bit_equal_to_a_fresh_one(self, normal):
+        plane = PlaneModel(np.append(normal, 0.4))
+        for got, want in zip(plane.basis(), _fresh_basis(plane.normal)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_random_normals_both_sides_of_the_switch(self, rng):
+        sides = set()
+        for n in rng.normal(size=(400, 3)) * [3.0, 1.0, 1.0]:
+            plane = PlaneModel(np.append(n, rng.normal()))
+            sides.add(bool(abs(plane.normal[0]) > 0.9))
+            for got, want in zip(plane.basis(), _fresh_basis(plane.normal)):
+                assert got.tobytes() == want.tobytes()
+        assert sides == {True, False}
 
 
 class TestVoxelDownsample:
@@ -166,11 +300,18 @@ class TestCloudIO:
         back = load_ply(tmp_path / "c.ply")
         assert np.allclose(back, cloud, rtol=1e-8, atol=0)
 
-    def test_csv_roundtrip(self, tmp_path, rng):
-        cloud = rng.normal(size=(9, 3))
-        save_csv(tmp_path / "c.csv", cloud)
-        back = load_csv(tmp_path / "c.csv")
-        assert np.allclose(back, cloud, rtol=1e-8, atol=0)
+    def test_ply_bytes_equal_per_point_formatting(self, tmp_path, rng):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-5, 0.1, 1 / 3,
+                123456789.5, -2.5e-10, 2.2250738585072014e-308, 1.7976931348623157e308]
+        scaled = rng.normal(size=300) * 10.0 ** rng.integers(-12, 12, 300)
+        cloud = np.concatenate([edge * 3, scaled])
+        cloud = cloud[: len(cloud) // 3 * 3].reshape(-1, 3)
+        for pts in (cloud, cloud[:1], np.zeros((0, 3))):
+            lines = ["ply", "format ascii 1.0", f"element vertex {len(pts)}",
+                     "property float x", "property float y", "property float z", "end_header"]
+            lines += [f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}" for p in pts]
+            save_ply(tmp_path / "c.ply", pts)
+            assert (tmp_path / "c.ply").read_text() == "\n".join(lines) + "\n"
 
     def test_empty_cloud_roundtrip(self, tmp_path):
         save_ply(tmp_path / "e.ply", np.zeros((0, 3)))

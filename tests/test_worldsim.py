@@ -3,13 +3,16 @@ import zlib
 
 import numpy as np
 import pytest
+import yaml
 
+from cablerecon import scenarios
 from cablerecon.cloudproc import PlaneModel
 from cablerecon.errors import EmptyContactError, InvalidViewError
 from cablerecon.fitting import bspline_from_control_points
 from cablerecon.geom import Pose, frame_from_y_z, rotation_about_axis
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
 from cablerecon.scenarios import (
+    TEMPLATES,
     build_scene,
     load_scenario,
     make_template,
@@ -322,6 +325,22 @@ class TestProbeShortcut:
         assert touched and untouched
 
 
+class TestTaxelGrid:
+    @pytest.mark.parametrize("pitch", [0.005, 0.0037])
+    def test_built_once_read_only_and_equal_to_the_grid(self, pitch):
+        pad = TactilePad(pitch=pitch)
+        xs = (np.arange(6) - 2.5) * pitch
+        ys = (np.arange(2) - 0.5) * pitch
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        want = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(12)])
+        got = pad.taxel_centers()
+        assert got.tobytes() == want.tobytes() and got.shape == (12, 3)
+        assert got is pad.taxel_centers()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+
+
 class TestMapCentroid:
     def test_single_active_taxel(self):
         pose = face_down_pose([0.0, 0.0, 0.001])
@@ -368,6 +387,25 @@ class TestScenarioFiles:
             save_scenario(a, make_template(name, seed=9))
             save_scenario(b, make_template(name, seed=9))
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("name", TEMPLATES)
+    def test_bytes_and_documents_equal_pure_python_yaml(self, tmp_path, name, scale):
+        if yaml.__with_libyaml__:
+            assert scenarios._LOADER is yaml.CSafeLoader
+            assert scenarios._DUMPER is yaml.CSafeDumper
+        for seed in range(5):
+            doc = make_template(name, seed=seed)
+            cam = doc["camera"]
+            for key in ("fx", "fy", "cx", "cy"):
+                cam[key] = float(cam[key]) * scale
+            cam["width"] = int(round(cam["width"] * scale))
+            cam["height"] = int(round(cam["height"] * scale))
+            path = tmp_path / f"{name}_{seed}.yaml"
+            save_scenario(path, doc)
+            text = yaml.safe_dump(doc, sort_keys=False)
+            assert path.read_text() == text
+            assert load_scenario(path) == yaml.safe_load(text) == doc
 
     def test_roundtrip_builds_valid_scene(self, tmp_path):
         path = tmp_path / "s.yaml"
