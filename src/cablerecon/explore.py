@@ -12,17 +12,24 @@ rotations (a true cable end).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cloudproc import PlaneModel
 from .errors import DescentOverrunError, NoDirectionError, ProbeBudgetError
 from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from .topology import SortedPolyline, previous_point
-from .worldsim import TactileMap, map_centroid
+from .worldsim import TactileMap, TactilePad, map_centroid
 
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
+POSE_COLUMNS = tuple("r00 r01 r02 r10 r11 r12 r20 r21 r22 tx ty tz".split())
+TRACE_COLUMNS = (
+    "step", "endpoint_id", *POSE_COLUMNS, "touched", "indicator", "accepted", "px", "py", "pz"
+)
+_POSE_FORMAT = ",".join(["%.9g"] * len(POSE_COLUMNS))
 
 
 def indicator(tmap: TactileMap | np.ndarray, pitch: float = 0.005) -> float:
@@ -65,15 +72,9 @@ class ExplorationResult:
     dead_ends: int = 0
 
     def save_trace_csv(self, path) -> None:
-        cols = [
-            "step", "endpoint_id",
-            "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22",
-            "tx", "ty", "tz", "touched", "indicator", "accepted",
-            "px", "py", "pz",
-        ]
-        lines = [",".join(cols)]
-        for row in self.trace:
-            lines.append(",".join(str(row[c]) for c in cols))
+        pick = itemgetter(*TRACE_COLUMNS)
+        lines = [",".join(TRACE_COLUMNS)]
+        lines.extend(",".join(map(str, pick(row))) for row in self.trace)
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -87,8 +88,6 @@ class _Tracer:
         self.step = 0
 
     def log(self, endpoint_id, pose, touched, ind, accepted, p_new):
-        r = pose.rotation
-        t = pose.translation
         row = {
             "step": self.step,
             "endpoint_id": endpoint_id,
@@ -99,10 +98,9 @@ class _Tracer:
             "py": _fmt(p_new[1]) if p_new is not None else "",
             "pz": _fmt(p_new[2]) if p_new is not None else "",
         }
-        for i in range(3):
-            for j in range(3):
-                row[f"r{i}{j}"] = _fmt(r[i, j])
-        row["tx"], row["ty"], row["tz"] = _fmt(t[0]), _fmt(t[1]), _fmt(t[2])
+        # "%.9g" % x is the text of _fmt(x); one format call covers the pose
+        values = pose.rotation.ravel().tolist() + pose.translation.tolist()
+        row.update(zip(POSE_COLUMNS, (_POSE_FORMAT % tuple(values)).split(",")))
         self.rows.append(row)
         self.step += 1
 
@@ -157,6 +155,7 @@ def explore_from_endpoints(
     if params is None:
         params = ReconParams()
     normal = plane.normal
+    pad = TactilePad(pitch=pad_pitch)
     r_step = rotation_about_axis(np.array([0.0, 0.0, 1.0]), params.theta_deg)
 
     endpoints = poly.endpoints
@@ -193,7 +192,7 @@ def explore_from_endpoints(
             )
             ind = indicator(tmap, pitch=pad_pitch)
             if ind > params.t_h:
-                p_new = map_centroid(tmap, plane)
+                p_new = map_centroid(tmap, plane, pad)
                 advance = p_new - state.last_point
                 if np.linalg.norm(advance) < 1e-12:
                     # centroid landed on the frontier; treat as no progress
@@ -239,12 +238,19 @@ def explore_from_endpoints(
 
 
 def merge_clouds(visual: np.ndarray, tactile: np.ndarray) -> np.ndarray:
-    """Union of the two clouds with exact duplicates (< 1e-9) removed."""
-    vis = np.asarray(visual, dtype=float).reshape(-1, 3)
-    tac = np.asarray(tactile, dtype=float).reshape(-1, 3)
-    out: list[np.ndarray] = []
-    for p in np.vstack([vis, tac]):
-        if out and np.linalg.norm(np.array(out) - p, axis=1).min() < 1e-9:
-            continue
-        out.append(p)
-    return np.array(out).reshape(-1, 3)
+    """Union of the two clouds with exact duplicates (< 1e-9) removed.
+
+    A point is dropped only when an earlier kept point lies within 1e-9.
+    The tree nominates pairs, with slack for its own rounding; the norm decides.
+    """
+    pts = np.vstack([np.asarray(c, dtype=float).reshape(-1, 3) for c in (visual, tactile)])
+    keep = np.ones(len(pts), dtype=bool)
+    if len(pts) > 1:
+        pairs = cKDTree(pts).query_pairs(2e-9, output_type="ndarray")
+        pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
+        close = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1) < 1e-9
+        # pairs come as (i < j) sorted by j, so keep[i] is final when read
+        for i, j in pairs[close]:
+            if keep[i]:
+                keep[j] = False
+    return pts[keep]

@@ -29,7 +29,9 @@ def is_rotation(mat: np.ndarray, tol: float = UNIT_TOL) -> bool:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (3, 3):
         return False
-    if not np.allclose(mat.T @ mat, np.eye(3), atol=tol):
+    # np.allclose(mat.T @ mat, eye, atol=tol) with its default rtol, less its overhead
+    eye = np.eye(3)
+    if not (np.abs(mat.T @ mat - eye) <= tol + 1e-5 * eye).all():
         return False
     return abs(np.linalg.det(mat) - 1.0) <= tol
 

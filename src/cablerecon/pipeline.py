@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -107,6 +108,12 @@ def run_pipeline(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a reused run directory must not keep, and certify, an earlier run's files
+    for path in [out / "images", *out.glob("cable_[0-9][0-9]")]:
+        if path.is_dir():
+            shutil.rmtree(path)
+    for name in ("scenario.yaml", "manifest.json", "timing.txt", "eval_report.yaml"):
+        (out / name).unlink(missing_ok=True)
     manifest = {
         "scenario": "scenario.yaml",
         "seed": int(doc.get("seed", 0)),

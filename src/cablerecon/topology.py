@@ -61,62 +61,53 @@ class SortedPolyline:
         return np.vstack([self.points[seg] for seg in self.segments])
 
 
-def _lex_key(p: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(p, dtype=float), 12))
-
-
-def _pick(candidates: list[tuple[float, float, tuple, int]]) -> int:
-    """Least deviation, then least distance, then lexicographic coords.
-
-    The first two stages tolerate 1e-9 so that geometric ties resolve the
-    same way no matter how the input was ordered.
-    """
-    best_dev = min(c[0] for c in candidates)
-    pool = [c for c in candidates if c[0] <= best_dev + TIE_TOL]
-    best_dist = min(c[1] for c in pool)
-    pool = [c for c in pool if c[1] <= best_dist + TIE_TOL]
-    return min(pool, key=lambda c: c[2])[3]
-
-
 def _grow(
     order: list[int],
     uv: np.ndarray,
-    pts3: np.ndarray,
-    unvisited: set,
+    keys: list[tuple],
+    free: np.ndarray,
     r_search: float,
     cos_min: float,
 ) -> None:
-    """Extend `order` forward in place until no candidate survives."""
-    while unvisited:
+    """Extend `order` forward in place until no candidate survives.
+
+    Each step scores all free points at once; `np.vecdot` runs the BLAS dot
+    of a one-point `np.linalg.norm`/`np.dot` per row, so the values match
+    bit for bit. The pick is least deviation, then least distance (both to
+    1e-9, so ties resolve the same for any input order), then coords.
+    """
+    while True:
+        idx = np.flatnonzero(free)
+        if idx.size == 0:
+            return
         tail = uv[order[-1]]
         direction = None
         if len(order) >= 2:
             step = tail - uv[order[-2]]
-            norm = np.linalg.norm(step)
+            norm = np.sqrt(step.dot(step))
             if norm > 1e-15:
                 direction = step / norm
 
-        candidates = []
-        for idx in unvisited:
-            offset = uv[idx] - tail
-            dist = float(np.linalg.norm(offset))
-            if dist > r_search or dist < 1e-15:
-                continue
-            if direction is None:
-                candidates.append((0.0, dist, _lex_key(pts3[idx]), idx))
-            else:
-                cos_dev = float(np.dot(offset / dist, direction))
-                if cos_dev < cos_min:
-                    continue
-                # -cos grows with angular deviation
-                candidates.append((-cos_dev, dist, _lex_key(pts3[idx]), idx))
-        if not candidates:
+        off = uv[idx] - tail
+        dist = np.sqrt(np.vecdot(off, off))
+        keep = ~((dist > r_search) | (dist < 1e-15))
+        idx, off, dist = idx[keep], off[keep], dist[keep]
+        if direction is None:
+            dev = np.zeros(len(idx))
+        else:
+            cos_dev = np.vecdot(off / dist[:, None], direction)
+            keep = ~(cos_dev < cos_min)
+            # -cos grows with angular deviation
+            idx, dist, dev = idx[keep], dist[keep], -cos_dev[keep]
+        if idx.size == 0:
             return
-        d_near = min(c[1] for c in candidates)
-        candidates = [c for c in candidates if c[1] <= NEAREST_WINDOW * d_near]
-        chosen = _pick(candidates)
+        keep = dist <= NEAREST_WINDOW * dist.min()
+        idx, dist, dev = idx[keep], dist[keep], dev[keep]
+        keep = dev <= dev.min() + TIE_TOL
+        idx, dist = idx[keep], dist[keep]
+        chosen = min(idx[dist <= dist.min() + TIE_TOL].tolist(), key=keys.__getitem__)
         order.append(chosen)
-        unvisited.discard(chosen)
+        free[chosen] = False
 
 
 def _stitch_crossings(
@@ -191,24 +182,25 @@ def sort_and_find_endpoints(
     uv = plane.to_plane_coords(pts)
     cos_min = float(np.cos(np.radians(alpha_max_deg)))
 
-    unvisited = set(range(len(pts)))
+    keys = [tuple(k) for k in np.round(pts, 12)]
+    free = np.ones(len(pts), dtype=bool)
     raw: list[list[int]] = []
-    while unvisited:
+    while free.any():
         # canonical order makes the centroid sum permutation-independent
-        rem = sorted(unvisited, key=lambda i: _lex_key(pts[i]))
+        rem = sorted(np.flatnonzero(free).tolist(), key=keys.__getitem__)
         centroid = uv[rem].mean(axis=0)
         dists = np.linalg.norm(uv[rem] - centroid, axis=1)
         dmax = float(dists.max())
         pool = [i for i, d in zip(rem, dists) if d >= dmax - TIE_TOL]
-        seed = min(pool, key=lambda i: _lex_key(pts[i]))
-        unvisited.discard(seed)
+        seed = min(pool, key=keys.__getitem__)
+        free[seed] = False
 
         order = [seed]
-        _grow(order, uv, pts, unvisited, r_search, cos_min)
+        _grow(order, uv, keys, free, r_search, cos_min)
         # the farthest-from-centroid seed is not guaranteed to be a true
         # extreme; try the other direction from the seed end once
         order.reverse()
-        _grow(order, uv, pts, unvisited, r_search, cos_min)
+        _grow(order, uv, keys, free, r_search, cos_min)
         order.reverse()
         raw.append(order)
 

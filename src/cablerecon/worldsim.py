@@ -320,11 +320,14 @@ def probe(
     face_height = plane.signed_distance(centers)
     penetration = -face_height
 
-    uv = plane.to_plane_coords(centers)
+    uv = None
     for cable in scene.cables:
         near = np.flatnonzero(face_height <= 2 * cable.radius * (1 + 1e-9))
         if near.size == 0:
             continue
+        if uv is None:
+            # over all 12 centers: a product over fewer rows can round differently
+            uv = plane.to_plane_coords(centers)
         rho = cable.plan_distance(plane, uv[near])
         inside = rho <= cable.radius
         under = near[inside]

@@ -1,15 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
+    POSE_COLUMNS,
+    ExplorationResult,
+    _fmt,
+    _Tracer,
     explore_from_endpoints,
     indicator,
     merge_clouds,
 )
 from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
-from cablerecon.worldsim import TactileProbe
+from cablerecon.worldsim import TactilePad, TactileProbe, map_centroid
 
 from test_worldsim import PLANE, make_scene, straight_cable
 
@@ -167,7 +173,85 @@ class TestExploration:
         assert len(lines) == len(result.trace) + 1
 
 
+    def test_centroid_uses_the_walks_pad_pitch(self):
+        _, poly, cable = gap_fixture()
+        pad = TactilePad(pitch=0.004)
+        scene = make_scene([cable], pad=pad)
+        maps = []
+
+        def recording_probe(pose):
+            touched, tmap = TactileProbe(scene)(pose)
+            if touched:
+                maps.append(tmap)
+            return touched, tmap
+
+        result = explore_from_endpoints(
+            poly, PLANE, recording_probe, ReconParams(), pad_pitch=pad.pitch
+        )
+        touches = [r for r in result.trace if r["touched"]]
+        accepted = [m for m, r in zip(maps, touches, strict=True) if r["accepted"]]
+        assert len(accepted) == len(result.tactile_cloud) > 0
+        for tmap, point in zip(accepted, result.tactile_cloud):
+            assert point.tobytes() == map_centroid(tmap, PLANE, pad).tobytes()
+        default = [map_centroid(m, PLANE) for m in accepted]
+        assert not np.array_equal(default, result.tactile_cloud)
+
+
+class TestTraceRows:
+    COLUMNS = [
+        "step", "endpoint_id",
+        "r00", "r01", "r02", "r10", "r11", "r12", "r20", "r21", "r22",
+        "tx", "ty", "tz", "touched", "indicator", "accepted",
+        "px", "py", "pz",
+    ]
+
+    def test_pose_text_and_csv_equal_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(8)
+        randoms = rng.normal(size=300) * 10.0 ** rng.uniform(-300, 300, 300)
+        values = np.concatenate([[-0.0, 5e-324, 1e300, -1e300], randoms, np.ones(8)])
+        tracer = _Tracer()
+        for k, chunk in enumerate(values.reshape(-1, 12)):
+            pose = SimpleNamespace(rotation=chunk[:9].reshape(3, 3), translation=chunk[9:])
+            p_new = chunk[:3] if k % 2 else None
+            tracer.log(k % 3, pose, bool(k % 2), chunk[4] if k % 2 else None, k % 4 == 1, p_new)
+        for chunk, row in zip(values.reshape(-1, 12), tracer.rows, strict=True):
+            assert [row[c] for c in POSE_COLUMNS] == [_fmt(x) for x in chunk]
+        ExplorationResult(np.zeros((0, 3)), trace=tracer.rows).save_trace_csv(tmp_path / "t.csv")
+        lines = [",".join(self.COLUMNS)]
+        lines += [",".join(str(row[c]) for c in self.COLUMNS) for row in tracer.rows]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def merge_clouds_ref(visual, tactile):
+    """The greedy list scan merge_clouds replaces."""
+    out = []
+    for p in np.vstack([visual, tactile]):
+        if out and np.linalg.norm(np.array(out) - p, axis=1).min() < 1e-9:
+            continue
+        out.append(p)
+    return np.array(out).reshape(-1, 3)
+
+
 class TestMergeClouds:
+    def test_matches_greedy_scan_on_chains_and_duplicates(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            groups = []
+            for center in rng.normal(size=(int(rng.integers(1, 12)), 3)):
+                # a chain: consecutive points about 1e-9 apart, so a ~ b and
+                # b ~ c while a and c are not; zero steps are exact duplicates
+                steps = rng.choice([0.0, 6e-10, 9.99999e-10, 1e-9, 1.00001e-9], 4)
+                direction = rng.normal(size=3)
+                direction /= np.linalg.norm(direction)
+                groups.append(center + np.cumsum(steps)[:, None] * direction)
+            cloud = np.vstack(groups)[rng.permutation(4 * len(groups))]
+            cut = int(rng.integers(0, len(cloud) + 1))
+            got = merge_clouds(cloud[:cut], cloud[cut:])
+            assert got.tobytes() == merge_clouds_ref(cloud[:cut], cloud[cut:]).tobytes()
+        chain = np.array([[0.0, 0, 0], [6e-10, 0, 0], [1.2e-9, 0, 0]])
+        assert len(merge_clouds(chain, np.zeros((0, 3)))) == 2
+
+
     def test_empty_tactile_is_identity(self, rng):
         visual = rng.normal(size=(10, 3))
         out = merge_clouds(visual, np.zeros((0, 3)))

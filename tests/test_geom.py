@@ -107,3 +107,52 @@ class TestReconParams:
         p = ReconParams()
         q = dataclasses.replace(p, delta_y=0.02)
         assert q.delta_y == 0.02 and p.delta_y == 0.01
+
+
+def _allclose_ref(m, tol):
+    """The pose check as np.allclose states it."""
+    return bool(np.allclose(m.T @ m, np.eye(3), atol=tol)) and bool(
+        abs(np.linalg.det(m) - 1.0) <= tol
+    )
+
+
+def _diag_straddle(bound, sign):
+    """diag(a, c, c) with a*a - 1 just inside and just outside sign*bound.
+
+    c = 1/sqrt(a) keeps det within a few ulp of 1 and c*c well inside.
+    """
+    a = lo = hi = np.sqrt(1.0 + sign * bound)
+    steps = [a]
+    for _ in range(4):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)
+        steps += [lo, hi]
+    dev = {s: abs(s * s - 1.0) for s in steps}
+    inside = max((s for s in steps if dev[s] <= bound), key=dev.get)
+    outside = min((s for s in steps if dev[s] > bound), key=dev.get)
+    return [np.diag([s, 1.0 / np.sqrt(s), 1.0 / np.sqrt(s)]) for s in (inside, outside)]
+
+
+class TestIsRotationMatchesAllclose:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
+    def test_boundaries_and_non_finite(self, tol):
+        cases = []
+        for bound in (tol, tol + 1e-5):
+            for e in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)):
+                for sign in (1.0, -1.0):
+                    m = np.eye(3)
+                    m[0, 1] = sign * e  # (m.T @ m)[0, 1] is exactly this
+                    cases.append(m)
+            for sign in (1.0, -1.0):
+                pair = _diag_straddle(bound, sign)
+                # the diagonal allows tol + 1e-5 (allclose's default rtol)
+                assert [_allclose_ref(m, tol) for m in pair] == [True, bound == tol]
+                cases += pair
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, j in ((0, 0), (1, 2)):
+                m = np.eye(3)
+                m[i, j] = bad
+                cases.append(m)
+        with np.errstate(all="ignore"):
+            got = [is_rotation(m, tol) for m in cases]
+            want = [_allclose_ref(m, tol) for m in cases]
+        assert got == want

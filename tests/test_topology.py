@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cablerecon.cloudproc import PlaneModel
+from cablerecon import topology
+from cablerecon.cloudproc import PlaneModel, as_cloud
 from cablerecon.errors import EmptyInputError, NoDirectionError
 from cablerecon.topology import (
     SortedPolyline,
@@ -183,3 +184,141 @@ class TestSortedCsv:
         back = load_sorted_csv(tmp_path / "sorted.csv")
         assert len(back.segments) == len(poly.segments)
         assert np.allclose(back.ordered_points(), poly.ordered_points(), atol=1e-8)
+
+
+# One-point-at-a-time reference for the batched sort: the candidate loop,
+# pick and key as they were before scoring went through np.vecdot.
+def _lex_key_ref(p):
+    return tuple(np.round(np.asarray(p, dtype=float), 12))
+
+
+def _pick_ref(candidates):
+    best_dev = min(c[0] for c in candidates)
+    pool = [c for c in candidates if c[0] <= best_dev + topology.TIE_TOL]
+    best_dist = min(c[1] for c in pool)
+    pool = [c for c in pool if c[1] <= best_dist + topology.TIE_TOL]
+    return min(pool, key=lambda c: c[2])[3]
+
+
+def _grow_ref(order, uv, pts3, unvisited, r_search, cos_min):
+    while unvisited:
+        tail = uv[order[-1]]
+        direction = None
+        if len(order) >= 2:
+            step = tail - uv[order[-2]]
+            norm = np.linalg.norm(step)
+            if norm > 1e-15:
+                direction = step / norm
+        candidates = []
+        for idx in unvisited:
+            offset = uv[idx] - tail
+            dist = float(np.linalg.norm(offset))
+            if dist > r_search or dist < 1e-15:
+                continue
+            if direction is None:
+                candidates.append((0.0, dist, _lex_key_ref(pts3[idx]), idx))
+            else:
+                cos_dev = float(np.dot(offset / dist, direction))
+                if cos_dev < cos_min:
+                    continue
+                candidates.append((-cos_dev, dist, _lex_key_ref(pts3[idx]), idx))
+        if not candidates:
+            return
+        d_near = min(c[1] for c in candidates)
+        candidates = [
+            c for c in candidates if c[1] <= topology.NEAREST_WINDOW * d_near
+        ]
+        chosen = _pick_ref(candidates)
+        order.append(chosen)
+        unvisited.discard(chosen)
+
+
+def sort_ref(cloud, plane, r_search=0.035, alpha_max_deg=75.0, stitch_crossings=True):
+    pts = as_cloud(cloud)
+    uv = plane.to_plane_coords(pts)
+    cos_min = float(np.cos(np.radians(alpha_max_deg)))
+    unvisited = set(range(len(pts)))
+    raw = []
+    while unvisited:
+        rem = sorted(unvisited, key=lambda i: _lex_key_ref(pts[i]))
+        centroid = uv[rem].mean(axis=0)
+        dists = np.linalg.norm(uv[rem] - centroid, axis=1)
+        dmax = float(dists.max())
+        pool = [i for i, d in zip(rem, dists) if d >= dmax - topology.TIE_TOL]
+        seed = min(pool, key=lambda i: _lex_key_ref(pts[i]))
+        unvisited.discard(seed)
+        order = [seed]
+        _grow_ref(order, uv, pts, unvisited, r_search, cos_min)
+        order.reverse()
+        _grow_ref(order, uv, pts, unvisited, r_search, cos_min)
+        order.reverse()
+        raw.append(order)
+    if stitch_crossings and len(raw) > 1:
+        raw = topology._stitch_crossings(uv, raw, r_search)
+    return [list(s) for s in raw]
+
+
+TILTED = PlaneModel(np.array([0.1, -0.2, 1.0, -0.3]))
+
+
+def _fuzz_cloud(kind, rng):
+    n = int(rng.integers(2, 45))
+    if kind == "random":
+        uv = rng.uniform(0.0, 0.12, (n, 2))
+    elif kind == "lattice":
+        # dyadic pitch: equal distances and angles tie exactly
+        pitch = 2.0 ** -7
+        grid = rng.integers(0, 8, (n, 2))
+        uv = np.unique(grid, axis=0) * pitch
+    elif kind == "near_duplicate":
+        base = rng.uniform(0.0, 0.12, (n, 2))
+        dup = base[rng.integers(0, n, n // 2)] + rng.choice([-1e-13, 1e-13], (n // 2, 2))
+        uv = np.vstack([base, dup])
+    else:  # "permuted": an arc, shuffled
+        t = np.sort(rng.uniform(0.0, 2.5, n))
+        uv = 0.1 * np.column_stack([np.cos(t), np.sin(t)])
+        uv = uv[rng.permutation(n)]
+    plane = PLANE if kind == "lattice" else TILTED
+    return plane.from_plane_coords(uv), plane
+
+
+class TestBatchedSortMatchesPointLoop:
+    @pytest.mark.parametrize("stitch", [True, False])
+    @pytest.mark.parametrize(
+        "kind, seed", [("random", 1), ("lattice", 2), ("near_duplicate", 3), ("permuted", 4)]
+    )
+    def test_segments_equal_reference(self, kind, seed, stitch):
+        rng = np.random.default_rng([seed, int(stitch)])
+        for _ in range(25):
+            cloud, plane = _fuzz_cloud(kind, rng)
+            got = sort_and_find_endpoints(cloud, plane, 0.035, 75.0, stitch_crossings=stitch)
+            want = sort_ref(cloud, plane, 0.035, 75.0, stitch_crossings=stitch)
+            assert [seg.tolist() for seg in got.segments] == want
+
+    def test_vecdot_is_bit_equal_to_per_row_norm_and_dot(self):
+        # the batched sort relies on this; a numpy or BLAS change that
+        # breaks it would silently move tie-breaks
+        rng = np.random.default_rng(5)
+        off = rng.normal(size=(10_000, 2)) * rng.uniform(1e-3, 1.0, (10_000, 1))
+        direction = np.array([0.6, -0.8])
+        dist = np.sqrt(np.vecdot(off, off))
+        assert np.array_equal(dist, [np.linalg.norm(o) for o in off])
+        cos = np.vecdot(off / dist[:, None], direction)
+        assert np.array_equal(cos, [np.dot(o / d, direction) for o, d in zip(off, dist)])
+
+    def test_radius_boundary_follows_the_per_point_norm(self):
+        # a neighbour exactly r_search away is taken and one a single ulp
+        # beyond is not, so the batched distance must round like the norm
+        # of one offset; the offset is one where a sum-of-squares norm
+        # rounds differently, which makes that rounding observable
+        rng = np.random.default_rng(11)
+        pts = np.zeros((2, 3))
+        while True:
+            pts[1, :2] = rng.uniform(0.005, 0.03, 2)
+            off = np.diff(PLANE.to_plane_coords(pts), axis=0)
+            d = np.linalg.norm(off[0])
+            if d != np.linalg.norm(off, axis=1)[0]:
+                break
+        assert len(sort_and_find_endpoints(pts, PLANE, d, 75.0).segments) == 1
+        below = np.nextafter(d, 0.0)
+        assert len(sort_and_find_endpoints(pts, PLANE, below, 75.0).segments) == 2

@@ -325,6 +325,47 @@ class TestProbeShortcut:
         assert touched and untouched
 
 
+    def test_no_cable_and_single_low_taxel_on_a_tilted_plane(self):
+        # on a tilted plane the uv of a one-row product can round apart
+        # from the same row of the 12-row product, so taxels reaching a
+        # cable one at a time must still see the 12-row coordinates; the
+        # cable runs oblique to u and v so that either coordinate moves rho
+        plane = PlaneModel(np.array([0.05, -0.1, 1.0, -0.2]))
+        radius = 0.004
+        along, across = np.array([0.8, 0.6]), np.array([-0.6, 0.8])
+        plan = np.linspace(-0.2, 0.2, 6)[:, None] * along
+        cable = GroundTruthCable(
+            centerline=bspline_from_control_points(
+                plane.from_plane_coords(plan) + radius * plane.normal
+            ),
+            radius=radius,
+            color=np.array([30.0, 30.0, 30.0]),
+        )
+        scenes = [
+            WorldScene(support_plane=plane, cables=cables, occluders=[],
+                       camera=overhead_camera(), width=320, height=240)
+            for cables in ([], [cable])
+        ]
+        rng = np.random.default_rng(4)
+        single = 0
+        for _ in range(200):
+            tilt = rotation_about_axis(np.array([0.6, 0.8, 0.0]), rng.uniform(15.0, 40.0))
+            rotation = frame_from_y_z(rng.normal(size=3), plane.normal) @ tilt
+            # put the lowest taxel over the cable, between r and 2r high
+            low = Pose(rotation, np.zeros(3)).transform(scenes[0].pad.taxel_centers())
+            low = low[np.argmin(plane.signed_distance(low))]
+            uv = rng.uniform(-0.05, 0.05) * along + rng.uniform(-0.6, 0.6) * radius * across
+            target = plane.from_plane_coords(uv)[0] + rng.uniform(1.0, 2.0) * radius * plane.normal
+            pose = Pose(rotation, target - low)
+            for scene in scenes:
+                hit, tmap = probe(scene, pose)
+                expected = all_taxel_pressures(scene, pose)
+                assert tmap.pressures.tobytes() == expected.tobytes()
+            face = plane.signed_distance(pose.transform(scene.pad.taxel_centers()))
+            single += hit and (face <= 2 * radius).sum() == 1
+        assert single >= 20
+
+
 class TestTaxelGrid:
     @pytest.mark.parametrize("pitch", [0.005, 0.0037])
     def test_built_once_read_only_and_equal_to_the_grid(self, pitch):
