@@ -16,7 +16,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloudproc import PlaneModel
 from .errors import DescentOverrunError, NoDirectionError, ProbeBudgetError
@@ -141,7 +140,8 @@ def explore_from_endpoints(
     plane: PlaneModel,
     probe_fn,
     params: ReconParams | None = None,
-    pad_pitch: float = 0.005,
+    *,
+    pad: TactilePad,
 ) -> ExplorationResult:
     """Run the per-endpoint exploration walks and collect tactile points.
 
@@ -155,7 +155,6 @@ def explore_from_endpoints(
     if params is None:
         params = ReconParams()
     normal = plane.normal
-    pad = TactilePad(pitch=pad_pitch)
     r_step = rotation_about_axis(np.array([0.0, 0.0, 1.0]), params.theta_deg)
 
     endpoints = poly.endpoints
@@ -190,7 +189,7 @@ def explore_from_endpoints(
                 probe_fn, state.pose.rotation, target, normal, plane,
                 params, budget, tracer, eid,
             )
-            ind = indicator(tmap, pitch=pad_pitch)
+            ind = indicator(tmap, pitch=pad.pitch)
             if ind > params.t_h:
                 p_new = map_centroid(tmap, plane, pad)
                 advance = p_new - state.last_point
@@ -238,19 +237,12 @@ def explore_from_endpoints(
 
 
 def merge_clouds(visual: np.ndarray, tactile: np.ndarray) -> np.ndarray:
-    """Union of the two clouds with exact duplicates (< 1e-9) removed.
-
-    A point is dropped only when an earlier kept point lies within 1e-9.
-    The tree nominates pairs, with slack for its own rounding; the norm decides.
-    """
-    pts = np.vstack([np.asarray(c, dtype=float).reshape(-1, 3) for c in (visual, tactile)])
-    keep = np.ones(len(pts), dtype=bool)
-    if len(pts) > 1:
-        pairs = cKDTree(pts).query_pairs(2e-9, output_type="ndarray")
-        pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
-        close = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1) < 1e-9
-        # pairs come as (i < j) sorted by j, so keep[i] is final when read
-        for i, j in pairs[close]:
-            if keep[i]:
-                keep[j] = False
-    return pts[keep]
+    """Union of the two clouds with exact duplicates (< 1e-9) removed."""
+    vis = np.asarray(visual, dtype=float).reshape(-1, 3)
+    tac = np.asarray(tactile, dtype=float).reshape(-1, 3)
+    out: list[np.ndarray] = []
+    for p in np.vstack([vis, tac]):
+        if out and np.linalg.norm(np.array(out) - p, axis=1).min() < 1e-9:
+            continue
+        out.append(p)
+    return np.array(out).reshape(-1, 3)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -108,12 +107,6 @@ def run_pipeline(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # a reused run directory must not keep, and certify, an earlier run's files
-    for path in [out / "images", *out.glob("cable_[0-9][0-9]")]:
-        if path.is_dir():
-            shutil.rmtree(path)
-    for name in ("scenario.yaml", "manifest.json", "timing.txt", "eval_report.yaml"):
-        (out / name).unlink(missing_ok=True)
     manifest = {
         "scenario": "scenario.yaml",
         "seed": int(doc.get("seed", 0)),
@@ -194,7 +187,7 @@ def run_pipeline(
             if tactile:
                 probe_fn = worldsim.TactileProbe(scene, eps_contact=params.eps_contact)
                 result = explore.explore_from_endpoints(
-                    poly, plane, probe_fn, params, pad_pitch=scene.pad.pitch
+                    poly, plane, probe_fn, params, pad=scene.pad
                 )
                 p_tactile = result.tactile_cloud
                 result.save_trace_csv(cable_dir / "trace.csv")

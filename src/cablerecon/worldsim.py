@@ -354,10 +354,8 @@ def probe(
     return touched, TactileMap(pressures=pressures, pose=pad_pose)
 
 
-def map_centroid(tmap: TactileMap, plane: PlaneModel, pad: TactilePad | None = None) -> np.ndarray:
+def map_centroid(tmap: TactileMap, plane: PlaneModel, pad: TactilePad) -> np.ndarray:
     """Pressure-weighted mean of active taxel positions, on the plane."""
-    if pad is None:
-        pad = TactilePad()
     weights = tmap.pressures.ravel()
     total = weights.sum()
     if total <= 0:

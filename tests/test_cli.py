@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import yaml
 
 from cablerecon import cli, pipeline, scenarios
 from cablerecon.cloudproc import load_ply
@@ -189,30 +188,6 @@ class TestFailureManifest:
         result = pipeline.run_pipeline(scenario_files["cs1_plain"], tmp_path / "out")
         manifest = certified_files(result.out_dir)
         assert "failure" not in manifest and manifest["exit_status"] == pipeline.EXIT_COMPLETE
-
-
-class TestReusedRunDirectory:
-    def test_second_run_certifies_only_its_own_files(self, tmp_path, scenario_files, capsys):
-        out = tmp_path / "out"
-        two, one = str(scenario_files["cs2_plain"]), str(scenario_files["cs1_plain"])
-        assert cli.main(["run", two, "--out", str(out), "--seed", "1"]) == 0
-        assert cli.main(["eval", str(out), two]) == 0
-        assert cli.main(["plot", str(out)]) == 0
-        (out / "notes.txt").write_text("kept\n")
-        assert (out / "cable_01").is_dir() and (out / "eval_report.yaml").exists()
-
-        assert cli.main(["run", one, "--out", str(out), "--seed", "1"]) == 0
-        manifest = certified_files(out)
-        assert [c["directory"] for c in manifest["cables"]] == ["cable_00"]
-        assert not (out / "cable_01").exists()
-        assert not (out / "images" / "mask_cable_01.pgm").exists()
-        assert not (out / "eval_report.yaml").exists()
-        assert not list(out.glob("cable_00/*.svg"))
-        assert (out / "notes.txt").read_text() == "kept\n"
-        capsys.readouterr()
-        assert cli.main(["eval", str(out), one]) == 0
-        report = yaml.safe_load((out / "eval_report.yaml").read_text())
-        assert len(report["cables"]) == 1
 
 
 class TestEval:

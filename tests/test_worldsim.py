@@ -387,7 +387,7 @@ class TestMapCentroid:
         pose = face_down_pose([0.0, 0.0, 0.001])
         pressures = np.zeros((6, 2))
         pressures[1, 0] = 2.5
-        centroid = map_centroid(TactileMap(pressures, pose), PLANE)
+        centroid = map_centroid(TactileMap(pressures, pose), PLANE, TactilePad())
         taxel_world = pose.transform(TactilePad().taxel_centers())[2]  # (1, 0)
         assert np.allclose(centroid[:2], taxel_world[:2], atol=1e-12)
         assert abs(centroid[2]) < 1e-12
@@ -397,7 +397,7 @@ class TestMapCentroid:
         pressures = np.zeros((6, 2))
         pressures[0, 0] = 1.0
         pressures[5, 1] = 1.0
-        centroid = map_centroid(TactileMap(pressures, pose), PLANE)
+        centroid = map_centroid(TactileMap(pressures, pose), PLANE, TactilePad())
         centers = pose.transform(TactilePad().taxel_centers())
         mid = 0.5 * (centers[0] + centers[11])
         assert np.allclose(centroid[:2], mid[:2], atol=1e-12)
@@ -410,14 +410,14 @@ class TestMapCentroid:
         # the true centerline
         pose = face_down_pose([0.0, 0.002, 2 * radius - 0.002])
         _, tmap = probe(scene, pose)
-        centroid = map_centroid(tmap, PLANE)
+        centroid = map_centroid(tmap, PLANE, TactilePad())
         assert abs(centroid[1]) <= TactilePad().pitch / 2
         assert abs(PLANE.signed_distance(centroid)[0]) < 1e-9
 
     def test_zero_map_rejected(self):
         pose = face_down_pose([0.0, 0.0, 0.01])
         with pytest.raises(EmptyContactError):
-            map_centroid(TactileMap(np.zeros((6, 2)), pose), PLANE)
+            map_centroid(TactileMap(np.zeros((6, 2)), pose), PLANE, TactilePad())
 
 
 class TestScenarioFiles:
