@@ -142,9 +142,7 @@ def ransac_plane(
     return PlaneModel(coeffs, inlier_count=int(best[0]))
 
 
-def voxel_downsample(
-    cloud: np.ndarray, d_m: float, origin: np.ndarray | None = None
-) -> np.ndarray:
+def voxel_downsample(cloud: np.ndarray, d_m: float, origin: tuple) -> np.ndarray:
     """One centroid per occupied voxel of edge `d_m`, anchored at `origin`.
 
     Output order is lexicographic in the voxel index, so the result is
@@ -155,8 +153,6 @@ def voxel_downsample(
     pts = as_cloud(cloud)
     if len(pts) == 0:
         return pts
-    if origin is None:
-        origin = np.zeros(3)
     bins = np.floor((pts - np.asarray(origin, dtype=float)) / d_m).astype(np.int64)
     uniq, inverse = np.unique(bins, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3))

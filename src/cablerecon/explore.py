@@ -21,7 +21,7 @@ from .cloudproc import PlaneModel
 from .errors import DescentOverrunError, NoDirectionError, ProbeBudgetError
 from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from .topology import SortedPolyline, previous_point
-from .worldsim import TactileMap, TactilePad, map_centroid
+from .worldsim import PAD_SHAPE, TactileMap, TactilePad, map_centroid
 
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
 POSE_COLUMNS = tuple("r00 r01 r02 r10 r11 r12 r20 r21 r22 tx ty tz".split())
@@ -31,7 +31,7 @@ TRACE_COLUMNS = (
 _POSE_FORMAT = ",".join(["%.9g"] * len(POSE_COLUMNS))
 
 
-def indicator(tmap: TactileMap | np.ndarray, pitch: float = 0.005) -> float:
+def indicator(tmap: TactileMap | np.ndarray, pitch: float) -> float:
     """Frobenius norm of the 6x2 matrix of per-taxel Hessian norms.
 
     The map is padded to 8x4 by edge replication (the 2-wide axis has no
@@ -40,7 +40,7 @@ def indicator(tmap: TactileMap | np.ndarray, pitch: float = 0.005) -> float:
     gives exactly 0; a cable ridge concentrates pressure and scores high.
     """
     p = tmap.pressures if isinstance(tmap, TactileMap) else np.asarray(tmap, dtype=float)
-    if p.shape != (6, 2):
+    if p.shape != PAD_SHAPE:
         raise ValueError("indicator expects a 6x2 map")
     padded = np.pad(p, 1, mode="edge")
     h2 = pitch * pitch
@@ -139,7 +139,7 @@ def explore_from_endpoints(
     poly: SortedPolyline,
     plane: PlaneModel,
     probe_fn,
-    params: ReconParams | None = None,
+    params: ReconParams,
     *,
     pad: TactilePad,
 ) -> ExplorationResult:
@@ -152,8 +152,6 @@ def explore_from_endpoints(
     visited or not, terminates the walk and is marked visited. Rotation
     retries beyond a full turn close the walk as a dead end.
     """
-    if params is None:
-        params = ReconParams()
     normal = plane.normal
     r_step = rotation_about_axis(np.array([0.0, 0.0, 1.0]), params.theta_deg)
 
@@ -189,7 +187,7 @@ def explore_from_endpoints(
                 probe_fn, state.pose.rotation, target, normal, plane,
                 params, budget, tracer, eid,
             )
-            ind = indicator(tmap, pitch=pad.pitch)
+            ind = indicator(tmap, pad.pitch)
             if ind > params.t_h:
                 p_new = map_centroid(tmap, plane, pad)
                 advance = p_new - state.last_point

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 from scipy.interpolate import BSpline, make_interp_spline
 
 from .cloudproc import merge_close_points, voxel_downsample
 from .geom import ReconParams
+from .yamlio import load_yaml
 
 
 @dataclass
@@ -164,7 +164,7 @@ def save_spline(path, curve: BSplineCurve) -> None:
 
 
 def load_spline(path) -> BSplineCurve:
-    doc = yaml.safe_load(Path(path).read_text())
+    doc = load_yaml(path)
     return BSplineCurve(
         degree=int(doc["degree"]),
         knots=np.asarray(doc["knots"], dtype=float),

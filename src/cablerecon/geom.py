@@ -8,7 +8,10 @@ Public angles are degrees; conversion to radians happens once, here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,13 +102,30 @@ def frame_from_y_z(y_dir: np.ndarray, z_dir: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
+# field type -> (accepted numbers ABC, stored type, what the error asks for)
+_SCALARS = {
+    "int": (numbers.Integral, int, "an integer > 0"),
+    "float": (numbers.Real, float, "a finite number > 0"),
+}
+
+
+def _finite(value, kind) -> bool:
+    """True for a finite number of the `numbers` ABC `kind`, never for a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    # NaN, the infinities and Python ints beyond the float range all fail
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+
+
 @dataclass
 class ReconParams:
-    """Tunable parameters of the reconstruction pipeline.
+    """Every tunable value of the reconstruction pipeline, with its default.
 
     The first seven follow the published defaults for cable reconstruction;
     the rest are implementation parameters of this artifact. Distances are
-    meters, angles degrees, pressures in simulated taxel units.
+    meters, angles degrees, pressures in simulated taxel units. Every scalar
+    must be finite and > 0, an integer where the field is one (a bool is
+    not); voxel_origin must be 3 finite numbers.
     """
 
     d_min: float = 0.0150       # stop distance to an endpoint
@@ -121,17 +141,24 @@ class ReconParams:
     eps_contact: float = 0.05   # touch detection pressure threshold
     probe_budget: int = 10000   # hard cap on probe calls per run
     hover_height: float = 0.0200  # descent start height above the plane
-    voxel_origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    min_cluster_size: int = 30  # smaller pixel clusters are noise
+    spatial_weight: float = 0.5  # pixel coordinates weighted against CIELAB units
+    cut_threshold: float = 60.0  # MST edge length above which clusters separate
+    voxel_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        self.voxel_origin = np.asarray(self.voxel_origin, dtype=float)
-        for name in (
-            "d_min", "d_m", "t_p", "t_h", "delta_y", "delta_z", "theta_deg",
-            "r_search", "alpha_max_deg", "max_rotation_attempts",
-            "eps_contact", "probe_budget", "hover_height",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        origin = self.voxel_origin
+        shaped = isinstance(origin, (list, tuple, np.ndarray)) and len(origin) == 3
+        if not (shaped and all(_finite(v, numbers.Real) for v in origin)):
+            raise ValueError(f"voxel_origin must be 3 finite numbers, not {origin!r}")
+        self.voxel_origin = tuple(map(float, origin))
+        for f in fields(self):
+            if f.type in _SCALARS:
+                kind, cast, what = _SCALARS[f.type]
+                value = getattr(self, f.name)
+                if not (_finite(value, kind) and value > 0):
+                    raise ValueError(f"{f.name} must be {what}, not {value!r}")
+                setattr(self, f.name, cast(value))
         ratio = 360.0 / self.theta_deg
         if self.max_rotation_attempts == round(ratio) and abs(
             ratio - round(ratio)

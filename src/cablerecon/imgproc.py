@@ -19,11 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyInputError, InsufficientDepthError
-from .geom import Pose
-
-SPATIAL_WEIGHT = 0.5      # pixels weighted against CIELAB units
-CUT_THRESHOLD = 60.0      # MST edge length above which clusters separate
-MIN_CLUSTER_SIZE = 30
+from .geom import Pose, ReconParams
 
 DEPTH_MAGIC = b"DPTHF32\x00"
 
@@ -180,23 +176,19 @@ def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndar
 
 
 def cluster_pixels(
-    mask_img: ImageGrid,
-    color_img: ImageGrid,
-    min_cluster_size: int = MIN_CLUSTER_SIZE,
-    spatial_weight: float = SPATIAL_WEIGHT,
-    cut_threshold: float = CUT_THRESHOLD,
+    mask_img: ImageGrid, color_img: ImageGrid, params: ReconParams
 ) -> PixelClusterSet:
     """Separate cables by color and position with a density MST cut.
 
-    Each foreground pixel becomes a feature (s*row, s*col, L, a, b). The
-    partition equals a minimum spanning tree over mutual-reachability
-    distances (core size = `min_cluster_size`) cut at edges longer than
-    `cut_threshold`, computed as the components of the threshold graph of
-    those distances in near-linear time, without the tree. Components
-    smaller than `min_cluster_size` are returned as noise. With
-    the default weights, color dominates, so one cable split spatially by
-    an occluder stays a single cluster while differently colored cables
-    separate.
+    Each foreground pixel becomes a feature (s*row, s*col, L, a, b), s
+    being `spatial_weight`. The partition equals a minimum spanning tree
+    over mutual-reachability distances (core size = `min_cluster_size`) cut
+    at edges longer than `cut_threshold`, computed as the components of the
+    threshold graph of those distances in near-linear time, without the
+    tree. Components smaller than `min_cluster_size` are returned as noise.
+    The three values come from `params`. With the default weights, color
+    dominates, so one cable split spatially by an occluder stays a single
+    cluster while differently colored cables separate.
     """
     mask = _binary(mask_img)
     rows, cols = np.nonzero(mask)
@@ -204,17 +196,16 @@ def cluster_pixels(
         raise EmptyInputError("mask has no foreground pixels")
     colors = np.asarray(color_img.data, dtype=float)[rows, cols]
     lab = rgb_to_lab(colors)
-    features = np.column_stack(
-        [spatial_weight * rows, spatial_weight * cols, lab]
-    ).astype(float)
+    s = params.spatial_weight
+    features = np.column_stack([s * rows, s * cols, lab]).astype(float)
 
-    labels = _reach_components(features, min_cluster_size, cut_threshold)
+    labels = _reach_components(features, params.min_cluster_size, params.cut_threshold)
     clusters = []
     noise_parts = []
     for label in np.unique(labels):
         members = np.nonzero(labels == label)[0]
         pix = np.column_stack([rows[members], cols[members]]).astype(int)
-        if len(members) < min_cluster_size:
+        if len(members) < params.min_cluster_size:
             noise_parts.append(pix)
             continue
         clusters.append(PixelCluster(pixels=pix, mean_color=colors[members].mean(axis=0)))
@@ -293,37 +284,11 @@ def pixels_to_cloud(
     return intr.pose.transform(cam)
 
 
-def project_to_pixels(points: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    """Base-frame points to (row, col) image coordinates (float)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cam = (pts - intr.pose.translation) @ intr.pose.rotation
-    z = cam[:, 2]
-    col = intr.fx * cam[:, 0] / z + intr.cx
-    row = intr.fy * cam[:, 1] / z + intr.cy
-    return np.column_stack([row, col])
-
-
 def save_pgm(path, mask_img: ImageGrid) -> None:
     """Binary PGM (P5); foreground 255, background 0."""
     mask = _binary(mask_img)
     header = f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode()
     Path(path).write_bytes(header + (mask * np.uint8(255)).astype(np.uint8).tobytes())
-
-
-def load_pgm(path) -> ImageGrid:
-    raw = Path(path).read_bytes()
-    magic, rest = raw.split(b"\n", 1)
-    if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    fields = []
-    while len(fields) < 3:
-        line, rest = rest.split(b"\n", 1)
-        if line.startswith(b"#"):
-            continue
-        fields.extend(line.split())
-    width, height, maxval = (int(f) for f in fields[:3])
-    data = np.frombuffer(rest[: width * height], dtype=np.uint8).reshape(height, width)
-    return ImageGrid(data > maxval // 2)
 
 
 def save_ppm(path, color_img: ImageGrid) -> None:
@@ -333,33 +298,8 @@ def save_ppm(path, color_img: ImageGrid) -> None:
     Path(path).write_bytes(header + np.clip(data, 0, 255).astype(np.uint8).tobytes())
 
 
-def load_ppm(path) -> ImageGrid:
-    raw = Path(path).read_bytes()
-    magic, rest = raw.split(b"\n", 1)
-    if magic != b"P6":
-        raise ValueError(f"{path}: not a binary PPM")
-    fields = []
-    while len(fields) < 3:
-        line, rest = rest.split(b"\n", 1)
-        if line.startswith(b"#"):
-            continue
-        fields.extend(line.split())
-    width, height, _ = (int(f) for f in fields[:3])
-    data = np.frombuffer(rest[: width * height * 3], dtype=np.uint8)
-    return ImageGrid(data.reshape(height, width, 3).copy())
-
-
 def save_depth(path, depth_img: ImageGrid) -> None:
     """Raw float32 depth with a 16-byte header (magic, width, height)."""
     data = np.asarray(depth_img.data, dtype=np.float32)
     header = DEPTH_MAGIC + struct.pack("<II", data.shape[1], data.shape[0])
     Path(path).write_bytes(header + data.tobytes())
-
-
-def load_depth(path) -> ImageGrid:
-    raw = Path(path).read_bytes()
-    if raw[:8] != DEPTH_MAGIC:
-        raise ValueError(f"{path}: bad depth file magic")
-    width, height = struct.unpack("<II", raw[8:16])
-    data = np.frombuffer(raw[16 : 16 + 4 * width * height], dtype=np.float32)
-    return ImageGrid(data.reshape(height, width).astype(float))

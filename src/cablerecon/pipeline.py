@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import cloudproc, explore, fitting, imgproc, scenarios, topology, worldsim
 from .errors import EmptyInputError, ProbeBudgetError
 from .evaluation import curve_error, icp
 from .geom import ReconParams
+from .yamlio import load_yaml, save_yaml
 
 EXIT_COMPLETE = 0
 EXIT_ERROR = 1
@@ -69,21 +69,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_params(
-    scenario_doc: dict, params_file=None
-) -> tuple[ReconParams, dict]:
-    overrides = dict(scenario_doc.get("params") or {})
+def _load_params(scenario_doc: dict, params_file=None) -> ReconParams:
+    """The scenario's `params`, then the params file's, over the defaults."""
+    sources = [("scenario params", scenario_doc.get("params"))]
     if params_file is not None:
-        overrides.update(yaml.safe_load(Path(params_file).read_text()) or {})
-    cluster_keys = {
-        k: overrides.pop(k)
-        for k in ("min_cluster_size", "spatial_weight", "cut_threshold")
-        if k in overrides
-    }
-    unknown = sorted(set(overrides) - {f.name for f in fields(ReconParams)})
+        sources.append((f"params file {params_file}", load_yaml(params_file)))
+    overrides = {}
+    for where, doc in sources:
+        if not isinstance(doc, dict | None):
+            raise ValueError(f"{where} must be a mapping, not {type(doc).__name__}")
+        overrides.update(doc or {})
+    unknown = sorted(map(str, set(overrides) - {f.name for f in fields(ReconParams)}))
     if unknown:
         raise ValueError(f"unknown reconstruction parameter(s): {', '.join(unknown)}")
-    return ReconParams(**overrides), cluster_keys
+    return ReconParams(**overrides)
 
 
 def _match_cable(scene: worldsim.WorldScene, mean_color: np.ndarray) -> int:
@@ -103,7 +102,7 @@ def run_pipeline(
     doc = scenarios.load_scenario(scenario_path)
     if seed is not None:
         doc["seed"] = int(seed)
-    params, cluster_keys = _load_params(doc, params_file)
+    params = _load_params(doc, params_file)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,8 +110,7 @@ def run_pipeline(
         "scenario": "scenario.yaml",
         "seed": int(doc.get("seed", 0)),
         "no_tactile": not tactile,
-        "params": {**asdict(params), **cluster_keys,
-                   "voxel_origin": [float(v) for v in params.voxel_origin]},
+        "params": asdict(params),
     }
     stats_list: list[CableRunStats] = []
     plane = current = None
@@ -144,7 +142,9 @@ def run_pipeline(
         )
 
         cleaned = imgproc.blur_and_clean(union_mask, rendered.color)
-        clusters = imgproc.cluster_pixels(cleaned, rendered.color, **cluster_keys)
+        clusters = imgproc.cluster_pixels(cleaned, rendered.color, params)
+        if not clusters.clusters:
+            raise EmptyInputError("no pixel cluster reaches min_cluster_size pixels")
 
         for ci, cluster in enumerate(clusters.clusters):
             cable_dir = out / f"cable_{ci:02d}"
@@ -185,7 +185,7 @@ def run_pipeline(
             stats.first_sort_segments = len(poly.segments)
 
             if tactile:
-                probe_fn = worldsim.TactileProbe(scene, eps_contact=params.eps_contact)
+                probe_fn = worldsim.TactileProbe(scene, params.eps_contact)
                 result = explore.explore_from_endpoints(
                     poly, plane, probe_fn, params, pad=scene.pad
                 )
@@ -350,7 +350,7 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
     }
     if out_file is None:
         out_file = run / "eval_report.yaml"
-    Path(out_file).write_text(yaml.safe_dump(report, sort_keys=False))
+    save_yaml(out_file, report)
     return report
 
 

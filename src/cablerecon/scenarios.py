@@ -9,16 +9,14 @@ colored cables on a horizontal plane (cs2_*), each plain or occluded.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
-import yaml
 
 from .cloudproc import PlaneModel
 from .fitting import bspline_from_control_points
 from .geom import Pose, frame_from_y_z, normalize
 from .imgproc import CameraIntrinsics
 from .worldsim import GroundTruthCable, WorldScene
+from .yamlio import load_yaml, save_yaml
 
 SCHEMA_VERSION = 1
 
@@ -33,13 +31,8 @@ def _vec(v) -> list[float]:
     return [_fmt(x) for x in np.asarray(v, dtype=float)]
 
 
-# libyaml when present: same documents and bytes as SafeLoader/SafeDumper
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
 def save_scenario(path, doc: dict) -> None:
-    Path(path).write_text(yaml.dump(doc, Dumper=_DUMPER, sort_keys=False))
+    save_yaml(path, doc)
 
 
 # required top-level keys -> keys each of their mappings must carry
@@ -59,7 +52,7 @@ def _require(mapping, keys, where: str) -> None:
 
 
 def load_scenario(path) -> dict:
-    doc = yaml.load(Path(path).read_text(), Loader=_LOADER)
+    doc = load_yaml(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version: {version!r}")

@@ -51,9 +51,6 @@ class SortedPolyline:
             out.append(Endpoint(sid, "last", self.points[seg[-1]]))
         return out
 
-    def segment_points(self, segment_id: int) -> np.ndarray:
-        return self.points[self.segments[segment_id]]
-
     def ordered_points(self) -> np.ndarray:
         """All points in walk order, segments concatenated."""
         if not self.segments:
@@ -160,8 +157,8 @@ def _stitch_crossings(
 def sort_and_find_endpoints(
     cloud: np.ndarray,
     plane: PlaneModel,
-    r_search: float = 0.035,
-    alpha_max_deg: float = 75.0,
+    r_search: float,
+    alpha_max_deg: float,
     stitch_crossings: bool = True,
 ) -> SortedPolyline:
     """Greedy direction-following walk over a plane-projected cloud.

@@ -21,8 +21,8 @@ from .geom import Pose
 from .imgproc import CameraIntrinsics, ImageGrid
 
 PRESSURE_GAIN = 1000.0   # pressure units per meter of penetration
-EPS_CONTACT = 0.05       # touch threshold in pressure units
 DENSE_SAMPLES = 4096     # centerline discretization for distance queries
+PAD_SHAPE = (6, 2)       # taxel rows along end-effector x, columns along y
 
 SHELF_COLOR = np.array([185.0, 170.0, 150.0])
 OCCLUDER_COLOR = np.array([90.0, 90.0, 95.0])
@@ -93,17 +93,14 @@ class GroundTruthCable:
 
 @dataclass
 class TactilePad:
-    """6x2 taxel array; the long (6 taxel) side lies along end-effector x."""
+    """6x2 taxel array (PAD_SHAPE); the long side lies along end-effector x."""
 
-    rows: int = 6
-    cols: int = 2
     pitch: float = 0.005
 
     def __post_init__(self):
-        if (self.rows, self.cols) != (6, 2):
-            raise ValueError("pad grid is fixed at 6x2")
-        xs = (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.pitch
-        ys = (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.pitch
+        rows, cols = PAD_SHAPE
+        xs = (np.arange(rows) - (rows - 1) / 2.0) * self.pitch
+        ys = (np.arange(cols) - (cols - 1) / 2.0) * self.pitch
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         self._centers = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
         self._centers.flags.writeable = False
@@ -122,7 +119,7 @@ class TactileMap:
 
     def __post_init__(self):
         self.pressures = np.asarray(self.pressures, dtype=float)
-        if self.pressures.shape != (6, 2):
+        if self.pressures.shape != PAD_SHAPE:
             raise ValueError("tactile map must be 6x2")
         if (self.pressures < 0).any():
             raise ValueError("pressures must be nonnegative")
@@ -294,13 +291,8 @@ def render(scene: WorldScene) -> RenderResult:
     )
 
 
-def probe(
-    scene: WorldScene,
-    pad_pose: Pose,
-    pad: TactilePad | None = None,
-    eps_contact: float = EPS_CONTACT,
-) -> tuple[bool, TactileMap]:
-    """Rigid quasi-static contact of the pad face against plane and cables.
+def probe(scene: WorldScene, pad_pose: Pose, eps_contact: float) -> tuple[bool, TactileMap]:
+    """Rigid quasi-static contact of the scene's pad against plane and cables.
 
     Per taxel, penetration is the height of the tallest surface under the
     taxel (support plane at 0, cable tube tops at r + sqrt(r^2 - rho^2))
@@ -313,10 +305,8 @@ def probe(
     cable distance query: their penetration is negative from the plane and
     the cable alike, and their pressure is exactly 0.0 either way.
     """
-    if pad is None:
-        pad = scene.pad
     plane = scene.support_plane
-    centers = pad_pose.transform(pad.taxel_centers())
+    centers = pad_pose.transform(scene.pad.taxel_centers())
     face_height = plane.signed_distance(centers)
     penetration = -face_height
 
@@ -349,7 +339,7 @@ def probe(
         pressures = np.maximum(
             pressures + rng.normal(0.0, scene.pressure_noise_sigma, 12), 0.0
         )
-    pressures = pressures.reshape(pad.rows, pad.cols)
+    pressures = pressures.reshape(PAD_SHAPE)
     touched = bool((pressures > eps_contact).any())
     return touched, TactileMap(pressures=pressures, pose=pad_pose)
 
@@ -368,9 +358,9 @@ def map_centroid(tmap: TactileMap, plane: PlaneModel, pad: TactilePad) -> np.nda
 class TactileProbe:
     """Probe interface handed to the exploration loop."""
 
-    def __init__(self, scene: WorldScene, eps_contact: float = EPS_CONTACT):
+    def __init__(self, scene: WorldScene, eps_contact: float):
         self.scene = scene
         self.eps_contact = eps_contact
 
     def __call__(self, pad_pose: Pose) -> tuple[bool, TactileMap]:
-        return probe(self.scene, pad_pose, self.scene.pad, self.eps_contact)
+        return probe(self.scene, pad_pose, self.eps_contact)

@@ -21,7 +21,7 @@ from test_imgproc import (
     _random_strokes,
 )
 from test_topology import PLANE, is_arc_order, recovered_order, smooth_random_open_curve
-from test_worldsim import make_scene, straight_cable
+from test_worldsim import EPS, make_scene, straight_cable
 
 
 def report(number, ok, detail):
@@ -132,7 +132,7 @@ def test_criterion_4_indicator_discrimination():
         pos = np.array(
             [rng.uniform(-0.2, 0.2), rng.uniform(0.05, 0.15), -rng.uniform(2e-4, 1.4e-3)]
         )
-        touched, tmap = probe(scene, Pose(pad_down, pos))
+        touched, tmap = probe(scene, Pose(pad_down, pos), EPS)
         if touched and not scene.cables[0].plan_distance(
             scene.support_plane,
             scene.support_plane.to_plane_coords(pos),
@@ -148,7 +148,7 @@ def test_criterion_4_indicator_discrimination():
                 2 * radius - rng.uniform(2e-4, 1.4e-3),
             ]
         )
-        touched, tmap = probe(scene, Pose(pad_down, pos))
+        touched, tmap = probe(scene, Pose(pad_down, pos), EPS)
         if touched:
             ridge_values.append(indicator(tmap, scene.pad.pitch))
 
@@ -248,8 +248,7 @@ def test_criterion_5e_clustering_matches_brute_force_exhaustively():
             out = cluster_pixels(
                 ImageGrid(mask),
                 ImageGrid(color),
-                min_cluster_size=min_size,
-                cut_threshold=cut,
+                ReconParams(min_cluster_size=min_size, cut_threshold=cut),
             )
             rows, cols = np.nonzero(mask)
             lab = rgb_to_lab(np.full((len(rows), 3), 120.0))

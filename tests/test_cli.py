@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,6 +7,7 @@ import pytest
 
 from cablerecon import cli, pipeline, scenarios
 from cablerecon.cloudproc import load_ply
+from cablerecon.geom import ReconParams
 
 
 class TestGenScene:
@@ -47,6 +49,19 @@ class TestRun:
         )
         manifest2 = json.loads((out2 / "manifest.json").read_text())
         assert manifest2["seed"] == 5
+
+    def test_params_file_sets_the_clustering_keys(self, tmp_path, scenario_files):
+        params = tmp_path / "params.yaml"
+        params.write_text("min_cluster_size: 25\ncut_threshold: 55\n")
+        out = tmp_path / "out"
+        scenario = str(scenario_files["cs1_plain"])
+        code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
+        assert code == pipeline.EXIT_COMPLETE
+        recorded = json.loads((out / "manifest.json").read_text())["params"]
+        assert recorded["min_cluster_size"] == 25
+        assert recorded["cut_threshold"] == 55.0 and type(recorded["cut_threshold"]) is float
+        assert recorded["spatial_weight"] == 0.5
+        assert set(recorded) == {f.name for f in dataclasses.fields(ReconParams)}
 
     def test_run_directory_is_self_describing(self, template_runs):
         run_dir = template_runs["cs1_occluded"].out_dir
@@ -91,14 +106,45 @@ class TestCleanErrors:
     def _run(self, scenario, tmp_path, *extra):
         return cli.main(["run", str(scenario), "--out", str(tmp_path / "out"), *extra])
 
-    def test_unknown_params_key_is_one_error_line(self, tmp_path, scenario_files, capsys):
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("d_min: 0.02\nno_such_knob: 3\n", "no_such_knob"),
+            ("cut_threshold: 0\n", "cut_threshold"),
+            ("min_cluster_size: -2\n", "min_cluster_size"),
+            ("min_cluster_size: 2.5\n", "min_cluster_size"),
+            ("cut_threshold: abc\n", "cut_threshold"),
+            ("t_h: abc\n", "t_h"),
+            ("probe_budget: true\n", "probe_budget"),
+            ("d_m: .nan\n", "d_m"),
+            ("voxel_origin: [1]\n", "voxel_origin"),
+            ("- d_min: 0.02\n", "must be a mapping"),
+        ],
+        ids=[
+            "unknown_key", "zero_cut", "negative_size", "fractional_size", "text_cut",
+            "text_t_h", "bool_budget", "nan_d_m", "short_origin", "list_document",
+        ],
+    )
+    def test_bad_params_file_is_one_error_line(
+        self, tmp_path, scenario_files, capsys, body, named
+    ):
         params = tmp_path / "params.yaml"
-        params.write_text("d_min: 0.02\nno_such_knob: 3\n")
+        params.write_text(body)
         code = self._run(scenario_files["cs1_plain"], tmp_path, "--params", str(params))
         assert code == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "no_such_knob" in err and "d_min" not in err
+        assert named in err and "d_min" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario_params_that_are_not_a_mapping_are_one_error_line(self, tmp_path, capsys):
+        doc = scenarios.make_template("cs1_plain", seed=1)
+        doc["params"] = [1, 2]
+        path = tmp_path / "listed.yaml"
+        scenarios.save_scenario(path, doc)
+        assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: scenario params must be a mapping, not list\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -183,6 +229,23 @@ class TestFailureManifest:
         assert manifest["params"]["probe_budget"] == 20
         assert manifest["cables"] == []
         assert any(rel.startswith("cable_00/") for rel in manifest["artifacts"])
+
+    def test_no_kept_cluster_leaves_a_manifest(self, tmp_path, scenario_files, capsys):
+        # every pixel cluster is smaller than min_cluster_size, so no cable is left
+        params = tmp_path / "params.yaml"
+        params.write_text("min_cluster_size: 100000\n")
+        out = tmp_path / "out"
+        scenario = str(scenario_files["cs1_plain"])
+        code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
+        assert code == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: no pixel cluster") and err.count("\n") == 1
+        manifest = certified_files(out)
+        assert manifest["exit_status"] == pipeline.EXIT_ERROR
+        assert manifest["failure"]["cable"] is None
+        assert manifest["failure"]["error"] == "EmptyInputError"
+        assert manifest["params"]["min_cluster_size"] == 100000
+        assert manifest["cables"] == []
 
     def test_successful_run_has_no_failure_record(self, tmp_path, scenario_files):
         result = pipeline.run_pipeline(scenario_files["cs1_plain"], tmp_path / "out")

@@ -209,25 +209,27 @@ class TestPlaneBasis:
 
 
 class TestVoxelDownsample:
+    ORIGIN = (0.0, 0.0, 0.0)
+
     def test_single_point_passthrough(self):
         cloud = np.array([[0.31, -0.02, 0.77]])
-        assert np.allclose(voxel_downsample(cloud, 0.02), cloud)
+        assert np.allclose(voxel_downsample(cloud, 0.02, self.ORIGIN), cloud)
 
     def test_two_points_one_voxel_centroid(self):
         cloud = np.array([[0.0, 0, 0], [0.004, 0, 0]])
-        out = voxel_downsample(cloud, 0.02)
+        out = voxel_downsample(cloud, 0.02, self.ORIGIN)
         assert out.shape == (1, 3)
         assert np.allclose(out[0], [0.002, 0, 0])
 
     def test_distinct_voxels_kept(self):
         cloud = np.array([[0.0, 0, 0], [0.025, 0, 0]])
-        assert len(voxel_downsample(cloud, 0.02)) == 2
+        assert len(voxel_downsample(cloud, 0.02, self.ORIGIN)) == 2
 
     @settings(max_examples=50)
     @given(clouds)
     def test_centroids_stay_inside_their_voxel(self, cloud):
         d = 0.1
-        out = voxel_downsample(cloud, d)
+        out = voxel_downsample(cloud, d, self.ORIGIN)
         assert len(out) <= len(cloud)
         bins = np.floor(out / d)
         assert np.all(out >= bins * d - 1e-12)

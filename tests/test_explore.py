@@ -17,7 +17,7 @@ from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
 from cablerecon.worldsim import TactilePad, TactileProbe, map_centroid
 
-from test_worldsim import PLANE, make_scene, straight_cable
+from test_worldsim import EPS, PLANE, make_scene, straight_cable
 
 
 def stencil_oracle(p, pitch):
@@ -46,7 +46,7 @@ def stencil_oracle(p, pitch):
 
 class TestIndicator:
     def test_constant_map_scores_zero(self):
-        assert indicator(np.full((6, 2), 3.7)) == 0.0
+        assert indicator(np.full((6, 2), 3.7), 0.005) == 0.0
 
     def test_single_peak_matches_frozen_oracle(self):
         peak = np.zeros((6, 2))
@@ -78,7 +78,7 @@ class TestIndicator:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            indicator(np.zeros((5, 2)))
+            indicator(np.zeros((5, 2)), 0.005)
 
 
 def gap_fixture():
@@ -100,7 +100,7 @@ class TestExploration:
         assert len(poly.segments) == 2
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene), params, pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
         )
         cloud = result.tactile_cloud
         assert len(cloud) > 0
@@ -124,7 +124,7 @@ class TestExploration:
         scene, poly, _ = gap_fixture()
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene), params, pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
         )
         per_walk: dict[int, list[np.ndarray]] = {}
         for row in result.trace:
@@ -145,7 +145,7 @@ class TestExploration:
         poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene), params, pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
         )
         assert len(result.tactile_cloud) == 0
         assert result.dead_ends == 2
@@ -159,13 +159,13 @@ class TestExploration:
         params = ReconParams(probe_budget=5)
         with pytest.raises(ProbeBudgetError):
             explore_from_endpoints(
-                poly, PLANE, TactileProbe(scene), params, pad=scene.pad
+                poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
             )
 
     def test_trace_csv_written(self, tmp_path):
         scene, poly, _ = gap_fixture()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene), ReconParams(), pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad
         )
         result.save_trace_csv(tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -179,7 +179,7 @@ class TestExploration:
         maps = []
 
         def recording_probe(pose):
-            touched, tmap = TactileProbe(scene)(pose)
+            touched, tmap = TactileProbe(scene, EPS)(pose)
             if touched:
                 maps.append(tmap)
             return touched, tmap

@@ -135,7 +135,7 @@ class TestFullPipelineIdempotence:
         )
         assert len(poly.segments) == 1
         assert len(poly.endpoints) == 2
-        curve = fit_bspline(poly.segment_points(0))
+        curve = fit_bspline(poly.points[poly.segments[0]])
         assert len(sample_curve(curve, 50)) == 50
 
 

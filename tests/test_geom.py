@@ -108,6 +108,50 @@ class TestReconParams:
         q = dataclasses.replace(p, delta_y=0.02)
         assert q.delta_y == 0.02 and p.delta_y == 0.01
 
+    INTS = [f.name for f in dataclasses.fields(ReconParams) if f.type == "int"]
+    FLOATS = [f.name for f in dataclasses.fields(ReconParams) if f.type == "float"]
+
+    def test_every_field_is_checked(self):
+        # a field of any other type would escape the checks in __post_init__
+        names = [f.name for f in dataclasses.fields(ReconParams)]
+        assert sorted(names) == sorted(self.INTS + self.FLOATS + ["voxel_origin"])
+        assert {"min_cluster_size", "probe_budget", "max_rotation_attempts"} <= set(self.INTS)
+        assert {"spatial_weight", "cut_threshold", "d_m"} <= set(self.FLOATS)
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, 24.0, True, "3", None, np.nan])
+    def test_int_fields_take_positive_integers_only(self, value):
+        for name in self.INTS:
+            with pytest.raises(ValueError, match=name):
+                ReconParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "value", [0, 0.0, -1.0, np.nan, np.inf, 10**400, True, "abc", None, [1.0]]
+    )
+    def test_float_fields_take_positive_finite_numbers_only(self, value):
+        for name in self.FLOATS:
+            with pytest.raises(ValueError, match=name):
+                ReconParams(**{name: value})
+
+    def test_numpy_scalars_pass_and_are_stored_as_python_numbers(self):
+        p = ReconParams(min_cluster_size=np.int64(12), cut_threshold=np.float32(40.0), d_min=7)
+        assert p.min_cluster_size == 12 and type(p.min_cluster_size) is int
+        assert p.cut_threshold == 40.0 and type(p.cut_threshold) is float
+        assert p.d_min == 7.0 and type(p.d_min) is float
+
+    @pytest.mark.parametrize(
+        "origin",
+        [[1.0], [0.0, 0.0], [0, 0, np.nan], [0, 0, np.inf], [0, 0, True], "abc", 0.0, [[0, 0, 0]]],
+    )
+    def test_voxel_origin_must_be_three_finite_numbers(self, origin):
+        with pytest.raises(ValueError, match="voxel_origin"):
+            ReconParams(voxel_origin=origin)
+
+    def test_voxel_origin_is_stored_as_a_float_triple(self):
+        assert ReconParams().voxel_origin == (0.0, 0.0, 0.0)
+        p = ReconParams(voxel_origin=np.array([1, 2, 3]))
+        assert p.voxel_origin == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in p.voxel_origin)
+
 
 def _allclose_ref(m, tol):
     """The pose check as np.allclose states it."""

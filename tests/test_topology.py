@@ -75,7 +75,7 @@ class TestSortBasics:
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyInputError):
-            sort_and_find_endpoints(np.zeros((0, 3)), PLANE)
+            sort_and_find_endpoints(np.zeros((0, 3)), PLANE, 0.035, 75.0)
 
     def test_endpoint_count_twice_segments(self, rng):
         pts = on_plane(rng.uniform(-0.3, 0.3, (25, 2)))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import yaml
 
-from cablerecon import scenarios
+from cablerecon import yamlio
 from cablerecon.cloudproc import PlaneModel
 from cablerecon.errors import EmptyContactError, InvalidViewError
 from cablerecon.fitting import bspline_from_control_points
-from cablerecon.geom import Pose, frame_from_y_z, rotation_about_axis
+from cablerecon.geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
 from cablerecon.scenarios import (
     TEMPLATES,
@@ -31,6 +31,7 @@ from cablerecon.worldsim import (
 )
 
 PLANE = PlaneModel(np.array([0.0, 0.0, 1.0, 0.0]))  # z = 0, normal up
+EPS = ReconParams().eps_contact
 
 
 def overhead_camera(height=0.6):
@@ -128,13 +129,13 @@ class TestRender:
 class TestProbe:
     def test_no_contact_high_above(self):
         scene = make_scene([straight_cable()])
-        touched, tmap = probe(scene, face_down_pose([0.0, 0.0, 0.10]))
+        touched, tmap = probe(scene, face_down_pose([0.0, 0.0, 0.10]), EPS)
         assert not touched
         assert not tmap.pressures.any()
 
     def test_uniform_flat_plane_contact(self):
         scene = make_scene([])
-        touched, tmap = probe(scene, face_down_pose([0.0, 0.0, -0.0005]))
+        touched, tmap = probe(scene, face_down_pose([0.0, 0.0, -0.0005]), EPS)
         assert touched
         assert np.allclose(tmap.pressures, PRESSURE_GAIN * 0.0005)
 
@@ -145,7 +146,7 @@ class TestProbe:
         face_h = 2 * radius - 0.002
         # pad y along the cable, so the long (x) side crosses the ridge
         rotation = frame_from_y_z(np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))
-        touched, tmap = probe(scene, Pose(rotation, np.array([0.0, 0.0, face_h])))
+        touched, tmap = probe(scene, Pose(rotation, np.array([0.0, 0.0, face_h])), EPS)
         assert touched
         pad = TactilePad()
         xs = pad.taxel_centers()[:, 0].reshape(6, 2)
@@ -159,8 +160,8 @@ class TestProbe:
     def test_bit_identical_repeats(self):
         scene = make_scene([straight_cable()])
         pose = face_down_pose([0.01, 0.02, 0.004])
-        _, a = probe(scene, pose)
-        _, b = probe(scene, pose)
+        _, a = probe(scene, pose, EPS)
+        _, b = probe(scene, pose, EPS)
         assert np.array_equal(a.pressures, b.pressures)
 
     def test_mirror_symmetry_across_the_cable(self):
@@ -169,8 +170,8 @@ class TestProbe:
         # cable along x; rotate the pad so its long side crosses the cable
         rotation = frame_from_y_z(np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))
         h = 2 * 0.008 - 0.002
-        _, left = probe(scene, Pose(rotation, np.array([0.0, -0.002, h])))
-        _, right = probe(scene, Pose(rotation, np.array([0.0, 0.002, h])))
+        _, left = probe(scene, Pose(rotation, np.array([0.0, -0.002, h])), EPS)
+        _, right = probe(scene, Pose(rotation, np.array([0.0, 0.002, h])), EPS)
         assert np.allclose(left.pressures, np.flipud(right.pressures), atol=1e-12)
 
 
@@ -317,7 +318,7 @@ class TestProbeShortcut:
             for h in heights:
                 for x in (0.0, 0.0025, 0.0013):
                     pose = Pose(rotation, np.array([0.01, x, h]))
-                    hit, tmap = probe(scene, pose)
+                    hit, tmap = probe(scene, pose, EPS)
                     expected = all_taxel_pressures(scene, pose)
                     assert tmap.pressures.tobytes() == expected.tobytes()
                     touched += hit
@@ -358,7 +359,7 @@ class TestProbeShortcut:
             target = plane.from_plane_coords(uv)[0] + rng.uniform(1.0, 2.0) * radius * plane.normal
             pose = Pose(rotation, target - low)
             for scene in scenes:
-                hit, tmap = probe(scene, pose)
+                hit, tmap = probe(scene, pose, EPS)
                 expected = all_taxel_pressures(scene, pose)
                 assert tmap.pressures.tobytes() == expected.tobytes()
             face = plane.signed_distance(pose.transform(scene.pad.taxel_centers()))
@@ -409,7 +410,7 @@ class TestMapCentroid:
         # pad offset laterally; centroid must stay within half a pitch of
         # the true centerline
         pose = face_down_pose([0.0, 0.002, 2 * radius - 0.002])
-        _, tmap = probe(scene, pose)
+        _, tmap = probe(scene, pose, EPS)
         centroid = map_centroid(tmap, PLANE, TactilePad())
         assert abs(centroid[1]) <= TactilePad().pitch / 2
         assert abs(PLANE.signed_distance(centroid)[0]) < 1e-9
@@ -433,8 +434,8 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("name", TEMPLATES)
     def test_bytes_and_documents_equal_pure_python_yaml(self, tmp_path, name, scale):
         if yaml.__with_libyaml__:
-            assert scenarios._LOADER is yaml.CSafeLoader
-            assert scenarios._DUMPER is yaml.CSafeDumper
+            assert yamlio.LOADER is yaml.CSafeLoader
+            assert yamlio.DUMPER is yaml.CSafeDumper
         for seed in range(5):
             doc = make_template(name, seed=seed)
             cam = doc["camera"]
