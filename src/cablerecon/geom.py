@@ -109,12 +109,18 @@ _SCALARS = {
 }
 
 
-def _finite(value, kind) -> bool:
+def finite_number(value, kind) -> bool:
     """True for a finite number of the `numbers` ABC `kind`, never for a bool."""
     if isinstance(value, bool) or not isinstance(value, kind):
         return False
     # NaN, the infinities and Python ints beyond the float range all fail
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+
+
+def finite_triple(value) -> bool:
+    """True for a list, tuple or array of 3 finite numbers (no bools)."""
+    shaped = isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
+    return shaped and all(finite_number(v, numbers.Real) for v in value)
 
 
 @dataclass
@@ -148,15 +154,14 @@ class ReconParams:
 
     def __post_init__(self):
         origin = self.voxel_origin
-        shaped = isinstance(origin, (list, tuple, np.ndarray)) and len(origin) == 3
-        if not (shaped and all(_finite(v, numbers.Real) for v in origin)):
+        if not finite_triple(origin):
             raise ValueError(f"voxel_origin must be 3 finite numbers, not {origin!r}")
         self.voxel_origin = tuple(map(float, origin))
         for f in fields(self):
             if f.type in _SCALARS:
                 kind, cast, what = _SCALARS[f.type]
                 value = getattr(self, f.name)
-                if not (_finite(value, kind) and value > 0):
+                if not (finite_number(value, kind) and value > 0):
                     raise ValueError(f"{f.name} must be {what}, not {value!r}")
                 setattr(self, f.name, cast(value))
         ratio = 360.0 / self.theta_deg

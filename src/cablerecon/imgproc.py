@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -81,34 +81,47 @@ class PixelClusterSet:
 
 
 def _binary(mask_img: ImageGrid) -> np.ndarray:
-    return np.asarray(mask_img.data, dtype=float) > 0.5
+    """The mask as bool: bool data as it is (not a copy), other data > 0.5."""
+    data = mask_img.data
+    return data if data.dtype == bool else np.asarray(data, dtype=float) > 0.5
+
+
+def _foreground_box(mask: np.ndarray) -> tuple[slice, slice]:
+    """Row and column slices of the bounding box of `mask`; empty if `mask` is."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 def blur_and_clean(mask_img: ImageGrid, color_img: ImageGrid) -> ImageGrid:
     """3x3 box blur re-binarized at 0.5, then one erosion with a cross.
 
     The blur suppresses isolated specks, the erosion strips the 1-pixel
-    contour where mask colors bleed into the background.
+    contour where mask colors bleed into the background. Both run on the
+    foreground's bounding box: a pixel outside it has at most 3 foreground
+    neighbours, so it fails the vote of 5 out of 9 whatever the frame holds.
     """
     if (mask_img.height, mask_img.width) != (color_img.height, color_img.width):
         raise ValueError("mask and color image dimensions differ")
-    mask = _binary(mask_img).astype(float)
-    padded = np.pad(mask, 1, mode="constant")
-    acc = np.zeros_like(mask)
-    for dr in (0, 1, 2):
-        for dc in (0, 1, 2):
-            acc += padded[dr : dr + mask.shape[0], dc : dc + mask.shape[1]]
-    blurred = acc / 9.0 >= 0.5
+    mask = _binary(mask_img)
+    out = np.zeros(mask.shape, dtype=bool)
+    box = _foreground_box(mask)
+    h, w = mask[box].shape
+    padded = np.pad(mask[box], 1).view(np.uint8)
+    acc = sum(padded[dr : dr + h, dc : dc + w] for dr in range(3) for dc in range(3))
+    blurred = acc >= 5  # for counts 0-9, the same as acc / 9.0 >= 0.5
 
-    padded = np.pad(blurred, 1, mode="constant")
-    eroded = (
+    padded = np.pad(blurred, 1)
+    out[box] = (
         blurred
         & padded[:-2, 1:-1]
         & padded[2:, 1:-1]
         & padded[1:-1, :-2]
         & padded[1:-1, 2:]
     )
-    return ImageGrid(eroded)
+    return ImageGrid(out)
 
 
 def rgb_to_lab(rgb: np.ndarray) -> np.ndarray:
@@ -133,9 +146,23 @@ def rgb_to_lab(rgb: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _components(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+def _components(arg: tuple, n: int) -> np.ndarray:
+    """Component labels of the undirected graph `csr_matrix(arg)` on n nodes."""
+    return connected_components(csr_matrix(arg, shape=(n, n)), directed=False)[1]
+
+
+def _links(features, dist, nbr, threshold: float) -> np.ndarray:
+    """Which kNN pairs (i, nbr[i, j]) lie within `threshold`, by their row-wise norm.
+
+    The kd-tree distance dist[i, j] is the root of the same five squares
+    summed in another order, a few ulps off, so it decides every pair
+    farther than 1e-9 (relative) from the threshold, and the norm the rest.
+    """
+    link = dist <= threshold
+    rows, cols = np.nonzero(np.abs(dist - threshold) <= 1e-9 * threshold)
+    diff = features[rows] - features[nbr[rows, cols]]
+    link[rows, cols] = np.linalg.norm(diff, axis=1) <= threshold
+    return link
 
 
 def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndarray:
@@ -145,8 +172,8 @@ def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndar
     core being the distance to the k-th nearest neighbour; the components
     equal those of the mutual-reachability MST cut at `threshold`. Linked
     kNN pairs give fragments, and two fragments join when any pair across
-    them is within the threshold. The kd-tree only nominates pairs: every
-    `<=` test uses the row-wise norm, so a pair exactly at the threshold links.
+    them is within the threshold. The kd-tree only nominates pairs: at the
+    threshold the row-wise norm decides, so a pair exactly at it links.
     """
     n = len(features)
     k_eff = min(k, n - 1)
@@ -154,12 +181,10 @@ def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndar
         return np.arange(n)
     dist, nbr = cKDTree(features).query(features, k=min(max(k_eff, 8), n - 1) + 1)
     core_ok = dist[:, k_eff] <= threshold
-    src = np.repeat(np.arange(n), nbr.shape[1])
-    dst = nbr.ravel()
-    keep = core_ok[src] & core_ok[dst]
-    src, dst = src[keep], dst[keep]
-    keep = np.linalg.norm(features[src] - features[dst], axis=1) <= threshold
-    labels = _components(src[keep], dst[keep], n)
+    keep = _links(features, dist, nbr, threshold) & core_ok[:, None] & core_ok[nbr]
+    # the query rows are the graph's rows, in order: the kNN graph is CSR as it stands
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    labels = _components((np.ones(indptr[-1]), nbr[keep], indptr), n)
 
     ids = np.unique(labels[core_ok])
     frags = [features[labels == f] for f in ids]
@@ -172,7 +197,7 @@ def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndar
         if (np.linalg.norm(small[hit] - large[j[hit]], axis=1) <= threshold).any():
             joins.append((ids[a], ids[b]))
     ja, jb = np.array(joins, dtype=int).reshape(-1, 2).T
-    return _components(ja, jb, labels.max() + 1)[labels]
+    return _components((np.ones(len(ja)), (ja, jb)), labels.max() + 1)[labels]
 
 
 def cluster_pixels(
@@ -245,8 +270,16 @@ def _thinning_pass(img: np.ndarray, step: int) -> np.ndarray:
 
 
 def skeletonize(cluster_img: ImageGrid) -> ImageGrid:
-    """Zhang-Suen thinning to convergence; 1-pixel-wide, topology kept."""
-    img = _binary(cluster_img).astype(np.uint8)
+    """Zhang-Suen thinning to convergence; 1-pixel-wide, topology kept.
+
+    Thins the foreground's bounding box alone: a pass reads 3x3
+    neighbourhoods and deletes only foreground pixels, and every pixel
+    outside the box is 0 before and after, as the box's zero padding is.
+    """
+    mask = _binary(cluster_img)
+    out = np.zeros(mask.shape, dtype=bool)
+    box = _foreground_box(mask)
+    img = mask[box].astype(np.uint8)
     while True:
         changed = False
         for step in (0, 1):
@@ -255,7 +288,8 @@ def skeletonize(cluster_img: ImageGrid) -> ImageGrid:
                 img[remove] = 0
                 changed = True
         if not changed:
-            return ImageGrid(img.astype(bool))
+            out[box] = img
+            return ImageGrid(out)
 
 
 def pixels_to_cloud(

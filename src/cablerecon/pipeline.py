@@ -130,11 +130,10 @@ def run_pipeline(
             imgproc.save_pgm(images / f"mask_cable_{i:02d}.pgm", mask)
 
         # support plane from the shelf pixels, exactly as a real scene would
-        shelf_pixels = np.argwhere(rendered.shelf_mask.data)
-        stride = max(1, len(shelf_pixels) // MAX_PLANE_PIXELS)
-        shelf_cloud = imgproc.pixels_to_cloud(
-            shelf_pixels[::stride], rendered.depth, scene.camera
-        )
+        shelf_flat = np.flatnonzero(rendered.shelf_mask.data)
+        stride = max(1, len(shelf_flat) // MAX_PLANE_PIXELS)
+        shelf_pixels = np.column_stack(np.divmod(shelf_flat[::stride], scene.width))
+        shelf_cloud = imgproc.pixels_to_cloud(shelf_pixels, rendered.depth, scene.camera)
         plane = cloudproc.ransac_plane(
             shelf_cloud,
             seed=int(doc.get("seed", 0)),
@@ -161,9 +160,9 @@ def run_pipeline(
             dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
             cloudproc.save_ply(cable_dir / "P_dense.ply", dense)
 
-            cluster_mask = cluster.as_mask(rendered.color.height, rendered.color.width)
-            skeleton = imgproc.skeletonize(cluster_mask)
-            skeleton_pixels = np.argwhere(skeleton.data)
+            skeleton = imgproc.skeletonize(cluster.as_mask(scene.height, scene.width))
+            # thinning keeps a subset of the cluster, whose pixels are in row-major order
+            skeleton_pixels = cluster.pixels[skeleton.data[tuple(cluster.pixels.T)]]
             p_skeleton = imgproc.pixels_to_cloud(
                 skeleton_pixels, rendered.depth, scene.camera
             )

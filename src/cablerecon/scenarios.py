@@ -9,11 +9,13 @@ colored cables on a horizontal plane (cs2_*), each plain or occluded.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 from .cloudproc import PlaneModel
 from .fitting import bspline_from_control_points
-from .geom import Pose, frame_from_y_z, normalize
+from .geom import Pose, finite_number, finite_triple, frame_from_y_z, normalize
 from .imgproc import CameraIntrinsics
 from .worldsim import GroundTruthCable, WorldScene
 from .yamlio import load_yaml, save_yaml
@@ -51,16 +53,39 @@ def _require(mapping, keys, where: str) -> None:
             raise ValueError(f"{where} is missing required key {key!r}")
 
 
+def _require_number(value, where: str, kind=Real, allow_zero: bool = False) -> None:
+    """A finite number of `kind` (never a bool), > 0 or, with allow_zero, >= 0."""
+    if not (finite_number(value, kind) and (value >= 0 if allow_zero else value > 0)):
+        what = "an integer" if kind is Integral else "a finite number"
+        raise ValueError(f"{where} must be {what} {'>=' if allow_zero else '>'} 0, not {value!r}")
+
+
 def load_scenario(path) -> dict:
     doc = load_yaml(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version: {version!r}")
-    _require(doc, REQUIRED_KEYS, f"scenario {path}")
-    _require(doc["plane"], REQUIRED_KEYS["plane"], f"scenario {path} plane")
-    _require(doc["camera"], REQUIRED_KEYS["camera"], f"scenario {path} camera")
+    where = f"scenario {path}"
+    _require(doc, REQUIRED_KEYS, where)
+    _require(doc["plane"], REQUIRED_KEYS["plane"], f"{where} plane")
+    _require(doc["camera"], REQUIRED_KEYS["camera"], f"{where} camera")
+    for key in ("width", "height"):
+        _require_number(doc["camera"][key], f"{where} camera {key}", Integral)
+    sigma = doc.get("pressure_noise_sigma", 0.0)
+    _require_number(sigma, f"{where} pressure_noise_sigma", allow_zero=True)
     for i, cable in enumerate(doc["cables"] or []):
-        _require(cable, REQUIRED_KEYS["cables"], f"scenario {path} cable {i}")
+        _require(cable, REQUIRED_KEYS["cables"], f"{where} cable {i}")
+        _require_number(cable["radius"], f"{where} cable {i} radius")
+    occluders = doc.get("occluders", [])
+    if not isinstance(occluders, list):
+        raise ValueError(f"{where} occluders must be a list")
+    for i, box in enumerate(occluders):
+        _require(box, ("min", "max"), f"{where} occluder {i}")
+        for key in ("min", "max"):
+            if not finite_triple(box[key]):
+                raise ValueError(
+                    f"{where} occluder {i} {key} must be 3 finite numbers, not {box[key]!r}"
+                )
     return doc
 
 

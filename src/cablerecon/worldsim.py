@@ -165,24 +165,18 @@ class RenderResult:
     shelf_mask: ImageGrid
 
     def union_cable_mask(self) -> ImageGrid:
-        grid = np.zeros(
-            (self.color.height, self.color.width), dtype=bool
-        )
+        grid = np.zeros((self.color.height, self.color.width), dtype=bool)
         for mask in self.cable_masks:
-            grid |= np.asarray(mask.data, dtype=bool)
+            grid |= mask.data
         return ImageGrid(grid)
 
 
 def _ray_grid(scene: WorldScene):
     intr = scene.camera
-    cols, rows = np.meshgrid(
-        np.arange(scene.width, dtype=float),
-        np.arange(scene.height, dtype=float),
-    )
-    dirs_cam = np.stack(
-        [(cols - intr.cx) / intr.fx, (rows - intr.cy) / intr.fy, np.ones_like(cols)],
-        axis=-1,
-    )
+    dirs_cam = np.empty((scene.height, scene.width, 3))
+    dirs_cam[..., 0] = (np.arange(scene.width, dtype=float) - intr.cx) / intr.fx
+    dirs_cam[..., 1] = ((np.arange(scene.height, dtype=float) - intr.cy) / intr.fy)[:, None]
+    dirs_cam[..., 2] = 1.0
     dirs_world = dirs_cam @ intr.pose.rotation.T
     return intr.pose.translation, dirs_world
 
@@ -202,6 +196,34 @@ def _box_entry_depth(origin, dirs, lo, hi):
             t_far = np.fmin(t_far, np.maximum(t1, t2))
     hit = (t_near <= t_far) & (t_far > 0)
     return np.where(hit, np.maximum(t_near, 0.0), np.inf)
+
+
+def _stamps(cable: GroundTruthCable, intr: CameraIntrinsics, h: int, w: int):
+    """Rows, columns and camera z of every in-frame pixel of the cable's stamped disks.
+
+    Each centerline sample in front of the camera stamps a disk of its
+    projected radius; samples are stamped in one batch per radius.
+    """
+    cam = (cable.dense_samples - intr.pose.translation) @ intr.pose.rotation
+    z = cam[:, 2]
+    front = z > 1e-6
+    zf = z[front]
+    col = intr.fx * cam[front, 0] / zf + intr.cx
+    row = intr.fy * cam[front, 1] / zf + intr.cy
+    radii = np.round(0.5 * (intr.fx + intr.fy) * cable.radius / zf).astype(int)
+    out_r, out_c, out_z = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for ri in np.unique(radii):
+        dd = np.arange(-ri, ri + 1)
+        gr, gc = np.meshgrid(dd, dd, indexing="ij")
+        keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
+        sel = radii == ri
+        rr = np.round(row[sel, None] + gr[keep]).astype(int)
+        cc = np.round(col[sel, None] + gc[keep]).astype(int)
+        ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        out_r.append(rr[ok])
+        out_c.append(cc[ok])
+        out_z.append(np.broadcast_to(zf[sel, None], ok.shape)[ok])
+    return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_z)
 
 
 def render(scene: WorldScene) -> RenderResult:
@@ -230,58 +252,39 @@ def render(scene: WorldScene) -> RenderResult:
     for lo, hi in scene.occluders:
         box_z = np.minimum(box_z, _box_entry_depth(origin, dirs, lo, hi))
 
-    intr = scene.camera
-    cable_z = np.full((len(scene.cables), h, w), np.inf)
-    for ci, cable in enumerate(scene.cables):
-        pts = cable.dense_samples
-        cam = (pts - intr.pose.translation) @ intr.pose.rotation
-        z = cam[:, 2]
-        front = z > 1e-6
-        zf = z[front]
-        col = intr.fx * cam[front, 0] / zf + intr.cx
-        row = intr.fy * cam[front, 1] / zf + intr.cy
-        radii = np.round(0.5 * (intr.fx + intr.fy) * cable.radius / zf).astype(int)
-        buf = cable_z[ci].reshape(-1)
-        for ri in np.unique(radii):
-            dd = np.arange(-ri, ri + 1)
-            gr, gc = np.meshgrid(dd, dd, indexing="ij")
-            keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
-            sel = radii == ri
-            rr = np.round(row[sel, None] + gr[keep]).astype(int)
-            cc = np.round(col[sel, None] + gc[keep]).astype(int)
-            ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            z0 = np.broadcast_to(zf[sel, None], ok.shape)
-            np.minimum.at(buf, rr[ok] * w + cc[ok], z0[ok])
+    # background 0, shelf 1, occluder 2, cable ci 3 + ci: one palette gather colors it
+    palette = np.vstack([[0, 0, 0], SHELF_COLOR, OCCLUDER_COLOR, *(c.color for c in scene.cables)])
+    surface = np.where(box_z < plane_z, 2, plane_hit)
 
-    if scene.cables:
-        nearest_cable = cable_z.min(axis=0)
-        winner = cable_z.argmin(axis=0)
-    else:
-        nearest_cable = np.full((h, w), np.inf)
-        winner = np.zeros((h, w), dtype=int)
+    # the per-cable depth buffers span only the window that holds every stamped pixel
+    stamps = [_stamps(cable, scene.camera, h, w) for cable in scene.cables]
+    rows = np.concatenate([np.zeros(0, dtype=int), *(rr for rr, _, _ in stamps)])
+    cols = np.concatenate([np.zeros(0, dtype=int), *(cc for _, cc, _ in stamps)])
+    r0, r1, c0, c1 = (
+        (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) if rows.size else (0, 0, 0, 0)
+    )
+    win = (slice(r0, r1), slice(c0, c1))
+    cable_z = np.full((len(scene.cables), r1 - r0, c1 - c0), np.inf)
+    for buf, (rr, cc, z) in zip(cable_z, stamps):
+        np.minimum.at(buf.reshape(-1), (rr - r0) * (c1 - c0) + (cc - c0), z)
+
+    winner = cable_z.argmin(axis=0) if scene.cables else None
+    covered = np.zeros((r1 - r0, c1 - c0), dtype=bool)
     masks = []
-    for ci in range(len(scene.cables)):
-        visible = (
-            np.isfinite(cable_z[ci]) & (winner == ci) & (cable_z[ci] < box_z)
-        )
-        masks.append(ImageGrid(visible))
+    for ci, buf in enumerate(cable_z):
+        visible = np.isfinite(buf) & (winner == ci) & (buf < box_z[win])
+        covered |= visible
+        surface[win][visible] = 3 + ci
+        mask = np.zeros((h, w), dtype=bool)
+        mask[win] = visible
+        masks.append(ImageGrid(mask))
 
-    covered_by_cable = np.zeros((h, w), dtype=bool)
-    for m in masks:
-        covered_by_cable |= m.data
-    shelf = plane_hit & (plane_z < box_z) & ~covered_by_cable
-
-    depth = np.full((h, w), np.inf)
-    depth = np.minimum(depth, plane_z)
-    depth = np.minimum(depth, box_z)
-    depth = np.where(covered_by_cable, nearest_cable, depth)
+    shelf = plane_hit & (plane_z < box_z)
+    shelf[win] &= ~covered
+    depth = np.minimum(plane_z, box_z)
+    depth[win] = np.where(covered, cable_z.min(axis=0, initial=np.inf), depth[win])
     depth = np.where(np.isfinite(depth), depth, 0.0)
-
-    color = np.zeros((h, w, 3))
-    color[plane_hit] = SHELF_COLOR
-    color[np.isfinite(box_z) & (box_z < plane_z)] = OCCLUDER_COLOR
-    for ci, m in enumerate(masks):
-        color[m.data] = scene.cables[ci].color
+    color = palette.take(surface, axis=0)
 
     return RenderResult(
         cable_masks=masks,

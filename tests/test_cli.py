@@ -177,6 +177,70 @@ class TestCleanErrors:
         assert "cable 1" in err and "'radius'" in err
 
 
+    @pytest.mark.parametrize("broken", ["scenario", "params"])
+    def test_broken_yaml_is_one_error_line(self, tmp_path, scenario_files, capsys, broken):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("schema_version: 1\nd_min: [1\n")
+        if broken == "scenario":
+            code = self._run(bad, tmp_path)
+        else:
+            code = self._run(scenario_files["cs1_plain"], tmp_path, "--params", str(bad))
+        assert code == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid YAML in {bad}, line 3, column 1: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda d: d["occluders"][0].update(min=d["occluders"][0]["min"][:2]), "0 min"),
+            (lambda d: d["occluders"][0].update(max=[0.1, "a", 0.2]), "0 max"),
+            (lambda d: d["occluders"][0].update(max=[0.1, float("inf"), 0.2]), "0 max"),
+            (lambda d: d["occluders"][0].pop("max"), "'max'"),
+            (lambda d: d.update(occluders={"min": [0, 0, 0]}), "occluders must be a list"),
+            (lambda d: d["cables"][0].update(radius=[1]), "cable 0 radius"),
+            (lambda d: d["cables"][0].update(radius=0), "cable 0 radius"),
+            (lambda d: d["cables"][0].update(radius=float("nan")), "cable 0 radius"),
+            (lambda d: d.update(pressure_noise_sigma=-1), "pressure_noise_sigma"),
+            (lambda d: d.update(pressure_noise_sigma="low"), "pressure_noise_sigma"),
+            (lambda d: d["camera"].update(width=320.5), "camera width"),
+            (lambda d: d["camera"].update(width=-5), "camera width"),
+            (lambda d: d["camera"].update(height=True), "camera height"),
+            (lambda d: d["camera"].update(height=0), "camera height"),
+        ],
+        ids=[
+            "short_min", "text_max", "inf_max", "no_max", "occluders_mapping", "list_radius",
+            "zero_radius", "nan_radius", "negative_sigma", "text_sigma", "fractional_width",
+            "negative_width", "bool_height", "zero_height",
+        ],
+    )
+    def test_scenario_value_out_of_range_is_one_error_line(
+        self, tmp_path, capsys, mutate, named
+    ):
+        doc = scenarios.make_template("cs1_occluded", seed=1)
+        mutate(doc)
+        path = tmp_path / "mutated.yaml"
+        scenarios.save_scenario(path, doc)
+        assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario {path}") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_with_a_broken_reference_is_one_error_line(
+        self, template_runs, tmp_path, capsys
+    ):
+        bad = tmp_path / "reference.yaml"
+        bad.write_text("schema_version: 1\nplane: {point: [0, 0, 0]\n")
+        report = tmp_path / "report.yaml"
+        run_dir = str(template_runs["cs1_plain"].out_dir)
+        assert cli.main(["eval", run_dir, str(bad), "--out", str(report)]) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid YAML in {bad}, line ") and err.count("\n") == 1
+        assert not report.exists()
+
+
 def certified_files(run_dir):
     """The manifest's artifact map, checked against every file on disk."""
     manifest = json.loads((run_dir / "manifest.json").read_text())

@@ -1,8 +1,11 @@
-"""Golden artifact digest: the oracle for changes meant to keep output.
+"""Golden artifact digests: the oracle for changes meant to keep output.
 
-A speedup or refactor must leave every run artifact byte-identical. This
-test runs one small occluded scene end to end and pins the sha256 of the
-manifest's `artifacts` map (path -> sha256 of the file).
+A speedup or refactor must leave every run artifact byte-identical. These
+tests run scenes end to end and pin the sha256 of the manifest's
+`artifacts` map (path -> sha256 of the file): a small one-cable occluded
+scene, and the two-cable plain scene at the full 640x480. The second one
+reaches what the first does not: two pixel clusters, the winner between
+two cables' depth buffers, and a render window spanning two cables.
 """
 
 import hashlib
@@ -14,6 +17,20 @@ from cablerecon import pipeline, scenarios
 GOLDEN_ARTIFACTS_SHA256 = (
     "850416c82b2edaade89dd0d379a81eccdb1a52d1f3420562e5db114340bbccfc"
 )
+# cs2_plain, seed 1, the template camera (640x480)
+GOLDEN_VGA_ARTIFACTS_SHA256 = (
+    "e73f64cc49393f13396be97f886a175dbcf41885dd450fe3977ebec552f9aa3e"
+)
+MESSAGE = (
+    "run artifacts changed. If the output change is intended, update the "
+    "golden digest and explain the change and its new accuracy numbers in "
+    "CHANGES.md; otherwise the change broke byte-identity."
+)
+
+
+def artifacts_digest(result) -> str:
+    artifacts = json.dumps(result.manifest["artifacts"], sort_keys=True)
+    return hashlib.sha256(artifacts.encode()).hexdigest()
 
 
 def test_cs1_occluded_qvga_artifacts_match_the_golden_digest(tmp_path):
@@ -28,10 +45,15 @@ def test_cs1_occluded_qvga_artifacts_match_the_golden_digest(tmp_path):
     result = pipeline.run_pipeline(path, tmp_path / "run")
 
     assert result.exit_status == pipeline.EXIT_COMPLETE
-    artifacts = json.dumps(result.manifest["artifacts"], sort_keys=True)
-    digest = hashlib.sha256(artifacts.encode()).hexdigest()
-    assert digest == GOLDEN_ARTIFACTS_SHA256, (
-        "run artifacts changed. If the output change is intended, update "
-        "GOLDEN_ARTIFACTS_SHA256 and explain the change and its new accuracy "
-        "numbers in CHANGES.md; otherwise the change broke byte-identity."
-    )
+    assert artifacts_digest(result) == GOLDEN_ARTIFACTS_SHA256, MESSAGE
+
+
+def test_cs2_plain_vga_artifacts_match_the_golden_digest(tmp_path):
+    path = tmp_path / "cs2_plain.yaml"
+    scenarios.save_scenario(path, scenarios.make_template("cs2_plain", seed=1))
+
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    assert len(result.stats) == 2
+    assert artifacts_digest(result) == GOLDEN_VGA_ARTIFACTS_SHA256, MESSAGE

@@ -120,6 +120,10 @@ class TestClusterPixels:
         assert len(out.clusters) == 2
         # sorted by mean color: black first
         assert out.clusters[0].mean_color[2] < out.clusters[1].mean_color[2]
+        # row-major pixels, so a thinned subset of them keeps argwhere's order
+        for cluster in out.clusters:
+            mask_pixels = np.argwhere(cluster.as_mask(40, 40).data)
+            assert np.array_equal(cluster.pixels, mask_pixels)
 
     def test_sparse_specks_are_noise(self):
         mask = np.zeros((50, 50), dtype=bool)
