@@ -2,7 +2,10 @@
 
 From every unvisited endpoint the end effector advances one step along the
 cable direction, descends until the pad touches, and classifies the contact
-with a curvature indicator built from per-taxel Hessian norms. Cable
+with a curvature indicator built from per-taxel Hessian norms. A descent
+keeps its delta_z height lattice from hover_height but probes only from one
+delta_z above the tallest surface the pad can meet (2r of the thickest
+cable): higher up a probe reads no pressure, so it is not made. Cable
 contacts extend the walk and re-aim the frame; flat contacts rotate the
 frame about the plane normal to try another direction. A walk closes when
 it comes within d_min of another endpoint or exhausts a full turn of
@@ -114,9 +117,22 @@ def _descend(
     budget: list[int],
     tracer: _Tracer,
     endpoint_id: int,
+    top: float,
 ) -> TactileMap | None:
-    """Lower the pad along -normal in delta_z steps until it touches."""
+    """Lower the pad along -normal in delta_z steps until it touches.
+
+    The steps start hover_height above the target, but the pad face is
+    only probed (spending budget and logging a trace row) once it is at
+    most `top` + delta_z above the fitted plane. Nothing is taller than
+    `top`, so a higher probe reads exactly 0 pressure without noise (with
+    noise it could only be a false touch); the delta_z margin covers the
+    offset of the fitted plane from the true one.
+    """
     pos = target_on_plane + params.hover_height * normal
+    height = float(plane.signed_distance(pos)[0])
+    while height > top + params.delta_z:
+        pos = pos - params.delta_z * normal
+        height -= params.delta_z
     while True:
         pose = Pose(rotation.copy(), pos.copy())
         budget[0] -= 1
@@ -142,13 +158,16 @@ def explore_from_endpoints(
     params: ReconParams,
     *,
     pad: TactilePad,
+    top: float,
 ) -> ExplorationResult:
     """Run the per-endpoint exploration walks and collect tactile points.
 
     `probe_fn(pose) -> (touched, TactileMap)` is the only way the loop sees
-    the world. A walk's own starting endpoint is excluded from the d_min
-    stop check: the first advance lands delta_y < d_min away from it, so
-    including it would stop every walk immediately. Every other endpoint,
+    the world; `top` is the height above the plane of the tallest surface
+    the pad can meet, and no descent probes higher than `top` + delta_z.
+    A walk's own starting endpoint is excluded from the d_min stop check:
+    the first advance lands delta_y < d_min away from it, so including it
+    would stop every walk immediately. Every other endpoint,
     visited or not, terminates the walk and is marked visited. Rotation
     retries beyond a full turn close the walk as a dead end.
     """
@@ -185,7 +204,7 @@ def explore_from_endpoints(
             target = state.last_point + params.delta_y * y_dir
             tmap = _descend(
                 probe_fn, state.pose.rotation, target, normal, plane,
-                params, budget, tracer, eid,
+                params, budget, tracer, eid, top,
             )
             ind = indicator(tmap, pad.pitch)
             if ind > params.t_h:

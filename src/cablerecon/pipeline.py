@@ -186,7 +186,8 @@ def run_pipeline(
             if tactile:
                 probe_fn = worldsim.TactileProbe(scene, params.eps_contact)
                 result = explore.explore_from_endpoints(
-                    poly, plane, probe_fn, params, pad=scene.pad
+                    poly, plane, probe_fn, params, pad=scene.pad,
+                    top=2 * max(c.radius for c in scene.cables),
                 )
                 p_tactile = result.tactile_cloud
                 result.save_trace_csv(cable_dir / "trace.csv")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cloudproc import PlaneModel
 from .fitting import bspline_from_control_points
-from .geom import Pose, finite_number, finite_triple, frame_from_y_z, normalize
+from .geom import UNIT_TOL, Pose, finite_number, finite_triple, frame_from_y_z, normalize
 from .imgproc import CameraIntrinsics
 from .worldsim import GroundTruthCable, WorldScene
 from .yamlio import load_yaml, save_yaml
@@ -60,6 +60,11 @@ def _require_number(value, where: str, kind=Real, allow_zero: bool = False) -> N
         raise ValueError(f"{where} must be {what} {'>=' if allow_zero else '>'} 0, not {value!r}")
 
 
+def _require_triple(value, where: str) -> None:
+    if not finite_triple(value):
+        raise ValueError(f"{where} must be 3 finite numbers, not {value!r}")
+
+
 def load_scenario(path) -> dict:
     doc = load_yaml(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -67,25 +72,46 @@ def load_scenario(path) -> dict:
         raise ValueError(f"unsupported scenario schema_version: {version!r}")
     where = f"scenario {path}"
     _require(doc, REQUIRED_KEYS, where)
-    _require(doc["plane"], REQUIRED_KEYS["plane"], f"{where} plane")
-    _require(doc["camera"], REQUIRED_KEYS["camera"], f"{where} camera")
+    plane, cam = doc["plane"], doc["camera"]
+    _require(plane, REQUIRED_KEYS["plane"], f"{where} plane")
+    _require(cam, REQUIRED_KEYS["camera"], f"{where} camera")
+    _require_triple(plane["point"], f"{where} plane point")
+    _require_triple(plane["normal"], f"{where} plane normal")
+    _require_triple(cam["position"], f"{where} camera position")
+    _require_triple(cam["look_at"], f"{where} camera look_at")
+    # build_scene normalizes both directions
+    if np.linalg.norm(np.asarray(plane["normal"], dtype=float)) < UNIT_TOL:
+        raise ValueError(f"{where} plane normal must not be zero")
+    if np.linalg.norm(np.subtract(cam["look_at"], cam["position"], dtype=float)) < UNIT_TOL:
+        raise ValueError(f"{where} camera look_at must differ from its position")
     for key in ("width", "height"):
-        _require_number(doc["camera"][key], f"{where} camera {key}", Integral)
+        _require_number(cam[key], f"{where} camera {key}", Integral)
+    for key in ("fx", "fy"):
+        _require_number(cam[key], f"{where} camera {key}")
+    _require_number(doc.get("seed", 0), f"{where} seed", Integral, allow_zero=True)
     sigma = doc.get("pressure_noise_sigma", 0.0)
     _require_number(sigma, f"{where} pressure_noise_sigma", allow_zero=True)
-    for i, cable in enumerate(doc["cables"] or []):
+    if not isinstance(doc["cables"], list):
+        raise ValueError(f"{where} cables must be a list")
+    for i, cable in enumerate(doc["cables"]):
         _require(cable, REQUIRED_KEYS["cables"], f"{where} cable {i}")
         _require_number(cable["radius"], f"{where} cable {i} radius")
+        _require_triple(cable["color"], f"{where} cable {i} color")
+        points = cable["control_points"]
+        # a clamped cubic needs at least 4 control points
+        if not (isinstance(points, list) and len(points) >= 4
+                and all(map(finite_triple, points))):
+            raise ValueError(
+                f"{where} cable {i} control_points must be a list of at least 4 points "
+                "of 3 finite numbers"
+            )
     occluders = doc.get("occluders", [])
     if not isinstance(occluders, list):
         raise ValueError(f"{where} occluders must be a list")
     for i, box in enumerate(occluders):
         _require(box, ("min", "max"), f"{where} occluder {i}")
         for key in ("min", "max"):
-            if not finite_triple(box[key]):
-                raise ValueError(
-                    f"{where} occluder {i} {key} must be 3 finite numbers, not {box[key]!r}"
-                )
+            _require_triple(box[key], f"{where} occluder {i} {key}")
     return doc
 
 
@@ -118,7 +144,7 @@ def build_scene(doc: dict) -> WorldScene:
     )
 
     cables = []
-    for cable_doc in doc["cables"] or []:
+    for cable_doc in doc["cables"]:
         radius = float(cable_doc["radius"])
         ctrl = np.asarray(cable_doc["control_points"], dtype=float)
         dist = plane.signed_distance(ctrl)

@@ -208,11 +208,30 @@ class TestCleanErrors:
             (lambda d: d["camera"].update(width=-5), "camera width"),
             (lambda d: d["camera"].update(height=True), "camera height"),
             (lambda d: d["camera"].update(height=0), "camera height"),
+            (lambda d: d.update(cables=5), "cables must be a list"),
+            (lambda d: d.update(cables={"a": 1}), "cables must be a list"),
+            (lambda d: d["cables"][0].update(color=[1, 2]), "cable 0 color"),
+            (lambda d: d["cables"][0].update(color="red"), "cable 0 color"),
+            (lambda d: d["cables"][0].update(control_points=d["cables"][0]["control_points"][:3]),
+             "cable 0 control_points"),
+            (lambda d: d["cables"][0]["control_points"][1].pop(), "cable 0 control_points"),
+            (lambda d: d["cables"][0].update(control_points=7), "cable 0 control_points"),
+            (lambda d: d["camera"].update(fx=0), "camera fx"),
+            (lambda d: d["camera"].update(fy=-600.0), "camera fy"),
+            (lambda d: d.update(seed="x"), "seed"),
+            (lambda d: d.update(seed=1.5), "seed"),
+            (lambda d: d.update(seed=-1), "seed"),
+            (lambda d: d["plane"].update(normal=[0, 0, 0]), "plane normal"),
+            (lambda d: d["plane"].update(point=[0, 0]), "plane point"),
+            (lambda d: d["camera"].update(look_at=d["camera"]["position"]), "camera look_at"),
         ],
         ids=[
             "short_min", "text_max", "inf_max", "no_max", "occluders_mapping", "list_radius",
             "zero_radius", "nan_radius", "negative_sigma", "text_sigma", "fractional_width",
-            "negative_width", "bool_height", "zero_height",
+            "negative_width", "bool_height", "zero_height", "int_cables", "mapping_cables",
+            "short_color", "text_color", "three_control_points", "short_control_point",
+            "int_control_points", "zero_fx", "negative_fy", "text_seed", "fractional_seed",
+            "negative_seed", "zero_normal", "short_plane_point", "look_at_position",
         ],
     )
     def test_scenario_value_out_of_range_is_one_error_line(

@@ -81,6 +81,9 @@ class TestIndicator:
             indicator(np.zeros((5, 2)), 0.005)
 
 
+TOP = 2 * 0.003  # the gap fixture's cable top, the tallest surface in its scene
+
+
 def gap_fixture():
     """Straight cable with a 5 cm hole in its visual cloud."""
     radius = 0.003
@@ -100,7 +103,7 @@ class TestExploration:
         assert len(poly.segments) == 2
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=TOP
         )
         cloud = result.tactile_cloud
         assert len(cloud) > 0
@@ -124,7 +127,7 @@ class TestExploration:
         scene, poly, _ = gap_fixture()
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=TOP
         )
         per_walk: dict[int, list[np.ndarray]] = {}
         for row in result.trace:
@@ -145,7 +148,7 @@ class TestExploration:
         poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=0.0
         )
         assert len(result.tactile_cloud) == 0
         assert result.dead_ends == 2
@@ -159,13 +162,13 @@ class TestExploration:
         params = ReconParams(probe_budget=5)
         with pytest.raises(ProbeBudgetError):
             explore_from_endpoints(
-                poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad
+                poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=TOP
             )
 
     def test_trace_csv_written(self, tmp_path):
         scene, poly, _ = gap_fixture()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad
+            poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad, top=TOP
         )
         result.save_trace_csv(tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -184,7 +187,9 @@ class TestExploration:
                 maps.append(tmap)
             return touched, tmap
 
-        result = explore_from_endpoints(poly, PLANE, recording_probe, ReconParams(), pad=pad)
+        result = explore_from_endpoints(
+            poly, PLANE, recording_probe, ReconParams(), pad=pad, top=TOP
+        )
         touches = [r for r in result.trace if r["touched"]]
         accepted = [m for m, r in zip(maps, touches, strict=True) if r["accepted"]]
         assert len(accepted) == len(result.tactile_cloud) > 0

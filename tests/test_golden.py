@@ -15,11 +15,11 @@ from cablerecon import pipeline, scenarios
 
 # cs1_occluded, seed 1, intrinsics scaled by 0.5 to 320x240
 GOLDEN_ARTIFACTS_SHA256 = (
-    "850416c82b2edaade89dd0d379a81eccdb1a52d1f3420562e5db114340bbccfc"
+    "9447ffb9d4f18a86188543beead09d6eba73737c9dcb898cc34d19efe2b73b3d"
 )
 # cs2_plain, seed 1, the template camera (640x480)
 GOLDEN_VGA_ARTIFACTS_SHA256 = (
-    "e73f64cc49393f13396be97f886a175dbcf41885dd450fe3977ebec552f9aa3e"
+    "0a0fed4e38474e4ebb8c5eb7315f3dbcc2eb3aff0e7265f06b4d9d59379f04f8"
 )
 MESSAGE = (
     "run artifacts changed. If the output change is intended, update the "

@@ -107,7 +107,7 @@ def test_exploration_skips_singleton_segments():
     pts = np.array([[0.0, 0, 0], [0.2, 0.2, 0.0]])
     poly = SortedPolyline(points=pts, segments=[np.array([0]), np.array([1])])
     result = explore_from_endpoints(
-        poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad
+        poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad, top=0.0
     )
     assert result.probes_used == 0
     assert len(result.tactile_cloud) == 0
