@@ -20,7 +20,10 @@ def _seed_from(args) -> int | None:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DLO_SEED")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"DLO_SEED must be an integer, not {env!r}") from None
 
 
 def cmd_gen_scene(args) -> int:

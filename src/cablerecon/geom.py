@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass, fields
 
@@ -102,10 +103,13 @@ def frame_from_y_z(y_dir: np.ndarray, z_dir: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
-# field type -> (accepted numbers ABC, stored type, what the error asks for)
-_SCALARS = {
-    "int": (numbers.Integral, int, "an integer > 0"),
-    "float": (numbers.Real, float, "a finite number > 0"),
+# rule -> (accepted numbers ABC, stored type, range test, what the error asks for)
+NUMBER_RULES = {
+    "int > 0": (numbers.Integral, int, lambda v: v > 0, "an integer > 0"),
+    "int >= 0": (numbers.Integral, int, lambda v: v >= 0, "an integer >= 0"),
+    "float > 0": (numbers.Real, float, lambda v: v > 0, "a finite number > 0"),
+    "float >= 0": (numbers.Real, float, lambda v: v >= 0, "a finite number >= 0"),
+    "float": (numbers.Real, float, lambda v: True, "a finite number"),
 }
 
 
@@ -121,6 +125,14 @@ def finite_triple(value) -> bool:
     """True for a list, tuple or array of 3 finite numbers (no bools)."""
     shaped = isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
     return shaped and all(finite_number(v, numbers.Real) for v in value)
+
+
+def checked_number(value, rule: str, name: str):
+    """`value` cast by a rule of NUMBER_RULES; a ValueError naming `name` if it breaks it."""
+    kind, cast, in_range, what = NUMBER_RULES[rule]
+    if not (finite_number(value, kind) and in_range(value)):
+        raise ValueError(f"{name} must be {what}, not {reprlib.repr(value)}")
+    return cast(value)
 
 
 @dataclass
@@ -158,12 +170,9 @@ class ReconParams:
             raise ValueError(f"voxel_origin must be 3 finite numbers, not {origin!r}")
         self.voxel_origin = tuple(map(float, origin))
         for f in fields(self):
-            if f.type in _SCALARS:
-                kind, cast, what = _SCALARS[f.type]
-                value = getattr(self, f.name)
-                if not (finite_number(value, kind) and value > 0):
-                    raise ValueError(f"{f.name} must be {what}, not {value!r}")
-                setattr(self, f.name, cast(value))
+            if f.type in ("int", "float"):
+                value = checked_number(getattr(self, f.name), f"{f.type} > 0", f.name)
+                setattr(self, f.name, value)
         ratio = 360.0 / self.theta_deg
         if self.max_rotation_attempts == round(ratio) and abs(
             ratio - round(ratio)

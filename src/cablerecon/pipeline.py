@@ -10,6 +10,7 @@ artifact byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -99,16 +100,14 @@ def run_pipeline(
 ) -> RunResult:
     """Execute the reconstruction pipeline and write the run directory."""
     t_start = time.perf_counter()
-    doc = scenarios.load_scenario(scenario_path)
-    if seed is not None:
-        doc["seed"] = int(seed)
+    doc, scene = scenarios.load_scenario(scenario_path, seed)
     params = _load_params(doc, params_file)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "scenario": "scenario.yaml",
-        "seed": int(doc.get("seed", 0)),
+        "seed": scene.seed,
         "no_tactile": not tactile,
         "params": asdict(params),
     }
@@ -116,8 +115,6 @@ def run_pipeline(
     plane = current = None
     try:
         scenarios.save_scenario(out / "scenario.yaml", doc)
-        scene = scenarios.build_scene(doc)
-
         rendered = worldsim.render(scene)
         images = out / "images"
         images.mkdir(exist_ok=True)
@@ -136,7 +133,7 @@ def run_pipeline(
         shelf_cloud = imgproc.pixels_to_cloud(shelf_pixels, rendered.depth, scene.camera)
         plane = cloudproc.ransac_plane(
             shelf_cloud,
-            seed=int(doc.get("seed", 0)),
+            seed=scene.seed,
             orient_toward=scene.camera.pose.translation,
         )
 
@@ -184,7 +181,7 @@ def run_pipeline(
             stats.first_sort_segments = len(poly.segments)
 
             if tactile:
-                probe_fn = worldsim.TactileProbe(scene, params.eps_contact)
+                probe_fn = functools.partial(worldsim.probe, scene, eps_contact=params.eps_contact)
                 result = explore.explore_from_endpoints(
                     poly, plane, probe_fn, params, pad=scene.pad,
                     top=2 * max(c.radius for c in scene.cables),
@@ -281,8 +278,7 @@ def _reference_dense_clouds(reference) -> list[tuple[np.ndarray, np.ndarray]]:
             cloud = cloudproc.load_ply(ref / cable["directory"] / "P_dense.ply")
             out.append((np.asarray(cable["color"], dtype=float), cloud))
         return out
-    doc = scenarios.load_scenario(ref)
-    scene = scenarios.build_scene(doc)
+    _, scene = scenarios.load_scenario(ref)
     rendered = worldsim.render(scene)
     out = []
     for cable, mask in zip(scene.cables, rendered.cable_masks):
@@ -302,7 +298,7 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
     """
     run = Path(run_dir)
     manifest = _read_manifest(run)
-    scene = scenarios.build_scene(scenarios.load_scenario(run / "scenario.yaml"))
+    _, scene = scenarios.load_scenario(run / "scenario.yaml")
     references = _reference_dense_clouds(reference)
     runtime = None
     timing = run / "timing.txt"
@@ -323,8 +319,9 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
 
         truth = scene.cables[_match_cable(scene, color)]
         means, maxes = [], []
-        for spline_path in sorted(cable_dir.glob("spline_seg*.yaml")):
-            curve = fitting.load_spline(spline_path)
+        prefix = f"{cable['directory']}/spline_seg"  # the certified splines, not a glob
+        for rel in sorted(r for r in manifest["artifacts"] if r.startswith(prefix)):
+            curve = fitting.load_spline(run / rel)
             mean_d, max_d = curve_error(curve, truth)
             means.append(mean_d)
             maxes.append(max_d)

@@ -9,13 +9,15 @@ colored cables on a horizontal plane (cs2_*), each plain or occluded.
 
 from __future__ import annotations
 
-from numbers import Integral, Real
+import reprlib
 
 import numpy as np
 
 from .cloudproc import PlaneModel
 from .fitting import bspline_from_control_points
-from .geom import UNIT_TOL, Pose, finite_number, finite_triple, frame_from_y_z, normalize
+from .errors import DegenerateGeometryError
+from .geom import (NUMBER_RULES, UNIT_TOL, Pose, checked_number, finite_triple,
+                   frame_from_y_z, normalize)
 from .imgproc import CameraIntrinsics
 from .worldsim import GroundTruthCable, WorldScene
 from .yamlio import load_yaml, save_yaml
@@ -37,130 +39,98 @@ def save_scenario(path, doc: dict) -> None:
     save_yaml(path, doc)
 
 
-# required top-level keys -> keys each of their mappings must carry
-REQUIRED_KEYS = {
-    "plane": ("point", "normal"),
-    "camera": ("position", "look_at", "fx", "fy", "cx", "cy", "width", "height"),
-    "cables": ("radius", "control_points", "color"),
+_TRIPLE = "3 finite numbers"
+_POINTS = "a list of at least 4 points of 3 finite numbers"
+
+# rule -> test, for the values that are not single numbers
+_SHAPES = {
+    "a mapping": lambda v: isinstance(v, dict),
+    "a list of mappings": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+    _TRIPLE: finite_triple,
+    # a clamped cubic needs at least 4 control points
+    _POINTS: lambda v: isinstance(v, list) and len(v) >= 4 and all(map(finite_triple, v)),
 }
 
 
-def _require(mapping, keys, where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{where} must be a mapping")
-    for key in keys:
-        if key not in mapping:
-            raise ValueError(f"{where} is missing required key {key!r}")
+def _get(mapping: dict, key: str, where: str, rule: str, default=None):
+    """mapping[key], or `default` if absent (None: required), checked and cast by `rule`,
+    one of geom.NUMBER_RULES or _SHAPES. A ValueError names the key."""
+    if key not in mapping and default is None:
+        raise ValueError(f"{where} is missing required key {key!r}")
+    value = mapping.get(key, default)
+    if rule in NUMBER_RULES:
+        return checked_number(value, rule, f"{where} {key}")
+    if not _SHAPES[rule](value):
+        raise ValueError(f"{where} {key} must be {rule}, not {reprlib.repr(value)}")
+    # numeric shapes become float arrays; mappings and lists stay as read
+    return np.asarray(value, dtype=float) if rule in (_TRIPLE, _POINTS) else value
 
 
-def _require_number(value, where: str, kind=Real, allow_zero: bool = False) -> None:
-    """A finite number of `kind` (never a bool), > 0 or, with allow_zero, >= 0."""
-    if not (finite_number(value, kind) and (value >= 0 if allow_zero else value > 0)):
-        what = "an integer" if kind is Integral else "a finite number"
-        raise ValueError(f"{where} must be {what} {'>=' if allow_zero else '>'} 0, not {value!r}")
-
-
-def _require_triple(value, where: str) -> None:
-    if not finite_triple(value):
-        raise ValueError(f"{where} must be 3 finite numbers, not {value!r}")
-
-
-def load_scenario(path) -> dict:
+def load_scenario(path, seed: int | None = None) -> tuple[dict, WorldScene]:
+    """The scenario at `path`, its seed replaced by `seed` if given, and its scene."""
     doc = load_yaml(path)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
+    if not (type(version) is int and version == SCHEMA_VERSION):
         raise ValueError(f"unsupported scenario schema_version: {version!r}")
-    where = f"scenario {path}"
-    _require(doc, REQUIRED_KEYS, where)
-    plane, cam = doc["plane"], doc["camera"]
-    _require(plane, REQUIRED_KEYS["plane"], f"{where} plane")
-    _require(cam, REQUIRED_KEYS["camera"], f"{where} camera")
-    _require_triple(plane["point"], f"{where} plane point")
-    _require_triple(plane["normal"], f"{where} plane normal")
-    _require_triple(cam["position"], f"{where} camera position")
-    _require_triple(cam["look_at"], f"{where} camera look_at")
-    # build_scene normalizes both directions
-    if np.linalg.norm(np.asarray(plane["normal"], dtype=float)) < UNIT_TOL:
-        raise ValueError(f"{where} plane normal must not be zero")
-    if np.linalg.norm(np.subtract(cam["look_at"], cam["position"], dtype=float)) < UNIT_TOL:
-        raise ValueError(f"{where} camera look_at must differ from its position")
-    for key in ("width", "height"):
-        _require_number(cam[key], f"{where} camera {key}", Integral)
-    for key in ("fx", "fy"):
-        _require_number(cam[key], f"{where} camera {key}")
-    _require_number(doc.get("seed", 0), f"{where} seed", Integral, allow_zero=True)
-    sigma = doc.get("pressure_noise_sigma", 0.0)
-    _require_number(sigma, f"{where} pressure_noise_sigma", allow_zero=True)
-    if not isinstance(doc["cables"], list):
-        raise ValueError(f"{where} cables must be a list")
-    for i, cable in enumerate(doc["cables"]):
-        _require(cable, REQUIRED_KEYS["cables"], f"{where} cable {i}")
-        _require_number(cable["radius"], f"{where} cable {i} radius")
-        _require_triple(cable["color"], f"{where} cable {i} color")
-        points = cable["control_points"]
-        # a clamped cubic needs at least 4 control points
-        if not (isinstance(points, list) and len(points) >= 4
-                and all(map(finite_triple, points))):
-            raise ValueError(
-                f"{where} cable {i} control_points must be a list of at least 4 points "
-                "of 3 finite numbers"
-            )
-    occluders = doc.get("occluders", [])
-    if not isinstance(occluders, list):
-        raise ValueError(f"{where} occluders must be a list")
-    for i, box in enumerate(occluders):
-        _require(box, ("min", "max"), f"{where} occluder {i}")
-        for key in ("min", "max"):
-            _require_triple(box[key], f"{where} occluder {i} {key}")
-    return doc
+    if seed is not None:
+        doc["seed"] = seed
+    return doc, build_scene(doc, f"scenario {path}")
 
 
-def build_scene(doc: dict) -> WorldScene:
-    """Instantiate the world described by a scenario document.
+def build_scene(doc: dict, where: str) -> WorldScene:
+    """Check and instantiate the world of a scenario document; errors begin with `where`.
 
     Cable control points are projected onto the declared plane and lifted
     by one radius along its normal, which pins every centerline exactly one
     radius above the support surface.
     """
-    plane_doc = doc["plane"]
-    normal = normalize(np.asarray(plane_doc["normal"], dtype=float))
-    point = np.asarray(plane_doc["point"], dtype=float)
-    cam_doc = doc["camera"]
-    cam_pos = np.asarray(cam_doc["position"], dtype=float)
+    plane_doc = _get(doc, "plane", where, "a mapping")
+    point = _get(plane_doc, "point", f"{where} plane", _TRIPLE)
+    normal = _get(plane_doc, "normal", f"{where} plane", _TRIPLE)
+    if np.linalg.norm(normal) < UNIT_TOL:
+        raise ValueError(f"{where} plane normal must not be zero")
+    cam_doc = _get(doc, "camera", where, "a mapping")
+    cam = f"{where} camera"
+    cam_pos = _get(cam_doc, "position", cam, _TRIPLE)
+    look_dir = _get(cam_doc, "look_at", cam, _TRIPLE) - cam_pos
+    if np.linalg.norm(look_dir) < UNIT_TOL:
+        raise ValueError(f"{cam} look_at must differ from its position")
+    up_hint = _get(cam_doc, "up_hint", cam, _TRIPLE, [0.0, 1.0, 0.0])
+    try:
+        rotation = frame_from_y_z(-up_hint, look_dir)
+    except DegenerateGeometryError:
+        raise ValueError(f"{cam} up_hint must not be zero or within 1 degree of the view") from None
+    intr = CameraIntrinsics(
+        fx=_get(cam_doc, "fx", cam, "float > 0"),
+        fy=_get(cam_doc, "fy", cam, "float > 0"),
+        cx=_get(cam_doc, "cx", cam, "float"),
+        cy=_get(cam_doc, "cy", cam, "float"),
+        pose=Pose(rotation, cam_pos),
+    )
+
+    normal = normalize(normal)
     if np.dot(normal, cam_pos - point) < 0:
         normal = -normal
     plane = PlaneModel(np.append(normal, -np.dot(normal, point)))
 
-    look_at = np.asarray(cam_doc["look_at"], dtype=float)
-    up_hint = np.asarray(cam_doc.get("up_hint", [0.0, 1.0, 0.0]), dtype=float)
-    look_dir = look_at - cam_pos
-    rotation = frame_from_y_z(-up_hint, look_dir)
-    intr = CameraIntrinsics(
-        fx=float(cam_doc["fx"]),
-        fy=float(cam_doc["fy"]),
-        cx=float(cam_doc["cx"]),
-        cy=float(cam_doc["cy"]),
-        pose=Pose(rotation, cam_pos),
-    )
-
     cables = []
-    for cable_doc in doc["cables"]:
-        radius = float(cable_doc["radius"])
-        ctrl = np.asarray(cable_doc["control_points"], dtype=float)
-        dist = plane.signed_distance(ctrl)
-        on_plane = ctrl - dist[:, None] * plane.normal
-        lifted = on_plane + radius * plane.normal
+    for i, cable_doc in enumerate(_get(doc, "cables", where, "a list of mappings")):
+        at = f"{where} cable {i}"
+        radius = _get(cable_doc, "radius", at, "float > 0")
+        ctrl = _get(cable_doc, "control_points", at, _POINTS)
+        on_plane = ctrl - plane.signed_distance(ctrl)[:, None] * plane.normal
         cables.append(
             GroundTruthCable(
-                centerline=bspline_from_control_points(lifted),
+                centerline=bspline_from_control_points(on_plane + radius * plane.normal),
                 radius=radius,
-                color=np.asarray(cable_doc["color"], dtype=float),
+                color=_get(cable_doc, "color", at, _TRIPLE),
             )
         )
 
     occluders = [
-        (np.asarray(o["min"], dtype=float), np.asarray(o["max"], dtype=float))
-        for o in doc.get("occluders", [])
+        (_get(box, "min", f"{where} occluder {i}", _TRIPLE),
+         _get(box, "max", f"{where} occluder {i}", _TRIPLE))
+        for i, box in enumerate(_get(doc, "occluders", where, "a list of mappings", []))
     ]
 
     return WorldScene(
@@ -168,10 +138,10 @@ def build_scene(doc: dict) -> WorldScene:
         cables=cables,
         occluders=occluders,
         camera=intr,
-        width=int(cam_doc["width"]),
-        height=int(cam_doc["height"]),
-        seed=int(doc.get("seed", 0)),
-        pressure_noise_sigma=float(doc.get("pressure_noise_sigma", 0.0)),
+        width=_get(cam_doc, "width", cam, "int > 0"),
+        height=_get(cam_doc, "height", cam, "int > 0"),
+        seed=_get(doc, "seed", where, "int >= 0", 0),
+        pressure_noise_sigma=_get(doc, "pressure_noise_sigma", where, "float >= 0", 0.0),
     )
 
 

@@ -357,13 +357,3 @@ def map_centroid(tmap: TactileMap, plane: PlaneModel, pad: TactilePad) -> np.nda
     centroid = (centers * weights[:, None]).sum(axis=0) / total
     return project_to_plane(centroid, plane)[0]
 
-
-class TactileProbe:
-    """Probe interface handed to the exploration loop."""
-
-    def __init__(self, scene: WorldScene, eps_contact: float):
-        self.scene = scene
-        self.eps_contact = eps_contact
-
-    def __call__(self, pad_pose: Pose) -> tuple[bool, TactileMap]:
-        return probe(self.scene, pad_pose, self.eps_contact)

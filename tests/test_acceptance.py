@@ -30,7 +30,7 @@ def report(number, ok, detail):
 
 
 def test_criterion_1_occlusion_recovery_cs1(work_root, scenario_files, template_runs):
-    scene = scenarios.build_scene(scenarios.load_scenario(scenario_files["cs1_occluded"]))
+    _, scene = scenarios.load_scenario(scenario_files["cs1_occluded"])
     cable = scene.cables[0]
 
     # occluder really hides >= 20% of arc length, crossing included

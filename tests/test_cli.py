@@ -1,13 +1,47 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cablerecon import cli, pipeline, scenarios
+from cablerecon import cli, fitting, pipeline, scenarios
 from cablerecon.cloudproc import load_ply
 from cablerecon.geom import ReconParams
+
+# scenario keys that may be left out: each has a default
+OPTIONAL = {"seed", "pressure_noise_sigma", "occluders", "up_hint"}
+
+# values that no scenario key accepts, at any depth: a list is never 3 long
+# (a triple) nor empty (no cables, no occluders), and its items are numbers
+INVALID_EVERYWHERE = st.one_of(
+    st.text(alphabet="ab1.-: ", max_size=6),
+    st.none(),
+    st.booleans(),
+    st.dictionaries(st.sampled_from(["min", "max", "radius", "point"]), st.just(1.0), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5).filter(lambda v: len(v) != 3),
+)
+
+
+def _key_paths(node, path=()):
+    """The path (keys and list indices) to every value below `node`."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _key_paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 class TestGenScene:
@@ -224,6 +258,12 @@ class TestCleanErrors:
             (lambda d: d["plane"].update(normal=[0, 0, 0]), "plane normal"),
             (lambda d: d["plane"].update(point=[0, 0]), "plane point"),
             (lambda d: d["camera"].update(look_at=d["camera"]["position"]), "camera look_at"),
+            (lambda d: d["camera"].update(cx="abc"), "camera cx"),
+            (lambda d: d["camera"].update(cy=float("nan")), "camera cy"),
+            (lambda d: d["camera"].update(up_hint=[1, 2]), "camera up_hint"),
+            (lambda d: d["camera"].update(
+                up_hint=np.subtract(d["camera"]["look_at"], d["camera"]["position"]).tolist()),
+             "camera up_hint"),
         ],
         ids=[
             "short_min", "text_max", "inf_max", "no_max", "occluders_mapping", "list_radius",
@@ -231,7 +271,8 @@ class TestCleanErrors:
             "negative_width", "bool_height", "zero_height", "int_cables", "mapping_cables",
             "short_color", "text_color", "three_control_points", "short_control_point",
             "int_control_points", "zero_fx", "negative_fy", "text_seed", "fractional_seed",
-            "negative_seed", "zero_normal", "short_plane_point", "look_at_position",
+            "negative_seed", "zero_normal", "short_plane_point", "look_at_position", "text_cx",
+            "nan_cy", "short_up_hint", "up_hint_along_view",
         ],
     )
     def test_scenario_value_out_of_range_is_one_error_line(
@@ -246,6 +287,51 @@ class TestCleanErrors:
         assert err.startswith(f"error: scenario {path}") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "env, extra, named",
+        [
+            (None, ("--seed", "-1"), "seed must be an integer >= 0, not -1"),
+            ("-1", (), "seed must be an integer >= 0, not -1"),
+            ("abc", (), "DLO_SEED must be an integer, not 'abc'"),
+            ("1.5", (), "DLO_SEED must be an integer, not '1.5'"),
+        ],
+        ids=["negative_flag", "negative_env", "text_env", "fractional_env"],
+    )
+    def test_bad_seed_override_is_one_error_line(
+        self, tmp_path, scenario_files, capsys, monkeypatch, env, extra, named
+    ):
+        monkeypatch.delenv("DLO_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("DLO_SEED", env)
+        assert self._run(scenario_files["cs1_plain"], tmp_path, *extra) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_any_broken_scenario_is_one_error_line(self, data):
+        doc = scenarios.make_template(data.draw(st.sampled_from(scenarios.TEMPLATES)), seed=1)
+        paths = list(_key_paths(doc))
+        if data.draw(st.booleans(), label="delete"):
+            required = [p for p in paths if isinstance(p[-1], str) and p[-1] not in OPTIONAL]
+            path = data.draw(st.sampled_from(required), label="path")
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            path = data.draw(st.sampled_from(paths), label="path")
+            _at(doc, path[:-1])[path[-1]] = data.draw(INVALID_EVERYWHERE, label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out = Path(tmp) / "broken.yaml", Path(tmp) / "out"
+            scenarios.save_scenario(scenario, doc)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", str(scenario), "--out", str(out)])
+            assert code == pipeline.EXIT_ERROR
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            assert "Traceback" not in err.getvalue()
+            assert not out.exists()
 
     def test_eval_with_a_broken_reference_is_one_error_line(
         self, template_runs, tmp_path, capsys
@@ -367,6 +453,16 @@ class TestEval:
         assert len(report["cables"]) == 2
         for row in report["cables"]:
             assert row["icp_rmse"] < 0.008
+
+    def test_eval_reads_only_the_certified_splines(self, template_runs, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(template_runs["cs1_plain"].out_dir, run)
+        before = pipeline.evaluate_run(run, run, tmp_path / "before.yaml")
+        # a stray spline 5 cm off the cable, which the manifest does not certify
+        curve = fitting.load_spline(run / "cable_00" / "spline_seg00.yaml")
+        stray = curve.translated(np.array([0.0, 0.0, 0.05]))
+        fitting.save_spline(run / "cable_00" / "spline_seg07.yaml", stray)
+        assert pipeline.evaluate_run(run, run, tmp_path / "after.yaml") == before
 
     def test_missing_artifacts_error(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,3 +1,4 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from cablerecon.explore import (
 )
 from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
-from cablerecon.worldsim import TactilePad, TactileProbe, map_centroid
+from cablerecon.worldsim import TactilePad, map_centroid, probe
 
 from test_worldsim import EPS, PLANE, make_scene, straight_cable
 
@@ -103,7 +104,7 @@ class TestExploration:
         assert len(poly.segments) == 2
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=TOP
         )
         cloud = result.tactile_cloud
         assert len(cloud) > 0
@@ -127,7 +128,7 @@ class TestExploration:
         scene, poly, _ = gap_fixture()
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=TOP
         )
         per_walk: dict[int, list[np.ndarray]] = {}
         for row in result.trace:
@@ -148,7 +149,7 @@ class TestExploration:
         poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=0.0
+            poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=0.0
         )
         assert len(result.tactile_cloud) == 0
         assert result.dead_ends == 2
@@ -162,13 +163,14 @@ class TestExploration:
         params = ReconParams(probe_budget=5)
         with pytest.raises(ProbeBudgetError):
             explore_from_endpoints(
-                poly, PLANE, TactileProbe(scene, EPS), params, pad=scene.pad, top=TOP
+                poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=TOP
             )
 
     def test_trace_csv_written(self, tmp_path):
         scene, poly, _ = gap_fixture()
         result = explore_from_endpoints(
-            poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene, eps_contact=EPS), ReconParams(),
+            pad=scene.pad, top=TOP,
         )
         result.save_trace_csv(tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -182,7 +184,7 @@ class TestExploration:
         maps = []
 
         def recording_probe(pose):
-            touched, tmap = TactileProbe(scene, EPS)(pose)
+            touched, tmap = probe(scene, pose, EPS)
             if touched:
                 maps.append(tmap)
             return touched, tmap

@@ -1,5 +1,7 @@
 """End-to-end properties over randomized scenes, beyond the fixed templates."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cablerecon import pipeline, scenarios
 from cablerecon.explore import explore_from_endpoints
 from cablerecon.geom import Pose, ReconParams, frame_from_y_z
 from cablerecon.topology import SortedPolyline
-from cablerecon.worldsim import TactileProbe, probe
+from cablerecon.worldsim import probe
 
 from test_worldsim import EPS, PLANE, make_scene, straight_cable
 
@@ -107,7 +109,7 @@ def test_exploration_skips_singleton_segments():
     pts = np.array([[0.0, 0, 0], [0.2, 0.2, 0.0]])
     poly = SortedPolyline(points=pts, segments=[np.array([0]), np.array([1])])
     result = explore_from_endpoints(
-        poly, PLANE, TactileProbe(scene, EPS), ReconParams(), pad=scene.pad, top=0.0
+        poly, PLANE, partial(probe, scene, eps_contact=EPS), ReconParams(), pad=scene.pad, top=0.0
     )
     assert result.probes_used == 0
     assert len(result.tactile_cloud) == 0

@@ -13,7 +13,6 @@ from cablerecon.geom import Pose, ReconParams, frame_from_y_z, rotation_about_ax
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
 from cablerecon.scenarios import (
     TEMPLATES,
-    build_scene,
     load_scenario,
     make_template,
     save_scenario,
@@ -447,12 +446,12 @@ class TestScenarioFiles:
             save_scenario(path, doc)
             text = yaml.safe_dump(doc, sort_keys=False)
             assert path.read_text() == text
-            assert load_scenario(path) == yaml.safe_load(text) == doc
+            assert load_scenario(path)[0] == yaml.safe_load(text) == doc
 
     def test_roundtrip_builds_valid_scene(self, tmp_path):
         path = tmp_path / "s.yaml"
         save_scenario(path, make_template("cs2_occluded", seed=3))
-        scene = build_scene(load_scenario(path))
+        scene = load_scenario(path)[1]
         assert len(scene.cables) == 2
         assert len(scene.occluders) == 2
         for cable in scene.cables:
