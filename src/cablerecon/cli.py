@@ -14,21 +14,27 @@ from pathlib import Path
 
 from . import pipeline, scenarios
 from .errors import ProbeBudgetError
+from .geom import checked_number
 
 
 def _seed_from(args) -> int | None:
+    """The --seed or DLO_SEED override, checked before any file is written; None if unset."""
     if args.seed is not None:
-        return args.seed
+        return checked_number(args.seed, "int >= 0", "--seed")
     env = os.environ.get("DLO_SEED")
+    if not env:
+        return None
     try:
-        return int(env) if env else None
+        value = int(env)
     except ValueError:
-        raise ValueError(f"DLO_SEED must be an integer, not {env!r}") from None
+        value = env
+    return checked_number(value, "int >= 0", "DLO_SEED")
 
 
 def cmd_gen_scene(args) -> int:
+    seed = 0 if args.seed is None else checked_number(args.seed, "int >= 0", "--seed")
     try:
-        doc = scenarios.make_template(args.template, seed=args.seed or 0)
+        doc = scenarios.make_template(args.template, seed=seed)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1

@@ -151,42 +151,67 @@ def _components(arg: tuple, n: int) -> np.ndarray:
     return connected_components(csr_matrix(arg, shape=(n, n)), directed=False)[1]
 
 
-def _links(features, dist, nbr, threshold: float) -> np.ndarray:
-    """Which kNN pairs (i, nbr[i, j]) lie within `threshold`, by their row-wise norm.
+def _links(features, points, dist, nbr, threshold: float) -> np.ndarray:
+    """Which kNN pairs (points[i], nbr[i, j]) lie within `threshold`, by their row-wise norm.
 
-    The kd-tree distance dist[i, j] is the root of the same five squares
-    summed in another order, a few ulps off, so it decides every pair
-    farther than 1e-9 (relative) from the threshold, and the norm the rest.
+    Row i of the query is point points[i]. The kd-tree distance dist[i, j]
+    is the root of the same five squares summed in another order, a few
+    ulps off, so it decides every pair farther than 1e-9 (relative) from
+    the threshold, and the norm the rest.
     """
     link = dist <= threshold
     rows, cols = np.nonzero(np.abs(dist - threshold) <= 1e-9 * threshold)
-    diff = features[rows] - features[nbr[rows, cols]]
+    diff = features[points[rows]] - features[nbr[rows, cols]]
     link[rows, cols] = np.linalg.norm(diff, axis=1) <= threshold
     return link
 
 
-def _reach_components(features: np.ndarray, k: int, threshold: float) -> np.ndarray:
+def _reach_components(features, rows, cols, k: int, threshold: float) -> np.ndarray:
     """Component labels of the mutual-reachability graph at `threshold`.
 
     Points i, j are linked when max(core_i, core_j, |f_i - f_j|) <= threshold,
     core being the distance to the k-th nearest neighbour; the components
-    equal those of the mutual-reachability MST cut at `threshold`. Linked
-    kNN pairs give fragments, and two fragments join when any pair across
-    them is within the threshold. The kd-tree only nominates pairs: at the
+    equal those of the mutual-reachability MST cut at `threshold`. Point i
+    lies on pixel (rows[i], cols[i]); the pixels choose the queries, never a label.
+
+    Only the seeds, the first point of each 4x4 pixel block, are queried
+    first. Point i is core if reach(seed) + |f_i - f_seed| <= threshold
+    (1 - 1e-9), reach being the seed's k-th neighbour distance: the seed's
+    k + 1 points then lie within the threshold of i (triangle inequality,
+    with room for rounding). Only the points this cannot prove are queried.
+    Fragments come from the queried points' kNN links and each core point's
+    link to a core seed within the threshold; two fragments join when any
+    pair across them is within it. The kd-tree only nominates pairs: at the
     threshold the row-wise norm decides, so a pair exactly at it links.
     """
     n = len(features)
     k_eff = min(k, n - 1)
     if k_eff <= 0:
         return np.arange(n)
-    dist, nbr = cKDTree(features).query(features, k=min(max(k_eff, 8), n - 1) + 1)
-    core_ok = dist[:, k_eff] <= threshold
-    keep = _links(features, dist, nbr, threshold) & core_ok[:, None] & core_ok[nbr]
-    # the query rows are the graph's rows, in order: the kNN graph is CSR as it stands
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    labels = _components((np.ones(indptr[-1]), nbr[keep], indptr), n)
+    tree = cKDTree(features)
+    n_query = min(max(k_eff, 8), n - 1) + 1
+    _, seeds, block = np.unique(
+        (rows // 4) * (cols.max() // 4 + 1) + cols // 4, return_index=True, return_inverse=True
+    )
+    seed = seeds[block]
+    dist, nbr = tree.query(features[seeds], k=n_query)
+    reach = dist[:, k_eff]
+    gap = np.linalg.norm(features - features[seed], axis=1)
+    core = reach[block] + gap <= threshold * (1 - 1e-9)
+    core[seeds] = reach <= threshold
+    rest = np.flatnonzero(~core & (seed != np.arange(n)))
+    rest_dist, rest_nbr = tree.query(features[rest], k=n_query)
+    core[rest] = rest_dist[:, k_eff] <= threshold
+    asked = np.concatenate([seeds, rest])
+    dist, nbr = np.vstack([dist, rest_dist]), np.vstack([nbr, rest_nbr])
+    keep = _links(features, asked, dist, nbr, threshold) & core[asked, None] & core[nbr]
+    qi, qj = np.nonzero(keep)
+    to_seed = np.flatnonzero(core & core[seed] & (gap <= threshold))
+    src = np.concatenate([asked[qi], to_seed])
+    dst = np.concatenate([nbr[qi, qj], seed[to_seed]])
+    labels = _components((np.ones(len(src)), (src, dst)), n)
 
-    ids = np.unique(labels[core_ok])
+    ids = np.unique(labels[core])
     frags = [features[labels == f] for f in ids]
     bound = threshold * (1 + 1e-9)  # the kd-tree's bound excludes a pair exactly at it
     joins = []
@@ -210,7 +235,8 @@ def cluster_pixels(
     over mutual-reachability distances (core size = `min_cluster_size`) cut
     at edges longer than `cut_threshold`, computed as the components of the
     threshold graph of those distances in near-linear time, without the
-    tree. Components smaller than `min_cluster_size` are returned as noise.
+    tree, most core pixels proven from one kd-tree query per 4x4 pixel block.
+    Components smaller than `min_cluster_size` are returned as noise.
     The three values come from `params`. With the default weights, color
     dominates, so one cable split spatially by an occluder stays a single
     cluster while differently colored cables separate.
@@ -224,7 +250,7 @@ def cluster_pixels(
     s = params.spatial_weight
     features = np.column_stack([s * rows, s * cols, lab]).astype(float)
 
-    labels = _reach_components(features, params.min_cluster_size, params.cut_threshold)
+    labels = _reach_components(features, rows, cols, params.min_cluster_size, params.cut_threshold)
     clusters = []
     noise_parts = []
     for label in np.unique(labels):

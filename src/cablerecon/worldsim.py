@@ -198,6 +198,25 @@ def _box_entry_depth(origin, dirs, lo, hi):
     return np.where(hit, np.maximum(t_near, 0.0), np.inf)
 
 
+def _footprint(lo, hi, intr: CameraIntrinsics, h: int, w: int) -> tuple[slice, slice]:
+    """Row and column slices holding every pixel whose ray can enter the box.
+
+    A box in front of the camera projects inside its 8 projected corners'
+    bounding box, taken here with a 1-pixel margin against rounding; with
+    a corner at or behind the camera plane, the whole frame.
+    """
+    corners = np.where((np.arange(8)[:, None] >> np.arange(3)) & 1, hi, lo)
+    cam = (corners - intr.pose.translation) @ intr.pose.rotation
+    z = cam[:, 2]
+    if (z <= 0).any():
+        return slice(0, h), slice(0, w)
+    row = intr.fy * cam[:, 1] / z + intr.cy
+    col = intr.fx * cam[:, 0] / z + intr.cx
+    r0, c0 = np.clip(np.floor([row.min(), col.min()]) - 1, 0, [h, w]).astype(int)
+    r1, c1 = np.clip(np.ceil([row.max(), col.max()]) + 2, 0, [h, w]).astype(int)
+    return slice(r0, r1), slice(c0, c1)
+
+
 def _stamps(cable: GroundTruthCable, intr: CameraIntrinsics, h: int, w: int):
     """Rows, columns and camera z of every in-frame pixel of the cable's stamped disks.
 
@@ -234,8 +253,9 @@ def render(scene: WorldScene) -> RenderResult:
     batch per projected disk radius, and a minimum does not depend on the
     order of its inputs, so the result equals a per-sample stamp. Occluder
     boxes remove cable pixels whose ray they block and cover the shelf
-    where they project. Depth is camera-frame z in meters, 0 where no
-    surface is hit.
+    where they project; each box's slab test runs only on its footprint
+    (see `_footprint`), and every ray outside it misses the box. Depth is
+    camera-frame z in meters, 0 where no surface is hit.
     """
     origin, dirs = _ray_grid(scene)
     h, w = scene.height, scene.width
@@ -250,7 +270,8 @@ def render(scene: WorldScene) -> RenderResult:
 
     box_z = np.full((h, w), np.inf)
     for lo, hi in scene.occluders:
-        box_z = np.minimum(box_z, _box_entry_depth(origin, dirs, lo, hi))
+        foot = _footprint(lo, hi, scene.camera, h, w)
+        box_z[foot] = np.minimum(box_z[foot], _box_entry_depth(origin, dirs[foot], lo, hi))
 
     # background 0, shelf 1, occluder 2, cable ci 3 + ci: one palette gather colors it
     palette = np.vstack([[0, 0, 0], SHELF_COLOR, OCCLUDER_COLOR, *(c.color for c in scene.cables)])

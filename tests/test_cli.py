@@ -52,6 +52,12 @@ class TestGenScene:
         assert cli.main(["gen-scene", "cs1_occluded", "--seed", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_is_one_error_line_and_no_file(self, tmp_path, capsys):
+        out = tmp_path / "x.yaml"
+        assert cli.main(["gen-scene", "cs1_plain", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, not -1\n"
+        assert not out.exists()
+
     def test_unknown_template_fails_naming_the_valid_ones(self, tmp_path, capsys):
         assert cli.main(["gen-scene", "nosuch", "--out", str(tmp_path / "x.yaml")]) == 1
         err = capsys.readouterr().err
@@ -291,10 +297,10 @@ class TestCleanErrors:
     @pytest.mark.parametrize(
         "env, extra, named",
         [
-            (None, ("--seed", "-1"), "seed must be an integer >= 0, not -1"),
-            ("-1", (), "seed must be an integer >= 0, not -1"),
-            ("abc", (), "DLO_SEED must be an integer, not 'abc'"),
-            ("1.5", (), "DLO_SEED must be an integer, not '1.5'"),
+            (None, ("--seed", "-1"), "error: --seed must be an integer >= 0, not -1"),
+            ("-1", (), "error: DLO_SEED must be an integer >= 0, not -1"),
+            ("abc", (), "error: DLO_SEED must be an integer >= 0, not 'abc'"),
+            ("1.5", (), "error: DLO_SEED must be an integer >= 0, not '1.5'"),
         ],
         ids=["negative_flag", "negative_env", "text_env", "fractional_env"],
     )
@@ -307,7 +313,7 @@ class TestCleanErrors:
         assert self._run(scenario_files["cs1_plain"], tmp_path, *extra) == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert named in err
+        assert err.startswith(named) and "scenario" not in err
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=200, derandomize=True, deadline=None)

@@ -2,11 +2,14 @@
 
 `blur_and_clean` and `skeletonize` work on the foreground's bounding box,
 `render` keeps its per-cable depth buffers on the window of the stamped
-pixels and colors the frame with one palette gather, and
-`_reach_components` builds its kNN graph as CSR and decides most pairs by
-their kd-tree distance. Each must equal, bit for bit, the full-frame code
-it replaced, copied here as the oracle.
+pixels, tests each occluder only on its footprint and colors the frame
+with one palette gather, and `_reach_components` proves most core points
+from one kd-tree query per 4x4 pixel block and decides most pairs by their
+kd-tree distance. Each must equal, bit for bit, the full-frame code it
+replaced, copied here as the oracle.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -276,7 +279,12 @@ def _scene(cables, occluders=(), camera=None):
     )
 
 
-BOX = (np.array([-0.04, -0.03, 0.0]), np.array([0.03, 0.04, 0.05]))
+def _box(lo, hi):
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
+
+
+BOX = _box((-0.04, -0.03, 0.0), (0.03, 0.04, 0.05))
+LOW_CAMERA = _camera((-0.3, 0.0, 0.1), (0.35, 0.0, -0.12), (0.0, 0.0, -1.0), f=150.0)
 SCENES = {
     "no_cables": _scene([]),
     "no_cables_occluded": _scene([], [BOX]),
@@ -296,7 +304,28 @@ SCENES = {
     ),
     "low_camera_off_frame": _scene(
         [_cable((-0.2, 0.0), (0.2, 0.0)), _cable((-0.2, 0.08), (0.2, 0.08), radius=0.006)],
-        camera=_camera((-0.3, 0.0, 0.1), (0.35, 0.0, -0.12), (0.0, 0.0, -1.0), f=150.0),
+        camera=LOW_CAMERA,
+    ),
+    # occluders against the frame and the camera plane (z = 0.6 here)
+    "occluder_partly_off_frame": _scene(
+        [_cable((-0.2, 0.0), (0.3, 0.02))], [_box((0.18, -0.06, 0.0), (0.4, 0.06, 0.04))]
+    ),
+    "occluder_wholly_off_frame": _scene(
+        [_cable((-0.2, 0.0), (0.2, 0.0))], [_box((0.5, -0.05, 0.0), (0.6, 0.05, 0.04))]
+    ),
+    "occluder_straddling_camera_plane": _scene(
+        [_cable((-0.2, 0.07), (0.2, 0.07))], [BOX, _box((0.05, 0.05, 0.0), (0.1, 0.1, 0.8))]
+    ),
+    "occluder_touching_camera_plane": _scene(
+        [_cable((-0.2, 0.07), (0.2, 0.07))], [_box((-0.1, 0.05, 0.0), (-0.05, 0.1, 0.6))]
+    ),
+    "occluder_behind_camera": _scene(
+        [_cable((-0.2, 0.0), (0.2, 0.0))], [BOX, _box((-0.05, -0.05, 0.7), (0.05, 0.05, 0.9))]
+    ),
+    "tilted_camera_occluded": _scene(
+        [_cable((-0.2, 0.0), (0.2, 0.0)), _cable((-0.2, 0.08), (0.2, 0.08), radius=0.006)],
+        [_box((0.0, -0.03, 0.0), (0.05, 0.1, 0.04)), _box((0.3, -0.2, 0.0), (0.5, 0.2, 0.1))],
+        camera=LOW_CAMERA,
     ),
 }
 
@@ -330,13 +359,80 @@ def test_render_scenes_cover_the_window_edges():
     assert sum(m.sum() for m in masks) < sum(m.sum() for m in bare)
 
 
+def _hits_and_footprints(name):
+    """(full-frame hit mask, footprint) of each occluder of scene `name`."""
+    scene = SCENES[name]
+    origin, dirs = worldsim._ray_grid(scene)
+    return [
+        (
+            np.isfinite(worldsim._box_entry_depth(origin, dirs, lo, hi)),
+            worldsim._footprint(lo, hi, scene.camera, scene.height, scene.width),
+        )
+        for lo, hi in scene.occluders
+    ]
+
+
+def test_occluder_scenes_cover_the_footprint_cases():
+    # the oracle cases matter only if footprints meet the frame's edge, fall
+    # wholly outside it, and fall back to the whole frame for boxes reaching
+    # the camera plane, with and without pixels that the box hides
+    frame = (slice(0, 120), slice(0, 160))
+    (hit, foot), = _hits_and_footprints("occluder_partly_off_frame")
+    assert hit.any() and hit[:, -1].any() and foot[1].stop == 160 and foot != frame
+    (hit, foot), = _hits_and_footprints("occluder_wholly_off_frame")
+    assert not hit.any() and hit[foot].size == 0
+    _, (hit, foot) = _hits_and_footprints("occluder_straddling_camera_plane")
+    assert hit.any() and foot == frame
+    (hit, foot), = _hits_and_footprints("occluder_touching_camera_plane")
+    assert hit.any() and foot == frame
+    _, (hit, foot) = _hits_and_footprints("occluder_behind_camera")
+    assert not hit.any() and foot == frame
+    for hit, foot in _hits_and_footprints("tilted_camera_occluded"):
+        assert hit.any() and foot != frame
+
+
+@pytest.mark.parametrize("name", [name for name in SCENES if SCENES[name].occluders])
+def test_footprint_holds_every_hit_and_a_pixel_around_the_corners(name):
+    scene = SCENES[name]
+    intr, h, w = scene.camera, scene.height, scene.width
+    for (hit, foot), (lo, hi) in zip(_hits_and_footprints(name), scene.occluders):
+        outside = hit.copy()
+        outside[foot] = False
+        assert not outside.any()
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        cam = (corners - intr.pose.translation) @ intr.pose.rotation
+        if (cam[:, 2] <= 0).any():
+            continue
+        row = intr.fy * cam[:, 1] / cam[:, 2] + intr.cy
+        col = intr.fx * cam[:, 0] / cam[:, 2] + intr.cx
+        # one pixel beyond the corners, so rounding cannot cut off a hit
+        assert foot[0].start <= max(np.floor(row.min()) - 1, 0)
+        assert foot[0].stop >= min(np.ceil(row.max()) + 2, h)
+        assert foot[1].start <= max(np.floor(col.min()) - 1, 0)
+        assert foot[1].stop >= min(np.ceil(col.max()) + 2, w)
+
+
 # ---------------------------------------------------------------- clustering
 
 
-def _features(mask, color, weight=0.5):
+def _points(mask, color, weight=0.5):
+    """(features, rows, cols) of the mask's pixels, as `cluster_pixels` builds them."""
     rows, cols = np.nonzero(mask)
     lab = imgproc.rgb_to_lab(color[rows, cols])
-    return np.column_stack([weight * rows, weight * cols, lab]).astype(float)
+    return np.column_stack([weight * rows, weight * cols, lab]).astype(float), rows, cols
+
+
+def _strokes(rng, colours):
+    """Bars and specks on a 40x48 frame, each bar of one of `colours`."""
+    mask = rng.random((40, 48)) < 0.04
+    color = np.full((40, 48, 3), colours[0], dtype=float)
+    for n, (rows, cols) in enumerate([
+        (slice(10, 14), slice(3, 40)), (slice(20, 34), slice(30, 33)),
+        (slice(2, 7), slice(5, 21)), (slice(25, 38), slice(2, 18)),
+    ]):
+        mask[rows, cols] = True
+        color[rows, cols] = colours[n % len(colours)]
+    return mask, color
 
 
 def _cluster_cases():
@@ -347,29 +443,62 @@ def _cluster_cases():
     mask[2:5, 0:16] = mask[2:5, 19:35] = mask[2:5, 39:55] = True
     mask[58, 2] = mask[58, 50] = True
     for cut in (12.0, 2.0, 1.9):
-        cases.append((f"gapped_{cut}", _features(mask, np.full((60, 60, 3), 120.0)), 10, cut))
+        cases.append((f"gapped_{cut}", _points(mask, np.full((60, 60, 3), 120.0)), 10, cut))
     # same-colour bars exactly 6.0 apart in feature space: a pair at the cut
     bars = np.zeros((3, 51), dtype=bool)
     bars[1, 0:20] = bars[1, 31:51] = True
     for cut in (6.0, 5.999):
-        cases.append((f"at_cut_{cut}", _features(bars, np.full((3, 51, 3), 120.0)), 5, cut))
+        cases.append((f"at_cut_{cut}", _points(bars, np.full((3, 51, 3), 120.0)), 5, cut))
     # two colours meeting on a row
     color = np.zeros((6, 20, 3))
     color[:3] = (120, 120, 120)
     color[3:] = (120, 120, 145)
-    feats = _features(np.ones((6, 20), dtype=bool), color)
-    cross = float(np.linalg.norm(feats[2 * 20] - feats[3 * 20]))  # rows 2 and 3, column 0
+    points = _points(np.ones((6, 20), dtype=bool), color)
+    cross = float(np.linalg.norm(points[0][2 * 20] - points[0][3 * 20]))  # rows 2 and 3, column 0
     for cut in (2.0, 15.0, 60.0, cross):
-        cases.append((f"colours_{cut:.3f}", feats, 5, cut))
+        cases.append((f"colours_{cut:.3f}", points, 5, cut))
+    # two colours meeting inside a column of 4x4 blocks: the pixels right of
+    # the boundary differ from their block's seed by more than the cut
+    color = np.zeros((12, 24, 3))
+    color[:, :6] = (120, 120, 120)
+    color[:, 6:] = (60, 160, 90)
+    points = _points(np.ones((12, 24), dtype=bool), color)
+    for k, cut in [(5, 15.0), (30, 15.0), (30, 60.0), (1, 1.0)]:
+        cases.append((f"boundary_{k}_{cut}", points, k, cut))
     # random strokes of random colours, and sparse specks
     for i in range(4):
         mask = rng.random((40, 48)) < 0.04
         mask[10:14, 3:40] = mask[20:34, 30:33] = True
         color = rng.choice([20.0, 120.0, 200.0], size=(40, 48, 3))
         for k, cut in [(5, 3.0), (30, 60.0), (8, 25.0)]:
-            cases.append((f"strokes{i}_{k}_{cut}", _features(mask, color), k, cut))
-    cases.append(("one_point", np.zeros((1, 5)), 30, 60.0))
-    cases.append(("two_points", np.array([[0.0] * 5, [3.0, 4.0, 0, 0, 0]]), 1, 5.0))
+            cases.append((f"strokes{i}_{k}_{cut}", _points(mask, color), k, cut))
+    # strokes of flat and of noisy colours, at both ends of the spatial weight
+    mask, flat = _strokes(rng, [(30, 30, 30), (40, 80, 200), (200, 30, 30)])
+    noisy = np.clip(flat + rng.normal(0.0, 6.0, flat.shape), 0, 255)
+    for colours, color in [("flat", flat), ("noisy", noisy)]:
+        for weight in (0.5, 10.0):
+            for k, cut in [(0, 60.0), (1, 12.0), (30, 60.0), (30, 12.0)]:
+                name = f"{colours}_strokes_{weight}_{k}_{cut}"
+                cases.append((name, _points(mask, color, weight), k, cut))
+    # a certificate tight to the last ulp: on one row the seed (column 4)
+    # reaches column 1, and column 6 lies on the far side of the seed, so
+    # reach + gap equals its own 4th-neighbour distance in exact arithmetic,
+    # but in floating point rounds one ulp below it, onto the cut
+    line = np.zeros((1, 7), dtype=bool)
+    line[0, [0, 1, 2, 3, 4, 6]] = True
+    points = _points(line, np.full((1, 7, 3), 120.0), weight=0.8154261287457801)
+    f = points[0][:, 1]
+    tight = float(abs(f[4] - f[1]) + abs(f[5] - f[4]))
+    assert tight < abs(f[5] - f[1])
+    cases.append(("tight_certificate", points, 4, tight))
+    specks = np.zeros((10, 10), dtype=bool)
+    specks[[0, 0, 1, 3, 3, 4, 6, 7, 8, 9, 9, 9], [0, 1, 1, 5, 6, 6, 2, 8, 8, 0, 4, 9]] = True
+    for cut in (8.0, 3.0):
+        points = _points(specks, np.full((10, 10, 3), 120.0))
+        cases.append((f"fewer_points_than_k_{cut}", points, 30, cut))
+    cases.append(("one_point", (np.zeros((1, 5)), np.zeros(1, int), np.zeros(1, int)), 30, 60.0))
+    two = np.array([[0.0] * 5, [3.0, 4.0, 0, 0, 0]])
+    cases.append(("two_points", (two, np.array([0, 6]), np.array([0, 8])), 1, 5.0))
     return cases
 
 
@@ -377,12 +506,41 @@ CLUSTER_CASES = _cluster_cases()
 
 
 @pytest.mark.parametrize(
-    "name, features, k, cut", CLUSTER_CASES, ids=[c[0] for c in CLUSTER_CASES]
+    "name, points, k, cut", CLUSTER_CASES, ids=[c[0] for c in CLUSTER_CASES]
 )
-def test_reach_components_equal_the_coo_graph(name, features, k, cut):
-    got = imgproc._reach_components(features, k, cut)
+def test_reach_components_equal_the_coo_graph(name, points, k, cut):
+    features, rows, cols = points
+    got = imgproc._reach_components(features, rows, cols, k, cut)
     expected = coo_reach_components(features, k, cut)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class _QueryLog(cKDTree):
+    """A kd-tree that logs (tree size, query size) of every query."""
+
+    log = []
+
+    def query(self, x, *args, **kwargs):
+        _QueryLog.log.append((self.n, len(x)))
+        return super().query(x, *args, **kwargs)
+
+
+def test_cluster_cases_prove_some_core_points_and_query_others(monkeypatch):
+    # the oracle cases matter only if the seeds prove some points and leave
+    # others to their own query, in one case and across the cases
+    monkeypatch.setattr(imgproc, "cKDTree", _QueryLog)
+    proven = {}
+    for name, (features, rows, cols), k, cut in CLUSTER_CASES:
+        _QueryLog.log.clear()
+        imgproc._reach_components(features, rows, cols, k, cut)
+        n = len(features)
+        if min(k, n - 1) > 0:
+            (_, seeds), (_, rest) = [q for q in _QueryLog.log if q[0] == n][:2]
+            proven[name] = (n - seeds - rest, rest)
+    assert all(p > 0 and rest > 0 for p, rest in [proven["boundary_5_15.0"],
+                                                  proven["noisy_strokes_0.5_30_60.0"]])
+    assert any(p == 0 for p, _ in proven.values())
+    assert any(rest == 0 for _, rest in proven.values())
 
 
 def test_links_hand_pairs_at_the_threshold_to_the_row_norm():
@@ -400,7 +558,7 @@ def test_links_hand_pairs_at_the_threshold_to_the_row_norm():
         *((r, c, norm[r, c]) for r, c in zip(*np.nonzero(dist > norm))),
         *((r, c, dist[r, c]) for r, c in zip(*np.nonzero(dist < norm))),
     ][::25]:
-        links = imgproc._links(features, dist, nbr, float(cut))
+        links = imgproc._links(features, np.arange(300), dist, nbr, float(cut))
         assert links[r, c] == (norm[r, c] <= cut) != (dist[r, c] <= cut)
         assert np.array_equal(links, norm <= cut)
     assert (dist > norm).sum() > 100 and (dist < norm).sum() > 100
