@@ -220,6 +220,8 @@ def save_ply(path, cloud: np.ndarray) -> None:
 
 
 def load_ply(path) -> np.ndarray:
+    """The cloud of an ASCII x y z PLY file: its body must be exactly `element vertex`
+    rows of 3 values, or it is a ValueError."""
     text = Path(path).read_text().splitlines()
     try:
         end = text.index("end_header")
@@ -229,5 +231,7 @@ def load_ply(path) -> np.ndarray:
     for line in text[:end]:
         if line.startswith("element vertex"):
             count = int(line.split()[-1])
-    rows = [tuple(map(float, line.split()[:3])) for line in text[end + 1 : end + 1 + count]]
-    return np.array(rows, dtype=float).reshape(-1, 3)
+    rows = [line.split() for line in text[end + 1 :] if line.strip()]
+    if len(rows) != count or any(len(row) != 3 for row in rows):
+        raise ValueError(f"{path}: body is not the {count} rows of 3 values its header declares")
+    return np.array([tuple(map(float, row)) for row in rows], dtype=float).reshape(-1, 3)

@@ -10,6 +10,10 @@ contacts extend the walk and re-aim the frame; flat contacts rotate the
 frame about the plane normal to try another direction. A walk closes when
 it comes within d_min of another endpoint or exhausts a full turn of
 rotations (a true cable end).
+
+Every probe logs exactly one trace row, so the trace is the probe count:
+a result's `probes_used` is its row count, and a descent stops with
+ProbeBudgetError once the rows reach `probe_budget`.
 """
 
 from __future__ import annotations
@@ -58,20 +62,15 @@ def indicator(tmap: TactileMap | np.ndarray, pitch: float) -> float:
 
 
 @dataclass
-class ExplorationState:
-    """Mutable state of one endpoint walk."""
-
-    pose: Pose
-    last_point: np.ndarray
-    rotation_attempts: int = 0
-
-
-@dataclass
 class ExplorationResult:
     tactile_cloud: np.ndarray
     trace: list[dict] = field(default_factory=list)
-    probes_used: int = 0
     dead_ends: int = 0
+
+    @property
+    def probes_used(self) -> int:
+        """Every probe logs one trace row."""
+        return len(self.trace)
 
     def save_trace_csv(self, path) -> None:
         pick = itemgetter(*TRACE_COLUMNS)
@@ -87,11 +86,10 @@ def _fmt(x: float) -> str:
 class _Tracer:
     def __init__(self):
         self.rows: list[dict] = []
-        self.step = 0
 
     def log(self, endpoint_id, pose, touched, ind, accepted, p_new):
         row = {
-            "step": self.step,
+            "step": len(self.rows),
             "endpoint_id": endpoint_id,
             "touched": int(touched),
             "indicator": _fmt(ind) if ind is not None else "",
@@ -104,47 +102,42 @@ class _Tracer:
         values = pose.rotation.ravel().tolist() + pose.translation.tolist()
         row.update(zip(POSE_COLUMNS, (_POSE_FORMAT % tuple(values)).split(",")))
         self.rows.append(row)
-        self.step += 1
 
 
 def _descend(
     probe_fn,
     rotation: np.ndarray,
     target_on_plane: np.ndarray,
-    normal: np.ndarray,
     plane: PlaneModel,
     params: ReconParams,
-    budget: list[int],
     tracer: _Tracer,
     endpoint_id: int,
     top: float,
-) -> TactileMap | None:
+) -> TactileMap:
     """Lower the pad along -normal in delta_z steps until it touches.
 
     The steps start hover_height above the target, but the pad face is
-    only probed (spending budget and logging a trace row) once it is at
-    most `top` + delta_z above the fitted plane. Nothing is taller than
-    `top`, so a higher probe reads exactly 0 pressure without noise (with
-    noise it could only be a false touch); the delta_z margin covers the
-    offset of the fitted plane from the true one.
+    only probed (logging a trace row) once it is at most `top` + delta_z
+    above the fitted plane. Nothing is taller than `top`, so a higher probe
+    reads exactly 0 pressure without noise (with noise it could only be a
+    false touch); the delta_z margin covers the offset of the fitted plane
+    from the true one. The touching probe is logged by the caller.
     """
+    normal = plane.normal
     pos = target_on_plane + params.hover_height * normal
     height = float(plane.signed_distance(pos)[0])
     while height > top + params.delta_z:
         pos = pos - params.delta_z * normal
         height -= params.delta_z
     while True:
-        pose = Pose(rotation.copy(), pos.copy())
-        budget[0] -= 1
-        if budget[0] < 0:
+        pose = Pose(rotation, pos)
+        if len(tracer.rows) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         touched, tmap = probe_fn(pose)
-        if not touched:
-            tracer.log(endpoint_id, pose, False, None, False, None)
         if touched:
             return tmap
-        height = float(plane.signed_distance(pos)[0])
-        if height < -DESCENT_LIMIT:
+        tracer.log(endpoint_id, pose, False, None, False, None)
+        if plane.signed_distance(pos)[0] < -DESCENT_LIMIT:
             raise DescentOverrunError(
                 "probe descended past the plane without any contact"
             )
@@ -168,21 +161,18 @@ def explore_from_endpoints(
     A walk's own starting endpoint is excluded from the d_min stop check:
     the first advance lands delta_y < d_min away from it, so including it
     would stop every walk immediately. Every other endpoint,
-    visited or not, terminates the walk and is marked visited. Rotation
-    retries beyond a full turn close the walk as a dead end.
+    visited or not, terminates the walk and is marked visited. A contact
+    that is flat, or whose centroid does not advance, turns the frame;
+    max_rotation_attempts turns in a row close the walk as a dead end.
     """
-    normal = plane.normal
     r_step = rotation_about_axis(np.array([0.0, 0.0, 1.0]), params.theta_deg)
-
-    endpoints = poly.endpoints
-    positions = [ep.position for ep in endpoints]
+    positions = [ep.position for ep in poly.endpoints]
     visited: set[int] = set()
     tactile: list[np.ndarray] = []
     tracer = _Tracer()
-    budget = [params.probe_budget]
     dead_ends = 0
 
-    for eid, endpoint in enumerate(endpoints):
+    for eid, endpoint in enumerate(poly.endpoints):
         if eid in visited:
             continue
         visited.add(eid)
@@ -193,64 +183,37 @@ def explore_from_endpoints(
         heading = endpoint.position - prev
         if np.linalg.norm(heading) < 1e-12:
             continue
-        state = ExplorationState(
-            pose=Pose(frame_from_y_z(heading, normal), endpoint.position.copy()),
-            last_point=endpoint.position.copy(),
-        )
-
-        walking = True
-        while walking:
-            y_dir = state.pose.rotation[:, 1]
-            target = state.last_point + params.delta_y * y_dir
-            tmap = _descend(
-                probe_fn, state.pose.rotation, target, normal, plane,
-                params, budget, tracer, eid, top,
-            )
+        rotation = frame_from_y_z(heading, plane.normal)
+        last = endpoint.position
+        attempts = 0
+        while attempts < params.max_rotation_attempts:
+            target = last + params.delta_y * rotation[:, 1]
+            tmap = _descend(probe_fn, rotation, target, plane, params, tracer, eid, top)
             ind = indicator(tmap, pad.pitch)
-            if ind > params.t_h:
-                p_new = map_centroid(tmap, plane, pad)
-                advance = p_new - state.last_point
-                if np.linalg.norm(advance) < 1e-12:
-                    # centroid landed on the frontier; treat as no progress
-                    accepted = False
-                else:
-                    accepted = True
-                tracer.log(eid, tmap.pose, True, ind, accepted, p_new if accepted else None)
-                if accepted:
-                    tactile.append(p_new)
-                    state.rotation_attempts = 0
-                    reached = [
-                        oid
-                        for oid, pos in enumerate(positions)
-                        if oid != eid
-                        and np.linalg.norm(p_new - pos) < params.d_min
-                    ]
-                    if reached:
-                        visited.update(reached)
-                        walking = False
-                        continue
-                    state.pose = Pose(frame_from_y_z(advance, normal), p_new)
-                    state.last_point = p_new
-                    continue
-            else:
-                tracer.log(eid, tmap.pose, True, ind, False, None)
-            # flat or degenerate contact: turn and retry from the same point
-            state.rotation_attempts += 1
-            if state.rotation_attempts >= params.max_rotation_attempts:
-                dead_ends += 1
-                walking = False
+            p_new = map_centroid(tmap, plane, pad) if ind > params.t_h else None
+            accepted = p_new is not None and not np.linalg.norm(p_new - last) < 1e-12
+            tracer.log(eid, tmap.pose, True, ind, accepted, p_new if accepted else None)
+            if not accepted:  # flat, or no advance: turn and retry from the same point
+                attempts += 1
+                rotation = rotation @ r_step
                 continue
-            state.pose = Pose(
-                state.pose.rotation @ r_step, state.pose.translation
-            )
+            tactile.append(p_new)
+            reached = [
+                oid
+                for oid, pos in enumerate(positions)
+                if oid != eid and np.linalg.norm(p_new - pos) < params.d_min
+            ]
+            if reached:
+                visited.update(reached)
+                break
+            rotation = frame_from_y_z(p_new - last, plane.normal)
+            last = p_new
+            attempts = 0
+        else:  # a full turn without progress: a true cable end
+            dead_ends += 1
 
     cloud = np.array(tactile).reshape(-1, 3)
-    return ExplorationResult(
-        tactile_cloud=cloud,
-        trace=tracer.rows,
-        probes_used=params.probe_budget - budget[0],
-        dead_ends=dead_ends,
-    )
+    return ExplorationResult(tactile_cloud=cloud, trace=tracer.rows, dead_ends=dead_ends)
 
 
 def merge_clouds(visual: np.ndarray, tactile: np.ndarray) -> np.ndarray:

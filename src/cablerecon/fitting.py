@@ -15,7 +15,7 @@ from scipy.interpolate import BSpline, make_interp_spline
 
 from .cloudproc import merge_close_points, voxel_downsample
 from .geom import ReconParams
-from .yamlio import load_yaml
+from .yamlio import load_yaml, require_keys
 
 
 @dataclass
@@ -164,7 +164,8 @@ def save_spline(path, curve: BSplineCurve) -> None:
 
 
 def load_spline(path) -> BSplineCurve:
-    doc = load_yaml(path)
+    keys = {"degree": int, "knots": list, "control_points": list}
+    doc = require_keys(load_yaml(path), keys, path)
     return BSplineCurve(
         degree=int(doc["degree"]),
         knots=np.asarray(doc["knots"], dtype=float),

@@ -23,7 +23,7 @@ from . import cloudproc, explore, fitting, imgproc, scenarios, topology, worldsi
 from .errors import EmptyInputError, ProbeBudgetError
 from .evaluation import curve_error, icp
 from .geom import ReconParams
-from .yamlio import load_yaml, save_yaml
+from .yamlio import load_yaml, require_keys, save_yaml
 
 EXIT_COMPLETE = 0
 EXIT_ERROR = 1
@@ -41,6 +41,13 @@ CANONICAL_CLOUDS = (
 )
 
 MAX_PLANE_PIXELS = 20000
+
+# what eval and plot read from a finished run's manifest, and the type of each
+MANIFEST_KEYS = {"cables": list, "artifacts": dict, "plane": list}
+MANIFEST_CABLE_KEYS = {
+    "directory": str, "color": list, "final_segments": int, "final_endpoints": int,
+    "probes_used": int,
+}
 
 
 @dataclass
@@ -180,21 +187,15 @@ def run_pipeline(
             topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
             stats.first_sort_segments = len(poly.segments)
 
-            if tactile:
-                probe_fn = functools.partial(worldsim.probe, scene, eps_contact=params.eps_contact)
-                result = explore.explore_from_endpoints(
-                    poly, plane, probe_fn, params, pad=scene.pad,
-                    top=2 * max(c.radius for c in scene.cables),
-                )
-                p_tactile = result.tactile_cloud
-                result.save_trace_csv(cable_dir / "trace.csv")
-                stats.probes_used = result.probes_used
-                stats.dead_ends = result.dead_ends
-            else:
-                p_tactile = np.zeros((0, 3))
-                explore.ExplorationResult(p_tactile).save_trace_csv(
-                    cable_dir / "trace.csv"
-                )
+            probe_fn = functools.partial(worldsim.probe, scene, eps_contact=params.eps_contact)
+            result = explore.explore_from_endpoints(
+                poly, plane, probe_fn, params, pad=scene.pad,
+                top=2 * max(c.radius for c in scene.cables),
+            ) if tactile else explore.ExplorationResult(np.zeros((0, 3)))
+            result.save_trace_csv(cable_dir / "trace.csv")
+            p_tactile = result.tactile_cloud
+            stats.probes_used = result.probes_used
+            stats.dead_ends = result.dead_ends
             stats.tactile_points = len(p_tactile)
             cloudproc.save_ply(cable_dir / "P_tactile.ply", p_tactile)
 
@@ -262,9 +263,18 @@ def _write_manifest(out: Path, manifest: dict, plane, stats_list, exit_status, t
 
 
 def _read_manifest(run: Path) -> dict:
-    manifest = json.loads((run / "manifest.json").read_text())
+    """The manifest of a finished run, with every key eval and plot read checked."""
+    path = run / "manifest.json"
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}") from None
+    manifest = require_keys(doc, {}, path)
     if "failure" in manifest:
         raise ValueError(f"{run}: the run failed ({manifest['failure']['error']})")
+    require_keys(manifest, MANIFEST_KEYS, path)
+    for i, cable in enumerate(manifest["cables"]):
+        require_keys(cable, MANIFEST_CABLE_KEYS, f"{path} cable {i}")
     return manifest
 
 

@@ -71,8 +71,7 @@ class GroundTruthCable:
             raise ValueError("cable radius must be positive")
         self._samples = sample_curve(self.centerline, DENSE_SAMPLES)
         self._tree = cKDTree(self._samples)
-        self._plan: np.ndarray | None = None
-        self._plan_tree: cKDTree | None = None
+        self._plan: tuple | None = None  # (plane coefficients bytes, plan, its tree)
 
     @property
     def dense_samples(self) -> np.ndarray:
@@ -83,11 +82,13 @@ class GroundTruthCable:
         return d
 
     def plan_distance(self, plane: PlaneModel, uv_points: np.ndarray) -> np.ndarray:
-        """In-plane distance from 2D plane coords to the centerline plan."""
-        if self._plan is None:
-            self._plan = plane.to_plane_coords(self._samples)
-            self._plan_tree = cKDTree(self._plan)
-        d, _ = _point_to_polyline(uv_points, self._plan, self._plan_tree)
+        """In-plane distance from 2D coords on `plane` to the centerline's plan on it."""
+        key = plane.coefficients.tobytes()
+        if self._plan is None or self._plan[0] != key:
+            plan = plane.to_plane_coords(self._samples)
+            self._plan = (key, plan, cKDTree(plan))
+        _, plan, tree = self._plan
+        d, _ = _point_to_polyline(uv_points, plan, tree)
         return d
 
 

@@ -351,6 +351,38 @@ class TestCleanErrors:
         assert err.startswith(f"error: invalid YAML in {bad}, line ") and err.count("\n") == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "command, damaged, text, named",
+        [
+            ("eval", "manifest.json", "{}", "manifest.json is missing key 'cables'"),
+            ("plot", "manifest.json", "[]", "manifest.json must be a mapping, not list"),
+            ("plot", "manifest.json", "{", "manifest.json: Expecting property name"),
+            ("eval", "manifest.json", '{"cables": [], "artifacts": {}, "plane": null}',
+             "manifest.json plane must be a list, not NoneType"),
+            ("plot", "manifest.json", '{"cables": [{}], "artifacts": {}, "plane": []}',
+             "manifest.json cable 0 is missing key 'directory'"),
+            ("eval", "cable_00/spline_seg00.yaml", "degree: 3\n",
+             "cable_00/spline_seg00.yaml is missing key 'knots'"),
+            ("eval", "cable_00/spline_seg00.yaml", "[3]\n",
+             "cable_00/spline_seg00.yaml must be a mapping, not list"),
+        ],
+        ids=["eval_empty_manifest", "plot_list_manifest", "plot_truncated_manifest",
+             "eval_null_plane", "plot_cable_without_directory", "eval_spline_without_knots",
+             "eval_list_spline"],
+    )
+    def test_damaged_run_directory_is_one_error_line(
+        self, template_runs, tmp_path, capsys, command, damaged, text, named
+    ):
+        run = tmp_path / "run"
+        shutil.copytree(template_runs["cs1_plain"].out_dir, run)
+        (run / damaged).write_text(text)
+        args = [command, str(run)] + ([str(run), "--out", str(tmp_path / "r.yaml")]
+                                      if command == "eval" else [])
+        assert cli.main(args) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{run}/{named}" in err
+
 
 def certified_files(run_dir):
     """The manifest's artifact map, checked against every file on disk."""

@@ -318,3 +318,17 @@ class TestCloudIO:
     def test_empty_cloud_roundtrip(self, tmp_path):
         save_ply(tmp_path / "e.ply", np.zeros((0, 3)))
         assert load_ply(tmp_path / "e.ply").shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "declared, body",
+        [(5, ["1 2 3"] * 4), (3, ["1 2 3"]), (2, ["1 2 3"] * 3), (2, ["1 2 3", "1 2"]),
+         (2, ["1 2 3", "1 2 3 4"]), (0, ["1 2 3"])],
+        ids=["short_body", "one_of_three", "long_body", "short_row", "long_row", "zero_declared"],
+    )
+    def test_body_that_differs_from_the_header_is_refused(self, tmp_path, declared, body):
+        path = tmp_path / "bad.ply"
+        save_ply(path, np.zeros((declared, 3)))
+        head = path.read_text().split("end_header\n")[0]
+        path.write_text(head + "end_header\n" + "\n".join(body) + "\n")
+        with pytest.raises(ValueError, match=f"bad.ply: body is not the {declared} rows"):
+            load_ply(path)

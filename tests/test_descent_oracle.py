@@ -25,15 +25,14 @@ TRACE = "trace.csv"
 
 
 def descend_every_step(
-    probe_fn, rotation, target_on_plane, normal, plane, params, budget, tracer,
-    endpoint_id, top,
+    probe_fn, rotation, target_on_plane, plane, params, tracer, endpoint_id, top,
 ):
     """The descent before in-air steps were skipped: `top` is ignored."""
+    normal = plane.normal
     pos = target_on_plane + params.hover_height * normal
     while True:
         pose = Pose(rotation.copy(), pos.copy())
-        budget[0] -= 1
-        if budget[0] < 0:
+        if len(tracer.rows) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         touched, tmap = probe_fn(pose)
         if not touched:

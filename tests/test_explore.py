@@ -1,9 +1,11 @@
+import json
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cablerecon import pipeline, scenarios
 from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
     POSE_COLUMNS,
@@ -246,3 +248,53 @@ class TestMergeClouds:
         a = rng.normal(size=(10, 3))
         out = merge_clouds(a, a[3:4])
         assert len(out) == 10
+
+
+def trace_rows(run_dir, stats):
+    return (run_dir / stats.directory / "trace.csv").read_text().count("\n") - 1
+
+
+class TestProbeBudgetBoundary:
+    """The trace row count is the probe count, and the budget caps it."""
+
+    def _run_with_budget(self, scenario, out, budget):
+        params = out.parent / f"{out.name}.params.yaml"
+        params.write_text(f"probe_budget: {budget}\n")
+        return pipeline.run_pipeline(scenario, out, params_file=params)
+
+    def test_budget_of_exactly_the_probes_used_changes_no_artifact(
+        self, template_runs, scenario_files, tmp_path
+    ):
+        default = template_runs["cs1_occluded"]
+        [stats] = default.stats
+        assert stats.probes_used == trace_rows(default.out_dir, stats) > 0
+        exact = self._run_with_budget(
+            scenario_files["cs1_occluded"], tmp_path / "exact", stats.probes_used
+        )
+        assert exact.exit_status == pipeline.EXIT_COMPLETE
+        assert exact.manifest["artifacts"] == default.manifest["artifacts"]
+
+    def test_one_probe_fewer_exhausts_the_budget(self, template_runs, scenario_files, tmp_path):
+        [stats] = template_runs["cs1_occluded"].stats
+        out = tmp_path / "short"
+        with pytest.raises(ProbeBudgetError):
+            self._run_with_budget(scenario_files["cs1_occluded"], out, stats.probes_used - 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == pipeline.EXIT_BUDGET
+        assert manifest["failure"]["error"] == "ProbeBudgetError"
+        assert manifest["failure"]["cable"] == stats.directory
+
+    @pytest.mark.parametrize("seed", [0, 1, 23])
+    def test_probes_used_is_the_trace_row_count_under_noise(self, tmp_path, seed):
+        doc = scenarios.make_template("cs1_occluded", seed=seed)
+        cam = doc["camera"]
+        for key in ("fx", "fy", "cx", "cy"):
+            cam[key] = float(cam[key]) * 0.5
+        cam["width"], cam["height"] = 320, 240
+        doc["pressure_noise_sigma"] = 0.01
+        path = tmp_path / "noisy.yaml"
+        scenarios.save_scenario(path, doc)
+        result = pipeline.run_pipeline(path, tmp_path / "run")
+        assert result.stats
+        for stats in result.stats:
+            assert stats.probes_used == trace_rows(result.out_dir, stats) > 0

@@ -173,6 +173,24 @@ class TestProbe:
         _, right = probe(scene, Pose(rotation, np.array([0.0, 0.002, h])), EPS)
         assert np.allclose(left.pressures, np.flipud(right.pressures), atol=1e-12)
 
+    def test_plan_distance_answers_for_the_plane_it_is_given(self):
+        # on a plane tilted about the cable axis, the plan of a centerline one
+        # radius above z = 0 lies r sin(tilt) off the plan of a point on z = 0
+        tilt = 0.3
+        tilted = PlaneModel(np.array([0.0, np.sin(tilt), np.cos(tilt), 0.0]))
+        point = np.array([[0.05, 0.0, 0.0]])
+        cable = straight_cable(radius=0.003)
+        expected = {
+            name: straight_cable(radius=0.003).plan_distance(plane, plane.to_plane_coords(point))
+            for name, plane in (("flat", PLANE), ("tilted", tilted))
+        }
+        assert expected["tilted"] == pytest.approx(0.003 * np.sin(tilt), rel=1e-6)
+        assert expected["flat"] == pytest.approx(0.0, abs=1e-12)
+        # one cable asked about both planes, in both orders
+        for name, plane in (("flat", PLANE), ("tilted", tilted), ("flat", PLANE)):
+            got = cable.plan_distance(plane, plane.to_plane_coords(point))
+            assert got.tobytes() == expected[name].tobytes(), name
+
 
 def per_sample_cable_z(scene):
     """Reference stamp: one disk per centerline sample, as a plain loop."""
