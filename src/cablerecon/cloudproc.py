@@ -170,29 +170,19 @@ def merge_close_points(cloud: np.ndarray, t_p: float) -> np.ndarray:
     """
     if t_p <= 0:
         raise ValueError("merge threshold must be positive")
-    pts = [p for p in as_cloud(cloud)]
+    pts = as_cloud(cloud).copy()
     while len(pts) > 1:
-        arr = np.array(pts)
-        diff = arr[:, None, :] - arr[None, :, :]
+        diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        dmin = dist[i, j]
+        dmin = dist.min()
         if dmin >= t_p:
             break
-        candidates = np.argwhere(np.isclose(dist, dmin, rtol=0, atol=1e-12))
-        pick = min(
-            (
-                (tuple(arr[min(a, b)]), tuple(arr[max(a, b)]), min(a, b), max(a, b))
-                for a, b in candidates
-                if a < b
-            ),
-        )
-        a, b = pick[2], pick[3]
-        midpoint = 0.5 * (arr[a] + arr[b])
-        pts[a] = midpoint
-        del pts[b]
-    return np.array(pts).reshape(-1, 3)
+        pairs = np.argwhere(np.triu(np.isclose(dist, dmin, rtol=0, atol=1e-12), 1))
+        a, b = min(pairs.tolist(), key=lambda ab: (tuple(pts[ab[0]]), tuple(pts[ab[1]]), *ab))
+        pts[a] = 0.5 * (pts[a] + pts[b])
+        pts = np.delete(pts, b, axis=0)
+    return pts
 
 
 def project_to_plane(cloud: np.ndarray, plane: PlaneModel) -> np.ndarray:
@@ -221,17 +211,18 @@ def save_ply(path, cloud: np.ndarray) -> None:
 
 def load_ply(path) -> np.ndarray:
     """The cloud of an ASCII x y z PLY file: its body must be exactly `element vertex`
-    rows of 3 values, or it is a ValueError."""
+    rows of 3 values, or it is a ValueError naming the file."""
     text = Path(path).read_text().splitlines()
     try:
         end = text.index("end_header")
     except ValueError:
         raise ValueError(f"{path}: missing PLY header terminator")
-    count = 0
-    for line in text[:end]:
-        if line.startswith("element vertex"):
-            count = int(line.split()[-1])
+    declared = [line.split()[-1] for line in text[:end] if line.startswith("element vertex")]
     rows = [line.split() for line in text[end + 1 :] if line.strip()]
-    if len(rows) != count or any(len(row) != 3 for row in rows):
-        raise ValueError(f"{path}: body is not the {count} rows of 3 values its header declares")
-    return np.array([tuple(map(float, row)) for row in rows], dtype=float).reshape(-1, 3)
+    try:
+        count = int(declared[-1]) if declared else 0
+        if len(rows) != count or any(len(row) != 3 for row in rows):
+            raise ValueError(f"body is not the {count} rows of 3 values its header declares")
+        return np.array([tuple(map(float, row)) for row in rows], dtype=float).reshape(-1, 3)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -15,11 +15,6 @@ class InsufficientDepthError(RuntimeError):
     should widen exploration instead of trusting a sparse result."""
 
 
-class NoDirectionError(ValueError):
-    """A singleton segment has no neighbor to define a cable direction;
-    exploration must skip this endpoint."""
-
-
 class EmptyContactError(ValueError):
     """A tactile map with no active taxel has no centroid."""
 

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .cloudproc import PlaneModel
-from .errors import DescentOverrunError, NoDirectionError, ProbeBudgetError
+from .errors import DescentOverrunError, ProbeBudgetError
 from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
-from .topology import SortedPolyline, previous_point
+from .topology import SortedPolyline
 from .worldsim import PAD_SHAPE, TactileMap, TactilePad, map_centroid
 
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
@@ -38,7 +38,7 @@ TRACE_COLUMNS = (
 _POSE_FORMAT = ",".join(["%.9g"] * len(POSE_COLUMNS))
 
 
-def indicator(tmap: TactileMap | np.ndarray, pitch: float) -> float:
+def indicator(pressures: np.ndarray, pitch: float) -> float:
     """Frobenius norm of the 6x2 matrix of per-taxel Hessian norms.
 
     The map is padded to 8x4 by edge replication (the 2-wide axis has no
@@ -46,7 +46,7 @@ def indicator(tmap: TactileMap | np.ndarray, pitch: float) -> float:
     finite-difference Hessian with grid step `pitch`. Flat uniform contact
     gives exactly 0; a cable ridge concentrates pressure and scores high.
     """
-    p = tmap.pressures if isinstance(tmap, TactileMap) else np.asarray(tmap, dtype=float)
+    p = np.asarray(pressures, dtype=float)
     if p.shape != PAD_SHAPE:
         raise ValueError("indicator expects a 6x2 map")
     padded = np.pad(p, 1, mode="edge")
@@ -166,30 +166,24 @@ def explore_from_endpoints(
     max_rotation_attempts turns in a row close the walk as a dead end.
     """
     r_step = rotation_about_axis(np.array([0.0, 0.0, 1.0]), params.theta_deg)
-    positions = [ep.position for ep in poly.endpoints]
+    ends = poly.endpoints
     visited: set[int] = set()
     tactile: list[np.ndarray] = []
     tracer = _Tracer()
     dead_ends = 0
 
-    for eid, endpoint in enumerate(poly.endpoints):
+    for eid, (last, heading) in enumerate(zip(ends, ends - poly.neighbors)):
         if eid in visited:
             continue
         visited.add(eid)
-        try:
-            prev = previous_point(poly, endpoint)
-        except NoDirectionError:
-            continue
-        heading = endpoint.position - prev
-        if np.linalg.norm(heading) < 1e-12:
+        if np.linalg.norm(heading) < 1e-12:  # a singleton segment has no direction
             continue
         rotation = frame_from_y_z(heading, plane.normal)
-        last = endpoint.position
         attempts = 0
         while attempts < params.max_rotation_attempts:
             target = last + params.delta_y * rotation[:, 1]
             tmap = _descend(probe_fn, rotation, target, plane, params, tracer, eid, top)
-            ind = indicator(tmap, pad.pitch)
+            ind = indicator(tmap.pressures, pad.pitch)
             p_new = map_centroid(tmap, plane, pad) if ind > params.t_h else None
             accepted = p_new is not None and not np.linalg.norm(p_new - last) < 1e-12
             tracer.log(eid, tmap.pose, True, ind, accepted, p_new if accepted else None)
@@ -200,7 +194,7 @@ def explore_from_endpoints(
             tactile.append(p_new)
             reached = [
                 oid
-                for oid, pos in enumerate(positions)
+                for oid, pos in enumerate(ends)
                 if oid != eid and np.linalg.norm(p_new - pos) < params.d_min
             ]
             if reached:

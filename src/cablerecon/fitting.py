@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
 
 from .cloudproc import merge_close_points, voxel_downsample
-from .geom import ReconParams
+from .geom import ReconParams, checked_number
 from .yamlio import load_yaml, require_keys
 
 
@@ -170,5 +170,7 @@ def load_spline(path) -> BSplineCurve:
         degree=int(doc["degree"]),
         knots=np.asarray(doc["knots"], dtype=float),
         control_points=np.asarray(doc["control_points"], dtype=float),
-        sampling_count=int(doc.get("sampling_count", 200)),
+        sampling_count=checked_number(
+            doc.get("sampling_count", 200), "int >= 2", f"{path} sampling_count"
+        ),
     )

@@ -107,6 +107,7 @@ def frame_from_y_z(y_dir: np.ndarray, z_dir: np.ndarray) -> np.ndarray:
 NUMBER_RULES = {
     "int > 0": (numbers.Integral, int, lambda v: v > 0, "an integer > 0"),
     "int >= 0": (numbers.Integral, int, lambda v: v >= 0, "an integer >= 0"),
+    "int >= 2": (numbers.Integral, int, lambda v: v >= 2, "an integer >= 2"),
     "float > 0": (numbers.Real, float, lambda v: v > 0, "a finite number > 0"),
     "float >= 0": (numbers.Real, float, lambda v: v >= 0, "a finite number >= 0"),
     "float": (numbers.Real, float, lambda v: True, "a finite number"),

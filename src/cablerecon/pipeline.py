@@ -56,7 +56,6 @@ class CableRunStats:
     color: list[float]
     radius: float
     first_sort_segments: int = 0
-    raw_merged_segments: int = 0
     final_segments: int = 0
     final_endpoints: int = 0
     tactile_points: int = 0
@@ -202,15 +201,6 @@ def run_pipeline(
             p_merged = explore.merge_clouds(poly.ordered_points(), p_tactile)
             cloudproc.save_ply(cable_dir / "P_merged.ply", p_merged)
 
-            # the plain greedy walk (no crossing recovery) fragments on dense
-            # merged clouds; recorded to witness that refinement is what makes
-            # the final sort viable
-            raw_sort = topology.sort_and_find_endpoints(
-                p_merged, plane, params.r_search, params.alpha_max_deg,
-                stitch_crossings=False,
-            )
-            stats.raw_merged_segments = len(raw_sort.segments)
-
             p_refined = fitting.refine_merged(p_merged, params)
             final = topology.sort_and_find_endpoints(
                 p_refined, plane, params.r_search, params.alpha_max_deg
@@ -313,7 +303,10 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
     runtime = None
     timing = run / "timing.txt"
     if timing.exists():
-        runtime = float(timing.read_text().strip())
+        try:
+            runtime = float(timing.read_text().strip())
+        except ValueError as exc:
+            raise ValueError(f"{timing}: {exc}") from None
 
     rows = []
     for cable in manifest["cables"]:
@@ -431,9 +424,7 @@ def plot_run(run_dir) -> list[Path]:
             if name == "P_sorted":
                 poly = topology.load_sorted_csv(cable_dir / "P_sorted.csv")
                 cloud = poly.ordered_points()
-                endpoints_uv = plane.to_plane_coords(
-                    np.array([ep.position for ep in poly.endpoints])
-                )
+                endpoints_uv = plane.to_plane_coords(poly.endpoints)
             else:
                 cloud = cloudproc.load_ply(cable_dir / f"{name}.ply")
             if name == "P_interpolated" and len(cloud) >= 2:

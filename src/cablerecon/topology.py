@@ -15,25 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .cloudproc import PlaneModel, as_cloud
-from .errors import EmptyInputError, NoDirectionError
+from .errors import EmptyInputError
 
 TIE_TOL = 1e-9
 # candidates farther than this multiple of the nearest admissible candidate
 # are dropped; keeps the straightest-first rule from skipping over points
 # across inflections while leaving real gap-jumps (no nearer option) intact
 NEAREST_WINDOW = 1.6
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    segment_id: int
-    which_end: str  # "first" | "last"
-    position: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "position", np.asarray(self.position, dtype=float)
-        )
 
 
 @dataclass
@@ -44,12 +32,17 @@ class SortedPolyline:
     segments: list[np.ndarray]    # ordered index arrays, disjoint cover
 
     @property
-    def endpoints(self) -> list[Endpoint]:
-        out = []
-        for sid, seg in enumerate(self.segments):
-            out.append(Endpoint(sid, "first", self.points[seg[0]]))
-            out.append(Endpoint(sid, "last", self.points[seg[-1]]))
-        return out
+    def endpoints(self) -> np.ndarray:
+        """(2S, 3): each segment's first point, then its last."""
+        return self.points[[i for seg in self.segments for i in (seg[0], seg[-1])]]
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """(2S, 3): the point next to each endpoint inside its segment; a
+        singleton's endpoint is its own neighbor."""
+        return self.points[
+            [i for seg in self.segments for i in (seg[min(1, len(seg) - 1)], seg[-min(2, len(seg))])]
+        ]
 
     def ordered_points(self) -> np.ndarray:
         """All points in walk order, segments concatenated."""
@@ -159,7 +152,6 @@ def sort_and_find_endpoints(
     plane: PlaneModel,
     r_search: float,
     alpha_max_deg: float,
-    stitch_crossings: bool = True,
 ) -> SortedPolyline:
     """Greedy direction-following walk over a plane-projected cloud.
 
@@ -169,9 +161,8 @@ def sort_and_find_endpoints(
     (rejecting anything past `alpha_max_deg`). When the walk stalls, the
     segment is extended once from its seed end in the reverse direction,
     then closed. Loop orphans left at self-intersections are spliced back
-    into their host walk unless `stitch_crossings` is off. Tie-breaks
-    depend only on geometry, so any permutation of the input produces the
-    same segments.
+    into their host walk. Tie-breaks depend only on geometry, so any
+    permutation of the input produces the same segments.
     """
     pts = as_cloud(cloud)
     if len(pts) == 0:
@@ -201,21 +192,9 @@ def sort_and_find_endpoints(
         order.reverse()
         raw.append(order)
 
-    if stitch_crossings and len(raw) > 1:
+    if len(raw) > 1:
         raw = _stitch_crossings(uv, raw, r_search)
     return SortedPolyline(points=pts, segments=[np.array(s, dtype=int) for s in raw])
-
-
-def previous_point(poly: SortedPolyline, endpoint: Endpoint) -> np.ndarray:
-    """The neighbor of an endpoint inside its segment."""
-    seg = poly.segments[endpoint.segment_id]
-    if len(seg) < 2:
-        raise NoDirectionError(
-            f"segment {endpoint.segment_id} is a singleton; no direction"
-        )
-    if endpoint.which_end == "first":
-        return poly.points[seg[1]]
-    return poly.points[seg[-2]]
 
 
 def save_sorted_csv(path, poly: SortedPolyline) -> None:
@@ -228,9 +207,15 @@ def save_sorted_csv(path, poly: SortedPolyline) -> None:
 
 
 def load_sorted_csv(path) -> SortedPolyline:
-    lines = Path(path).read_text().splitlines()[1:]
-    rows = [line.split(",") for line in lines if line]
-    pts = np.array([[float(r[2]), float(r[3]), float(r[4])] for r in rows])
-    seg_ids = np.array([int(r[0]) for r in rows])
+    """The sorted cloud of a `save_sorted_csv` file: one or more rows of 5
+    fields under the header, or it is a ValueError naming the file."""
+    rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:] if line]
+    if not rows or any(len(row) != 5 for row in rows):
+        raise ValueError(f"{path}: not one or more rows of segment_id,order_index,x,y,z")
+    try:
+        seg_ids = np.array([int(row[0]) for row in rows])
+        pts = np.array([[float(v) for v in row[2:]] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     segments = [np.nonzero(seg_ids == sid)[0] for sid in np.unique(seg_ids)]
-    return SortedPolyline(points=pts.reshape(-1, 3), segments=segments)
+    return SortedPolyline(points=pts, segments=segments)

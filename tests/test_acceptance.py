@@ -20,7 +20,9 @@ from test_imgproc import (
     components_8,
     _random_strokes,
 )
-from test_topology import PLANE, is_arc_order, recovered_order, smooth_random_open_curve
+from test_topology import (
+    PLANE, is_arc_order, plain_walk, recovered_order, smooth_random_open_curve,
+)
 from test_worldsim import EPS, make_scene, straight_cable
 
 
@@ -137,7 +139,7 @@ def test_criterion_4_indicator_discrimination():
             scene.support_plane,
             scene.support_plane.to_plane_coords(pos),
         )[0] < 0.03:
-            flat_values.append(indicator(tmap, scene.pad.pitch))
+            flat_values.append(indicator(tmap.pressures, scene.pad.pitch))
 
     ridge_values = []
     while len(ridge_values) < 100:
@@ -150,7 +152,7 @@ def test_criterion_4_indicator_discrimination():
         )
         touched, tmap = probe(scene, Pose(pad_down, pos), EPS)
         if touched:
-            ridge_values.append(indicator(tmap, scene.pad.pitch))
+            ridge_values.append(indicator(tmap.pressures, scene.pad.pitch))
 
     worst_flat = max(flat_values)
     best_ridge = min(ridge_values)
@@ -300,13 +302,33 @@ def test_criterion_7_determinism_across_templates(work_root, scenario_files):
         )
 
 
-def test_criterion_8_small_angle_crossing_regression(work_root):
+def test_criterion_8_small_angle_crossing_regression(work_root, monkeypatch):
+    # the merged cloud and the sort arguments (plane, r_search, alpha_max_deg)
+    # of the run, to sort that exact cloud with the plain walk afterwards
+    merged, sort_args = [], []
+    merge_clouds = pipeline.explore.merge_clouds
+
+    def capture_merge(*args):
+        merged.append(merge_clouds(*args))
+        return merged[-1]
+
+    def capture_sort(cloud, *args):
+        sort_args.append(args)
+        return sort_and_find_endpoints(cloud, *args)
+
+    monkeypatch.setattr(pipeline.explore, "merge_clouds", capture_merge)
+    monkeypatch.setattr(pipeline.topology, "sort_and_find_endpoints", capture_sort)
     doc = scenarios.make_cs1(seed=7, occluded=True, crossing_angle_deg=30.0)
     path = work_root / "cs1_cross30.yaml"
     scenarios.save_scenario(path, doc)
     run = pipeline.run_pipeline(path, work_root / "cs1_cross30")
     stats = run.stats[0]
-    dense_endpoints = 2 * stats.raw_merged_segments
+
+    # the plain greedy walk (no crossing recovery) fragments on the dense
+    # merged cloud: refinement is what makes the final sort viable
+    plain_walk(monkeypatch)
+    raw = sort_and_find_endpoints(merged[0], *sort_args[0])
+    dense_endpoints = 2 * len(raw.segments)
     report(
         8,
         dense_endpoints > 2,

@@ -365,10 +365,26 @@ class TestCleanErrors:
              "cable_00/spline_seg00.yaml is missing key 'knots'"),
             ("eval", "cable_00/spline_seg00.yaml", "[3]\n",
              "cable_00/spline_seg00.yaml must be a mapping, not list"),
+            ("eval", "cable_00/spline_seg00.yaml",
+             "degree: 1\nknots: [0, 0, 1, 1]\ncontrol_points: [[0, 0, 0], [1, 0, 0]]\n"
+             "sampling_count: [5]\n",
+             "cable_00/spline_seg00.yaml sampling_count must be an integer >= 2, not [5]"),
+            ("eval", "cable_00/P_interpolated.ply", "ply\nelement vertex x\nend_header\n",
+             "cable_00/P_interpolated.ply: invalid literal for int()"),
+            ("eval", "timing.txt", "abc\n",
+             "timing.txt: could not convert string to float: 'abc'"),
+            ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n0,0,1\n",
+             "cable_00/P_sorted.csv: not one or more rows of segment_id,order_index,x,y,z"),
+            ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n0,0,a,b,c\n",
+             "cable_00/P_sorted.csv: could not convert string to float: 'a'"),
+            ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n",
+             "cable_00/P_sorted.csv: not one or more rows of segment_id,order_index,x,y,z"),
         ],
         ids=["eval_empty_manifest", "plot_list_manifest", "plot_truncated_manifest",
              "eval_null_plane", "plot_cable_without_directory", "eval_spline_without_knots",
-             "eval_list_spline"],
+             "eval_list_spline", "eval_list_sampling_count", "eval_text_vertex_count",
+             "eval_text_timing", "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
+             "plot_sorted_header_only"],
     )
     def test_damaged_run_directory_is_one_error_line(
         self, template_runs, tmp_path, capsys, command, damaged, text, named

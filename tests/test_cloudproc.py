@@ -266,6 +266,63 @@ class TestMergeClosePoints:
             assert dist.min() >= t_p - 1e-12
 
 
+def merge_close_points_ref(cloud, t_p):
+    """The merge as a list of rows rebuilt into an array on every pass, as it was."""
+    pts = [p for p in as_cloud(cloud)]
+    while len(pts) > 1:
+        arr = np.array(pts)
+        diff = arr[:, None, :] - arr[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        dmin = dist[i, j]
+        if dmin >= t_p:
+            break
+        candidates = np.argwhere(np.isclose(dist, dmin, rtol=0, atol=1e-12))
+        pick = min(
+            (tuple(arr[min(a, b)]), tuple(arr[max(a, b)]), min(a, b), max(a, b))
+            for a, b in candidates
+            if a < b
+        )
+        a, b = pick[2], pick[3]
+        pts[a] = 0.5 * (arr[a] + arr[b])
+        del pts[b]
+    return np.array(pts).reshape(-1, 3)
+
+
+# points on a dyadic lattice: many pairs lie exactly the same distance
+# apart, so the lexicographic tie-break picks which pair merges first
+lattice_clouds = st.lists(
+    st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=30
+).map(lambda rows: np.array(rows, dtype=float) * 2.0**-3)
+
+
+class TestMergeMatchesListOfRows:
+    @settings(max_examples=100)
+    @given(clouds, st.sampled_from([0.1, 0.5, 1.0]))
+    def test_random_clouds(self, cloud, t_p):
+        got = merge_close_points(cloud, t_p)
+        assert got.tobytes() == merge_close_points_ref(cloud, t_p).tobytes()
+
+    @settings(max_examples=100)
+    @given(lattice_clouds, st.sampled_from([0.13, 0.2, 0.3]))
+    def test_lattice_clouds_with_distance_ties(self, cloud, t_p):
+        got = merge_close_points(cloud, t_p)
+        assert got.tobytes() == merge_close_points_ref(cloud, t_p).tobytes()
+
+    def test_shuffled_lattices(self, rng):
+        for _ in range(40):
+            cloud = rng.integers(0, 4, (int(rng.integers(2, 40)), 3)) * 2.0**-3
+            cloud = cloud[rng.permutation(len(cloud))]
+            got = merge_close_points(cloud, 0.3)
+            assert got.tobytes() == merge_close_points_ref(cloud, 0.3).tobytes()
+
+    def test_input_is_not_modified(self):
+        cloud = np.array([[0.0, 0, 0], [0.005, 0, 0]])
+        merge_close_points(cloud, 0.008)
+        assert cloud.tolist() == [[0.0, 0, 0], [0.005, 0, 0]]
+
+
 class TestProjectToPlane:
     plane = PlaneModel(np.array([0.0, 0, 1, -1]))  # z = 1
 

@@ -3,11 +3,10 @@ import pytest
 
 from cablerecon import topology
 from cablerecon.cloudproc import PlaneModel, as_cloud
-from cablerecon.errors import EmptyInputError, NoDirectionError
+from cablerecon.errors import EmptyInputError
 from cablerecon.topology import (
     SortedPolyline,
     load_sorted_csv,
-    previous_point,
     save_sorted_csv,
     sort_and_find_endpoints,
 )
@@ -18,6 +17,11 @@ PLANE = PlaneModel(np.array([0.0, 0.0, 1.0, 0.0]))  # z = 0
 def on_plane(uv):
     uv = np.asarray(uv, dtype=float)
     return np.column_stack([uv[:, 0], uv[:, 1], np.zeros(len(uv))])
+
+
+def plain_walk(monkeypatch):
+    """Turn crossing stitching off: the sort returns the greedy walk's segments."""
+    monkeypatch.setattr(topology, "_stitch_crossings", lambda uv, segments, r_stitch: segments)
 
 
 def recovered_order(poly, original):
@@ -43,7 +47,7 @@ class TestSortBasics:
             assert len(poly.segments) == 1
             order = recovered_order(poly, pts)
             assert is_arc_order(order)
-            ends = {tuple(np.round(e.position, 9)) for e in poly.endpoints}
+            ends = {tuple(np.round(e, 9)) for e in poly.endpoints}
             assert tuple(np.round(pts[0], 9)) in ends
             assert tuple(np.round(pts[4], 9)) in ends
 
@@ -147,33 +151,53 @@ class TestCrossingRecovery:
         poly = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
         assert len(poly.segments) == 1
 
-    def test_raw_walk_keeps_the_known_failure_mode(self):
-        # the paper-style plain walk fragments on self-crossings; kept
-        # observable behind stitch_crossings=False
+    def test_raw_walk_keeps_the_known_failure_mode(self, monkeypatch):
+        # the paper-style plain walk fragments on self-crossings
         pts = self._limacon_cloud()
-        raw = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0, stitch_crossings=False)
         healed = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        plain_walk(monkeypatch)
+        raw = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
         assert len(raw.segments) >= len(healed.segments)
 
 
 class TestPreviousPoint:
+    """The point before each endpoint, read from the `neighbors` rows."""
+
     poly = SortedPolyline(
         points=on_plane([[0.0, 0], [0.01, 0], [0.02, 0], [0.5, 0.5]]),
         segments=[np.array([0, 1, 2]), np.array([3])],
     )
 
     def test_last_end(self):
-        ep = [e for e in self.poly.endpoints if e.segment_id == 0][1]
-        assert np.allclose(previous_point(self.poly, ep), [0.01, 0, 0])
+        assert np.allclose(self.poly.endpoints[1], [0.02, 0, 0])
+        assert np.allclose(self.poly.neighbors[1], [0.01, 0, 0])
 
     def test_first_end(self):
-        ep = [e for e in self.poly.endpoints if e.segment_id == 0][0]
-        assert np.allclose(previous_point(self.poly, ep), [0.01, 0, 0])
+        assert np.allclose(self.poly.endpoints[0], [0.0, 0, 0])
+        assert np.allclose(self.poly.neighbors[0], [0.01, 0, 0])
 
     def test_singleton_has_no_direction(self):
-        ep = [e for e in self.poly.endpoints if e.segment_id == 1][0]
-        with pytest.raises(NoDirectionError):
-            previous_point(self.poly, ep)
+        heading = self.poly.endpoints[2:] - self.poly.neighbors[2:]
+        assert np.allclose(self.poly.endpoints[2:], [0.5, 0.5, 0])
+        assert not heading.any()
+
+
+class TestEndpointRows:
+    def test_endpoints_and_neighbors_on_1_2_3_point_segments(self):
+        poly = SortedPolyline(
+            points=on_plane([[0.0, 0], [0.01, 0], [0.02, 0], [0.5, 0.5], [0.3, 0], [0.3, 0.01]]),
+            segments=[np.array([0, 1, 2]), np.array([3]), np.array([5, 4])],
+        )
+        # each segment's first point, then its last
+        assert poly.endpoints.tolist() == on_plane(
+            [[0.0, 0], [0.02, 0], [0.5, 0.5], [0.5, 0.5], [0.3, 0.01], [0.3, 0]]
+        ).tolist()
+        # a singleton's endpoint is its own neighbor, so its heading is zero
+        assert poly.neighbors.tolist() == on_plane(
+            [[0.01, 0], [0.01, 0], [0.5, 0.5], [0.5, 0.5], [0.3, 0], [0.3, 0.01]]
+        ).tolist()
+        empty = SortedPolyline(points=np.zeros((0, 3)), segments=[])
+        assert empty.endpoints.shape == empty.neighbors.shape == (0, 3)
 
 
 class TestSortedCsv:
@@ -233,7 +257,7 @@ def _grow_ref(order, uv, pts3, unvisited, r_search, cos_min):
         unvisited.discard(chosen)
 
 
-def sort_ref(cloud, plane, r_search=0.035, alpha_max_deg=75.0, stitch_crossings=True):
+def sort_ref(cloud, plane, r_search=0.035, alpha_max_deg=75.0):
     pts = as_cloud(cloud)
     uv = plane.to_plane_coords(pts)
     cos_min = float(np.cos(np.radians(alpha_max_deg)))
@@ -253,7 +277,7 @@ def sort_ref(cloud, plane, r_search=0.035, alpha_max_deg=75.0, stitch_crossings=
         _grow_ref(order, uv, pts, unvisited, r_search, cos_min)
         order.reverse()
         raw.append(order)
-    if stitch_crossings and len(raw) > 1:
+    if len(raw) > 1:
         raw = topology._stitch_crossings(uv, raw, r_search)
     return [list(s) for s in raw]
 
@@ -287,12 +311,14 @@ class TestBatchedSortMatchesPointLoop:
     @pytest.mark.parametrize(
         "kind, seed", [("random", 1), ("lattice", 2), ("near_duplicate", 3), ("permuted", 4)]
     )
-    def test_segments_equal_reference(self, kind, seed, stitch):
+    def test_segments_equal_reference(self, kind, seed, stitch, monkeypatch):
         rng = np.random.default_rng([seed, int(stitch)])
+        if not stitch:
+            plain_walk(monkeypatch)
         for _ in range(25):
             cloud, plane = _fuzz_cloud(kind, rng)
-            got = sort_and_find_endpoints(cloud, plane, 0.035, 75.0, stitch_crossings=stitch)
-            want = sort_ref(cloud, plane, 0.035, 75.0, stitch_crossings=stitch)
+            got = sort_and_find_endpoints(cloud, plane, 0.035, 75.0)
+            want = sort_ref(cloud, plane, 0.035, 75.0)
             assert [seg.tolist() for seg in got.segments] == want
 
     def test_vecdot_is_bit_equal_to_per_row_norm_and_dot(self):
