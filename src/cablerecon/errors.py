@@ -15,10 +15,6 @@ class InsufficientDepthError(RuntimeError):
     should widen exploration instead of trusting a sparse result."""
 
 
-class EmptyContactError(ValueError):
-    """A tactile map with no active taxel has no centroid."""
-
-
 class InvalidViewError(ValueError):
     """The camera cannot see the support plane from its pose."""
 

@@ -2,7 +2,9 @@
 
 From every unvisited endpoint the end effector advances one step along the
 cable direction, descends until the pad touches, and classifies the contact
-with a curvature indicator built from per-taxel Hessian norms. A descent
+with a curvature indicator built from per-taxel Hessian norms. The probe
+only reports pressures (`probe_fn(pose) -> pressures`): the walk decides
+the touch (a taxel above eps_contact) and the contact point. A descent
 keeps its delta_z height lattice from hover_height but probes only from one
 delta_z above the tallest surface the pad can meet (2r of the thickest
 cable): higher up a probe reads no pressure, so it is not made. Cable
@@ -24,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloudproc import PlaneModel
+from .cloudproc import PlaneModel, project_to_plane
 from .errors import DescentOverrunError, ProbeBudgetError
 from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from .topology import SortedPolyline
-from .worldsim import PAD_SHAPE, TactileMap, TactilePad, map_centroid
+from .worldsim import PAD_SHAPE, TactilePad
 
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
 POSE_COLUMNS = tuple("r00 r01 r02 r10 r11 r12 r20 r21 r22 tx ty tz".split())
@@ -59,6 +61,15 @@ def indicator(pressures: np.ndarray, pitch: float) -> float:
     ) / (4.0 * h2)
     norms = np.sqrt(hxx**2 + 2.0 * hxy**2 + hyy**2)
     return float(np.linalg.norm(norms))
+
+
+def _centroid(pressures: np.ndarray, pose: Pose, plane: PlaneModel, pad: TactilePad) -> np.ndarray:
+    """Pressure-weighted mean of the taxel positions, on the plane; taken
+    only after a touch, when some weight is above eps_contact > 0."""
+    weights = pressures.ravel()
+    centers = pose.transform(pad.taxel_centers())
+    centroid = (centers * weights[:, None]).sum(axis=0) / weights.sum()
+    return project_to_plane(centroid, plane)[0]
 
 
 @dataclass
@@ -113,8 +124,9 @@ def _descend(
     tracer: _Tracer,
     endpoint_id: int,
     top: float,
-) -> TactileMap:
-    """Lower the pad along -normal in delta_z steps until it touches.
+) -> tuple[Pose, np.ndarray]:
+    """Lower the pad along -normal in delta_z steps until a taxel reads
+    above eps_contact; return that pose and its pressures.
 
     The steps start hover_height above the target, but the pad face is
     only probed (logging a trace row) once it is at most `top` + delta_z
@@ -133,9 +145,9 @@ def _descend(
         pose = Pose(rotation, pos)
         if len(tracer.rows) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
-        touched, tmap = probe_fn(pose)
-        if touched:
-            return tmap
+        pressures = probe_fn(pose)
+        if (pressures > params.eps_contact).any():
+            return pose, pressures
         tracer.log(endpoint_id, pose, False, None, False, None)
         if plane.signed_distance(pos)[0] < -DESCENT_LIMIT:
             raise DescentOverrunError(
@@ -155,7 +167,7 @@ def explore_from_endpoints(
 ) -> ExplorationResult:
     """Run the per-endpoint exploration walks and collect tactile points.
 
-    `probe_fn(pose) -> (touched, TactileMap)` is the only way the loop sees
+    `probe_fn(pose) -> pressures` is the only way the loop sees
     the world; `top` is the height above the plane of the tallest surface
     the pad can meet, and no descent probes higher than `top` + delta_z.
     A walk's own starting endpoint is excluded from the d_min stop check:
@@ -182,11 +194,11 @@ def explore_from_endpoints(
         attempts = 0
         while attempts < params.max_rotation_attempts:
             target = last + params.delta_y * rotation[:, 1]
-            tmap = _descend(probe_fn, rotation, target, plane, params, tracer, eid, top)
-            ind = indicator(tmap.pressures, pad.pitch)
-            p_new = map_centroid(tmap, plane, pad) if ind > params.t_h else None
+            pose, pressures = _descend(probe_fn, rotation, target, plane, params, tracer, eid, top)
+            ind = indicator(pressures, pad.pitch)
+            p_new = _centroid(pressures, pose, plane, pad) if ind > params.t_h else None
             accepted = p_new is not None and not np.linalg.norm(p_new - last) < 1e-12
-            tracer.log(eid, tmap.pose, True, ind, accepted, p_new if accepted else None)
+            tracer.log(eid, pose, True, ind, accepted, p_new if accepted else None)
             if not accepted:  # flat, or no advance: turn and retry from the same point
                 attempts += 1
                 rotation = rotation @ r_step
@@ -211,12 +223,12 @@ def explore_from_endpoints(
 
 
 def merge_clouds(visual: np.ndarray, tactile: np.ndarray) -> np.ndarray:
-    """Union of the two clouds with exact duplicates (< 1e-9) removed."""
-    vis = np.asarray(visual, dtype=float).reshape(-1, 3)
-    tac = np.asarray(tactile, dtype=float).reshape(-1, 3)
-    out: list[np.ndarray] = []
-    for p in np.vstack([vis, tac]):
-        if out and np.linalg.norm(np.array(out) - p, axis=1).min() < 1e-9:
-            continue
-        out.append(p)
-    return np.array(out).reshape(-1, 3)
+    """Union of the two clouds, each point within 1e-9 of an earlier one dropped.
+
+    This equals a scan against the points kept so far, except for a chain:
+    a point within 1e-9 of a dropped point but of no kept one is dropped
+    here, where the scan keeps it.
+    """
+    points = np.vstack([np.reshape(visual, (-1, 3)), np.reshape(tactile, (-1, 3))]).astype(float)
+    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
+    return points[~np.tril(dist < 1e-9, -1).any(axis=1)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,6 @@ class PixelCluster:
 @dataclass
 class PixelClusterSet:
     clusters: list[PixelCluster]
-    noise: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
 
 
 def _binary(mask_img: ImageGrid) -> np.ndarray:
@@ -236,7 +235,7 @@ def cluster_pixels(
     at edges longer than `cut_threshold`, computed as the components of the
     threshold graph of those distances in near-linear time, without the
     tree, most core pixels proven from one kd-tree query per 4x4 pixel block.
-    Components smaller than `min_cluster_size` are returned as noise.
+    Components smaller than `min_cluster_size` are dropped as noise.
     The three values come from `params`. With the default weights, color
     dominates, so one cable split spatially by an occluder stays a single
     cluster while differently colored cables separate.
@@ -251,24 +250,17 @@ def cluster_pixels(
     features = np.column_stack([s * rows, s * cols, lab]).astype(float)
 
     labels = _reach_components(features, rows, cols, params.min_cluster_size, params.cut_threshold)
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     clusters = []
-    noise_parts = []
-    for label in np.unique(labels):
-        members = np.nonzero(labels == label)[0]
+    for index in np.flatnonzero(counts >= params.min_cluster_size):
+        members = np.flatnonzero(inverse == index)
         pix = np.column_stack([rows[members], cols[members]]).astype(int)
-        if len(members) < params.min_cluster_size:
-            noise_parts.append(pix)
-            continue
         clusters.append(PixelCluster(pixels=pix, mean_color=colors[members].mean(axis=0)))
 
     clusters.sort(
         key=lambda c: (tuple(np.round(c.mean_color, 6)), tuple(c.pixels.mean(axis=0)))
     )
-    noise = (
-        np.vstack(noise_parts) if noise_parts else np.zeros((0, 2), dtype=int)
-    )
-    noise = noise[np.lexsort((noise[:, 1], noise[:, 0]))] if len(noise) else noise
-    return PixelClusterSet(clusters=clusters, noise=noise)
+    return PixelClusterSet(clusters=clusters)
 
 
 def _thinning_pass(img: np.ndarray, step: int) -> np.ndarray:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import numbers
+import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -22,7 +24,7 @@ import numpy as np
 from . import cloudproc, explore, fitting, imgproc, scenarios, topology, worldsim
 from .errors import EmptyInputError, ProbeBudgetError
 from .evaluation import curve_error, icp
-from .geom import ReconParams
+from .geom import ReconParams, finite_number, finite_triple
 from .yamlio import load_yaml, require_keys, save_yaml
 
 EXIT_COMPLETE = 0
@@ -186,7 +188,7 @@ def run_pipeline(
             topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
             stats.first_sort_segments = len(poly.segments)
 
-            probe_fn = functools.partial(worldsim.probe, scene, eps_contact=params.eps_contact)
+            probe_fn = functools.partial(worldsim.probe, scene)
             result = explore.explore_from_endpoints(
                 poly, plane, probe_fn, params, pad=scene.pad,
                 top=2 * max(c.radius for c in scene.cables),
@@ -264,7 +266,16 @@ def _read_manifest(run: Path) -> dict:
         raise ValueError(f"{run}: the run failed ({manifest['failure']['error']})")
     require_keys(manifest, MANIFEST_KEYS, path)
     for i, cable in enumerate(manifest["cables"]):
-        require_keys(cable, MANIFEST_CABLE_KEYS, f"{path} cable {i}")
+        where = f"{path} cable {i}"
+        require_keys(cable, MANIFEST_CABLE_KEYS, where)
+        name, color = cable["directory"], cable["color"]
+        if "/" in name or "\0" in name or name in ("", ".", ".."):
+            raise ValueError(f"{where} directory must be one path component, not {name!r}")
+        if not finite_triple(color):
+            raise ValueError(f"{where} color must be 3 finite numbers, not {reprlib.repr(color)}")
+    plane = manifest["plane"]
+    if len(plane) != 4 or not all(finite_number(c, numbers.Real) for c in plane):
+        raise ValueError(f"{path} plane must be 4 finite numbers, not {reprlib.repr(plane)}")
     return manifest
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloudproc import PlaneModel, project_to_plane
-from .errors import EmptyContactError, InvalidViewError
+from .cloudproc import PlaneModel
+from .errors import InvalidViewError
 from .fitting import BSplineCurve, sample_curve
 from .geom import Pose
 from .imgproc import CameraIntrinsics, ImageGrid
@@ -28,33 +28,26 @@ SHELF_COLOR = np.array([185.0, 170.0, 150.0])
 OCCLUDER_COLOR = np.array([90.0, 90.0, 95.0])
 
 
-def _point_to_polyline(queries: np.ndarray, samples: np.ndarray, tree: cKDTree):
+def _point_to_polyline(queries: np.ndarray, samples: np.ndarray, tree: cKDTree) -> np.ndarray:
     """Distance from each query to the polyline through `samples`.
 
     Uses the nearest sample then exact point-to-segment distance on its two
-    adjacent segments; works for 2D and 3D. Returns (distances, closest).
+    adjacent segments; works for 2D and 3D.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     _, idx = tree.query(q)
     best_d = np.full(len(q), np.inf)
-    best_p = np.zeros((len(q), samples.shape[1]))
     for off in (-1, 0):
         i0 = np.clip(idx + off, 0, len(samples) - 2)
         a = samples[i0]
         b = samples[i0 + 1]
         ab = b - a
         denom = (ab * ab).sum(axis=1)
-        t = np.clip(
-            np.where(denom > 0, ((q - a) * ab).sum(axis=1) / np.maximum(denom, 1e-300), 0.0),
-            0.0,
-            1.0,
-        )
+        t = ((q - a) * ab).sum(axis=1) / np.maximum(denom, 1e-300)
+        t = np.clip(np.where(denom > 0, t, 0.0), 0.0, 1.0)
         proj = a + t[:, None] * ab
-        d = np.linalg.norm(q - proj, axis=1)
-        closer = d < best_d
-        best_d[closer] = d[closer]
-        best_p[closer] = proj[closer]
-    return best_d, best_p
+        best_d = np.minimum(best_d, np.linalg.norm(q - proj, axis=1))
+    return best_d
 
 
 @dataclass
@@ -71,25 +64,13 @@ class GroundTruthCable:
             raise ValueError("cable radius must be positive")
         self._samples = sample_curve(self.centerline, DENSE_SAMPLES)
         self._tree = cKDTree(self._samples)
-        self._plan: tuple | None = None  # (plane coefficients bytes, plan, its tree)
 
     @property
     def dense_samples(self) -> np.ndarray:
         return self._samples
 
     def distance_to_centerline(self, points: np.ndarray) -> np.ndarray:
-        d, _ = _point_to_polyline(points, self._samples, self._tree)
-        return d
-
-    def plan_distance(self, plane: PlaneModel, uv_points: np.ndarray) -> np.ndarray:
-        """In-plane distance from 2D coords on `plane` to the centerline's plan on it."""
-        key = plane.coefficients.tobytes()
-        if self._plan is None or self._plan[0] != key:
-            plan = plane.to_plane_coords(self._samples)
-            self._plan = (key, plan, cKDTree(plan))
-        _, plan, tree = self._plan
-        d, _ = _point_to_polyline(uv_points, plan, tree)
-        return d
+        return _point_to_polyline(points, self._samples, self._tree)
 
 
 @dataclass
@@ -112,23 +93,9 @@ class TactilePad:
 
 
 @dataclass
-class TactileMap:
-    """Taxel pressures captured at one contact, with the pad pose."""
-
-    pressures: np.ndarray  # (6, 2), nonnegative
-    pose: Pose
-
-    def __post_init__(self):
-        self.pressures = np.asarray(self.pressures, dtype=float)
-        if self.pressures.shape != PAD_SHAPE:
-            raise ValueError("tactile map must be 6x2")
-        if (self.pressures < 0).any():
-            raise ValueError("pressures must be nonnegative")
-
-
-@dataclass
 class WorldScene:
-    """Immutable world used both to render images and to answer probes."""
+    """Immutable world used both to render images and to answer probes; each
+    cable's plan on the support plane and its kd-tree are built once, here."""
 
     support_plane: PlaneModel
     cables: list[GroundTruthCable]
@@ -150,12 +117,15 @@ class WorldScene:
         )
         if cam_height <= 0:
             raise InvalidViewError("camera is on or behind the support plane")
+        self._plans = []  # (plan, its kd-tree) per cable
         for i, cable in enumerate(self.cables):
             heights = self.support_plane.signed_distance(cable.dense_samples)
             if np.max(np.abs(heights - cable.radius)) > 1e-6:
                 raise ValueError(
                     f"cable {i} centerline is not one radius above the plane"
                 )
+            plan = self.support_plane.to_plane_coords(cable.dense_samples)
+            self._plans.append((plan, cKDTree(plan)))
 
 
 @dataclass
@@ -316,14 +286,15 @@ def render(scene: WorldScene) -> RenderResult:
     )
 
 
-def probe(scene: WorldScene, pad_pose: Pose, eps_contact: float) -> tuple[bool, TactileMap]:
-    """Rigid quasi-static contact of the scene's pad against plane and cables.
+def probe(scene: WorldScene, pad_pose: Pose) -> np.ndarray:
+    """(6, 2) taxel pressures of the scene's pad at `pad_pose`: rigid quasi-static contact.
 
     Per taxel, penetration is the height of the tallest surface under the
     taxel (support plane at 0, cable tube tops at r + sqrt(r^2 - rho^2))
     minus the pad face height; pressure is PRESSURE_GAIN times positive
     penetration. Identical poses give bit-identical maps: optional noise is
-    seeded from the scene seed and the pose bytes.
+    seeded from the scene seed and the pose bytes. Whether the pad touches
+    is the caller's reading of the pressures.
 
     A tube top is never above 2r, so taxels whose face is higher than that
     (with 1e-9 relative slack for the rounding of r + sqrt(r^2)) skip the
@@ -336,21 +307,18 @@ def probe(scene: WorldScene, pad_pose: Pose, eps_contact: float) -> tuple[bool, 
     penetration = -face_height
 
     uv = None
-    for cable in scene.cables:
+    for cable, (plan, tree) in zip(scene.cables, scene._plans):
         near = np.flatnonzero(face_height <= 2 * cable.radius * (1 + 1e-9))
         if near.size == 0:
             continue
         if uv is None:
             # over all 12 centers: a product over fewer rows can round differently
             uv = plane.to_plane_coords(centers)
-        rho = cable.plan_distance(plane, uv[near])
+        rho = _point_to_polyline(uv[near], plan, tree)
         inside = rho <= cable.radius
         under = near[inside]
-        surf = cable.radius + np.sqrt(
-            np.maximum(cable.radius**2 - rho[inside] ** 2, 0.0)
-        )
-        pen_cable = surf - face_height[under]
-        penetration[under] = np.maximum(penetration[under], pen_cable)
+        surf = cable.radius + np.sqrt(np.maximum(cable.radius**2 - rho[inside] ** 2, 0.0))
+        penetration[under] = np.maximum(penetration[under], surf - face_height[under])
 
     pressures = PRESSURE_GAIN * np.maximum(penetration, 0.0)
     if scene.pressure_noise_sigma > 0:
@@ -358,24 +326,7 @@ def probe(scene: WorldScene, pad_pose: Pose, eps_contact: float) -> tuple[bool, 
             np.ascontiguousarray(pad_pose.rotation).tobytes()
             + np.ascontiguousarray(pad_pose.translation).tobytes()
         )
-        rng = np.random.default_rng(
-            np.random.SeedSequence([scene.seed, tag])
-        )
-        pressures = np.maximum(
-            pressures + rng.normal(0.0, scene.pressure_noise_sigma, 12), 0.0
-        )
-    pressures = pressures.reshape(PAD_SHAPE)
-    touched = bool((pressures > eps_contact).any())
-    return touched, TactileMap(pressures=pressures, pose=pad_pose)
-
-
-def map_centroid(tmap: TactileMap, plane: PlaneModel, pad: TactilePad) -> np.ndarray:
-    """Pressure-weighted mean of active taxel positions, on the plane."""
-    weights = tmap.pressures.ravel()
-    total = weights.sum()
-    if total <= 0:
-        raise EmptyContactError("tactile map has no active taxel")
-    centers = tmap.pose.transform(pad.taxel_centers())
-    centroid = (centers * weights[:, None]).sum(axis=0) / total
-    return project_to_plane(centroid, plane)[0]
-
+        rng = np.random.default_rng(np.random.SeedSequence([scene.seed, tag]))
+        noise = rng.normal(0.0, scene.pressure_noise_sigma, 12)
+        pressures = np.maximum(pressures + noise, 0.0)
+    return pressures.reshape(PAD_SHAPE)

@@ -142,6 +142,13 @@ class TestRun:
         assert np.allclose(heights, radius, atol=2e-4)
 
 
+def manifest_text(plane=(0.0, 0.0, 1.0, 0.0), **cable):
+    """A finished run's manifest with one cable, holding `plane` and `cable`'s values."""
+    keys = {"directory": "cable_00", "color": [30.0, 30.0, 30.0], "final_segments": 1,
+            "final_endpoints": 2, "probes_used": 0}
+    return json.dumps({"cables": [{**keys, **cable}], "artifacts": {}, "plane": list(plane)})
+
+
 class TestCleanErrors:
     def _run(self, scenario, tmp_path, *extra):
         return cli.main(["run", str(scenario), "--out", str(tmp_path / "out"), *extra])
@@ -379,12 +386,26 @@ class TestCleanErrors:
              "cable_00/P_sorted.csv: could not convert string to float: 'a'"),
             ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n",
              "cable_00/P_sorted.csv: not one or more rows of segment_id,order_index,x,y,z"),
+            ("plot", "manifest.json", manifest_text(directory="../run/cable_00"),
+             "manifest.json cable 0 directory must be one path component, not '../run/cable_00'"),
+            ("eval", "manifest.json", manifest_text(directory="../run/cable_00"),
+             "manifest.json cable 0 directory must be one path component, not '../run/cable_00'"),
+            ("plot", "manifest.json", manifest_text(directory="cable\x0000"),
+             "manifest.json cable 0 directory must be one path component, not 'cable\\x0000'"),
+            ("plot", "manifest.json", manifest_text(plane=[1, 2]),
+             "manifest.json plane must be 4 finite numbers, not [1, 2]"),
+            ("eval", "manifest.json", manifest_text(color=[]),
+             "manifest.json cable 0 color must be 3 finite numbers, not []"),
+            ("eval", "manifest.json", manifest_text(color=["x", 1, 2]),
+             "manifest.json cable 0 color must be 3 finite numbers, not ['x', 1, 2]"),
         ],
         ids=["eval_empty_manifest", "plot_list_manifest", "plot_truncated_manifest",
              "eval_null_plane", "plot_cable_without_directory", "eval_spline_without_knots",
              "eval_list_spline", "eval_list_sampling_count", "eval_text_vertex_count",
              "eval_text_timing", "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
-             "plot_sorted_header_only"],
+             "plot_sorted_header_only", "plot_directory_outside_the_run",
+             "eval_directory_outside_the_run", "plot_directory_with_nul", "plot_two_number_plane",
+             "eval_empty_color", "eval_text_color"],
     )
     def test_damaged_run_directory_is_one_error_line(
         self, template_runs, tmp_path, capsys, command, damaged, text, named

@@ -34,11 +34,12 @@ def descend_every_step(
         pose = Pose(rotation.copy(), pos.copy())
         if len(tracer.rows) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
-        touched, tmap = probe_fn(pose)
+        pressures = probe_fn(pose)
+        touched = (pressures > params.eps_contact).any()
         if not touched:
             tracer.log(endpoint_id, pose, False, None, False, None)
         if touched:
-            return tmap
+            return pose, pressures
         height = float(plane.signed_distance(pos)[0])
         if height < -explore.DESCENT_LIMIT:
             raise DescentOverrunError(

@@ -10,6 +10,8 @@ from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
     POSE_COLUMNS,
     ExplorationResult,
+    _centroid,
+    _descend,
     _fmt,
     _Tracer,
     explore_from_endpoints,
@@ -18,9 +20,9 @@ from cablerecon.explore import (
 )
 from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
-from cablerecon.worldsim import TactilePad, map_centroid, probe
+from cablerecon.worldsim import TactilePad, probe
 
-from test_worldsim import EPS, PLANE, make_scene, straight_cable
+from test_worldsim import PLANE, make_scene, straight_cable
 
 
 def stencil_oracle(p, pitch):
@@ -106,7 +108,7 @@ class TestExploration:
         assert len(poly.segments) == 2
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=TOP
         )
         cloud = result.tactile_cloud
         assert len(cloud) > 0
@@ -130,7 +132,7 @@ class TestExploration:
         scene, poly, _ = gap_fixture()
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=TOP
         )
         per_walk: dict[int, list[np.ndarray]] = {}
         for row in result.trace:
@@ -151,7 +153,7 @@ class TestExploration:
         poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=0.0
+            poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=0.0
         )
         assert len(result.tactile_cloud) == 0
         assert result.dead_ends == 2
@@ -165,13 +167,13 @@ class TestExploration:
         params = ReconParams(probe_budget=5)
         with pytest.raises(ProbeBudgetError):
             explore_from_endpoints(
-                poly, PLANE, partial(probe, scene, eps_contact=EPS), params, pad=scene.pad, top=TOP
+                poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=TOP
             )
 
     def test_trace_csv_written(self, tmp_path):
         scene, poly, _ = gap_fixture()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene, eps_contact=EPS), ReconParams(),
+            poly, PLANE, partial(probe, scene), ReconParams(),
             pad=scene.pad, top=TOP,
         )
         result.save_trace_csv(tmp_path / "trace.csv")
@@ -183,24 +185,64 @@ class TestExploration:
         _, poly, cable = gap_fixture()
         pad = TactilePad(pitch=0.004)
         scene = make_scene([cable], pad=pad)
-        maps = []
+        params = ReconParams()
+        touches = []
 
         def recording_probe(pose):
-            touched, tmap = probe(scene, pose, EPS)
-            if touched:
-                maps.append(tmap)
-            return touched, tmap
+            pressures = probe(scene, pose)
+            if (pressures > params.eps_contact).any():
+                touches.append((pressures, pose))
+            return pressures
 
-        result = explore_from_endpoints(
-            poly, PLANE, recording_probe, ReconParams(), pad=pad, top=TOP
-        )
-        touches = [r for r in result.trace if r["touched"]]
-        accepted = [m for m, r in zip(maps, touches, strict=True) if r["accepted"]]
+        result = explore_from_endpoints(poly, PLANE, recording_probe, params, pad=pad, top=TOP)
+        rows = [r for r in result.trace if r["touched"]]
+        accepted = [m for m, r in zip(touches, rows, strict=True) if r["accepted"]]
         assert len(accepted) == len(result.tactile_cloud) > 0
-        for tmap, point in zip(accepted, result.tactile_cloud):
-            assert point.tobytes() == map_centroid(tmap, PLANE, pad).tobytes()
-        default = [map_centroid(m, PLANE, TactilePad()) for m in accepted]
+        for (pressures, pose), point in zip(accepted, result.tactile_cloud):
+            assert point.tobytes() == _centroid(pressures, pose, PLANE, pad).tobytes()
+        default = [_centroid(m, pose, PLANE, TactilePad()) for m, pose in accepted]
         assert not np.array_equal(default, result.tactile_cloud)
+
+
+class TestTouch:
+    """The walk, not the probe, decides a touch: a taxel above eps_contact."""
+
+    def descend(self, maps, params):
+        """Descend over `maps` in turn; (returned map, trace rows, probe calls)."""
+        calls = []
+
+        def fake_probe(pose):
+            calls.append(pose)
+            return maps[len(calls) - 1]
+
+        tracer = _Tracer()
+        pose, pressures = _descend(
+            fake_probe, np.eye(3), np.zeros(3), PLANE, params, tracer, 0, top=0.0
+        )
+        assert pose is calls[-1]
+        return pressures, tracer.rows, calls
+
+    def test_a_taxel_at_eps_contact_is_no_touch(self):
+        params = ReconParams()
+        at = np.zeros((6, 2))
+        at[4, 1] = params.eps_contact
+        above = at.copy()
+        above[4, 1] = np.nextafter(params.eps_contact, np.inf)
+        level = np.full((6, 2), params.eps_contact)
+        pressures, rows, calls = self.descend([at, level, above], params)
+        assert pressures.tobytes() == above.tobytes()
+        assert len(calls) == 3 and [r["touched"] for r in rows] == [0, 0]
+        # each probe is one delta_z lower than the one before
+        heights = [PLANE.signed_distance(pose.translation)[0] for pose in calls]
+        assert np.allclose(np.diff(heights), -params.delta_z)
+
+    def test_a_taxel_just_above_eps_contact_touches_at_once(self):
+        params = ReconParams()
+        above = np.zeros((6, 2))
+        above[0, 0] = np.nextafter(params.eps_contact, np.inf)
+        pressures, rows, calls = self.descend([above], params)
+        assert pressures.tobytes() == above.tobytes()
+        assert len(calls) == 1 and rows == []
 
 
 class TestTraceRows:
@@ -228,11 +270,39 @@ class TestTraceRows:
         assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def merge_by_list_scan(visual, tactile):
+    """The merge as it was first written: each point against those kept so far."""
+    out = []
+    for p in np.vstack([np.reshape(visual, (-1, 3)), np.reshape(tactile, (-1, 3))]):
+        if out and np.linalg.norm(np.array(out) - p, axis=1).min() < 1e-9:
+            continue
+        out.append(p)
+    return np.array(out, dtype=float).reshape(-1, 3)
+
+
 class TestMergeClouds:
-    def test_drop_needs_an_earlier_kept_point(self):
-        # the middle point is within 1e-9 of both others, the ends are not
+    def test_a_chain_keeps_only_its_first_point(self):
+        # the middle point is within 1e-9 of both others, the ends are not:
+        # the list scan kept the third point, as no kept point is near it
         chain = np.array([[0.0, 0, 0], [6e-10, 0, 0], [1.2e-9, 0, 0]])
-        assert merge_clouds(chain, np.zeros((0, 3))).tobytes() == chain[[0, 2]].tobytes()
+        assert merge_clouds(chain, np.zeros((0, 3))).tobytes() == chain[:1].tobytes()
+        assert merge_by_list_scan(chain, np.zeros((0, 3))).tobytes() == chain[[0, 2]].tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_list_scan_without_chains(self, seed):
+        rng = np.random.default_rng(seed)
+        visual = rng.normal(size=(int(rng.integers(0, 40)), 3)) * 0.05
+        tactile = rng.normal(size=(int(rng.integers(0, 15)), 3)) * 0.05
+        # exact duplicates, and offsets below 1e-9, within and across the clouds
+        pool = np.vstack([visual, tactile, np.zeros((1, 3))])
+        picks = pool[rng.integers(0, len(pool), size=10)]
+        offsets = rng.uniform(-1, 1, size=(10, 3)) * 5e-10 / np.sqrt(3)
+        extra = np.where(rng.random(10)[:, None] < 0.5, picks, picks + offsets)
+        visual = np.vstack([visual, extra[:5]])[rng.permutation(len(visual) + 5)]
+        tactile = np.vstack([tactile, extra[5:]])
+        got = merge_clouds(visual, tactile)
+        assert got.tobytes() == merge_by_list_scan(visual, tactile).tobytes()
+        assert len(got) < len(visual) + len(tactile)
 
     def test_empty_tactile_is_identity(self, rng):
         visual = rng.normal(size=(10, 3))

@@ -101,13 +101,22 @@ def brute_force_clusters(features, min_cluster_size, cut_threshold):
     return sorted(frozenset(g) for g in kept)
 
 
+def clustered(out):
+    """Every (row, col) that lies in some cluster of `out`."""
+    return {(int(r), int(c)) for cluster in out.clusters for r, c in cluster.pixels}
+
+
+def foreground(mask):
+    return {(int(r), int(c)) for r, c in np.argwhere(mask)}
+
+
 class TestClusterPixels:
     def test_single_uniform_blob_is_one_cluster(self):
         mask = np.zeros((30, 30), dtype=bool)
         mask[10:20, 5:25] = True
         out = cluster_pixels(grid(mask), color_like(mask), ReconParams(min_cluster_size=10))
         assert len(out.clusters) == 1
-        assert len(out.noise) == 0
+        assert clustered(out) == foreground(mask)
 
     def test_two_colors_two_clusters(self):
         mask = np.zeros((40, 40), dtype=bool)
@@ -131,7 +140,7 @@ class TestClusterPixels:
             mask[r, c] = True
         out = cluster_pixels(grid(mask), color_like(mask), ReconParams(min_cluster_size=10))
         assert len(out.clusters) == 0
-        assert len(out.noise) == 3
+        assert not clustered(out) & foreground(mask)
 
     def test_empty_mask_raises(self):
         mask = np.zeros((8, 8), dtype=bool)
@@ -197,7 +206,7 @@ class TestClusterPixels:
             got, expected, out = self.clusters_and_oracle(mask, color, 10, cut)
             assert got == expected
             assert len(out.clusters) == n_clusters
-            assert len(out.noise) == 2
+            assert clustered(out) == foreground(mask) - {(58, 2), (58, 50)}
 
     def test_color_boundary_at_the_cut_matches_brute_force(self):
         # Two touching bars of two colours about 15 LAB units apart. The
@@ -224,7 +233,7 @@ class TestClusterPixels:
                 got, expected, out = self.clusters_and_oracle(mask, color, min_size, 12.0)
                 assert got == expected
                 if min_size > len(pixels):
-                    assert out.clusters == [] and len(out.noise) == len(pixels)
+                    assert out.clusters == [] and not clustered(out) & foreground(mask)
 
     def test_cut_is_inclusive_at_the_threshold(self):
         # Same-colour bars on one row, 12 columns apart at their closest:

@@ -11,7 +11,7 @@ from cablerecon.geom import Pose, ReconParams, frame_from_y_z
 from cablerecon.topology import SortedPolyline
 from cablerecon.worldsim import probe
 
-from test_worldsim import EPS, PLANE, make_scene, straight_cable
+from test_worldsim import PLANE, make_scene, straight_cable
 
 
 def random_loop_scenario(seed, occluded=True):
@@ -96,12 +96,10 @@ def test_noisy_probe_is_still_pose_deterministic():
         frame_from_y_z(np.array([1.0, 0, 0]), np.array([0.0, 0, 1])),
         np.array([0.0, 0.0, -0.0004]),
     )
-    _, a = probe(scene, pose, EPS)
-    _, b = probe(scene, pose, EPS)
-    assert np.array_equal(a.pressures, b.pressures)
+    a = probe(scene, pose)
+    assert np.array_equal(a, probe(scene, pose))
     other = Pose(pose.rotation, np.array([0.05, 0.0, -0.0004]))
-    _, c = probe(scene, other, EPS)
-    assert not np.array_equal(a.pressures, c.pressures)
+    assert not np.array_equal(a, probe(scene, other))
 
 
 def test_exploration_skips_singleton_segments():
@@ -109,7 +107,7 @@ def test_exploration_skips_singleton_segments():
     pts = np.array([[0.0, 0, 0], [0.2, 0.2, 0.0]])
     poly = SortedPolyline(points=pts, segments=[np.array([0]), np.array([1])])
     result = explore_from_endpoints(
-        poly, PLANE, partial(probe, scene, eps_contact=EPS), ReconParams(), pad=scene.pad, top=0.0
+        poly, PLANE, partial(probe, scene), ReconParams(), pad=scene.pad, top=0.0
     )
     assert result.probes_used == 0
     assert len(result.tactile_cloud) == 0

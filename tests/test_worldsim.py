@@ -4,10 +4,12 @@ import zlib
 import numpy as np
 import pytest
 import yaml
+from scipy.spatial import cKDTree
 
 from cablerecon import yamlio
 from cablerecon.cloudproc import PlaneModel
-from cablerecon.errors import EmptyContactError, InvalidViewError
+from cablerecon.errors import InvalidViewError
+from cablerecon.explore import _centroid
 from cablerecon.fitting import bspline_from_control_points
 from cablerecon.geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
@@ -20,11 +22,10 @@ from cablerecon.scenarios import (
 from cablerecon.worldsim import (
     PRESSURE_GAIN,
     GroundTruthCable,
-    TactileMap,
     TactilePad,
     WorldScene,
     _box_entry_depth,
-    map_centroid,
+    _point_to_polyline,
     probe,
     render,
 )
@@ -128,15 +129,15 @@ class TestRender:
 class TestProbe:
     def test_no_contact_high_above(self):
         scene = make_scene([straight_cable()])
-        touched, tmap = probe(scene, face_down_pose([0.0, 0.0, 0.10]), EPS)
-        assert not touched
-        assert not tmap.pressures.any()
+        pressures = probe(scene, face_down_pose([0.0, 0.0, 0.10]))
+        assert pressures.shape == (6, 2)
+        assert not pressures.any()
 
     def test_uniform_flat_plane_contact(self):
         scene = make_scene([])
-        touched, tmap = probe(scene, face_down_pose([0.0, 0.0, -0.0005]), EPS)
-        assert touched
-        assert np.allclose(tmap.pressures, PRESSURE_GAIN * 0.0005)
+        pressures = probe(scene, face_down_pose([0.0, 0.0, -0.0005]))
+        assert (pressures > EPS).any()
+        assert np.allclose(pressures, PRESSURE_GAIN * 0.0005)
 
     def test_cable_ridge_matches_circle_height_oracle(self):
         radius = 0.008  # wider than the taxel pitch so side columns engage
@@ -145,23 +146,14 @@ class TestProbe:
         face_h = 2 * radius - 0.002
         # pad y along the cable, so the long (x) side crosses the ridge
         rotation = frame_from_y_z(np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))
-        touched, tmap = probe(scene, Pose(rotation, np.array([0.0, 0.0, face_h])), EPS)
-        assert touched
-        pad = TactilePad()
-        xs = pad.taxel_centers()[:, 0].reshape(6, 2)
-        rho = np.abs(xs)
-        surf = np.where(
-            rho <= radius, radius + np.sqrt(np.maximum(radius**2 - rho**2, 0)), -np.inf
-        )
-        expected = PRESSURE_GAIN * np.maximum(surf - face_h, 0.0)
-        assert np.allclose(tmap.pressures, expected, atol=1e-9)
+        pressures = probe(scene, Pose(rotation, np.array([0.0, 0.0, face_h])))
+        assert (pressures > EPS).any()
+        assert np.allclose(pressures, ridge_oracle(radius, face_h), atol=1e-9)
 
     def test_bit_identical_repeats(self):
         scene = make_scene([straight_cable()])
         pose = face_down_pose([0.01, 0.02, 0.004])
-        _, a = probe(scene, pose, EPS)
-        _, b = probe(scene, pose, EPS)
-        assert np.array_equal(a.pressures, b.pressures)
+        assert np.array_equal(probe(scene, pose), probe(scene, pose))
 
     def test_mirror_symmetry_across_the_cable(self):
         cable = straight_cable(radius=0.008, y=0.0)
@@ -169,27 +161,33 @@ class TestProbe:
         # cable along x; rotate the pad so its long side crosses the cable
         rotation = frame_from_y_z(np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))
         h = 2 * 0.008 - 0.002
-        _, left = probe(scene, Pose(rotation, np.array([0.0, -0.002, h])), EPS)
-        _, right = probe(scene, Pose(rotation, np.array([0.0, 0.002, h])), EPS)
-        assert np.allclose(left.pressures, np.flipud(right.pressures), atol=1e-12)
+        left = probe(scene, Pose(rotation, np.array([0.0, -0.002, h])))
+        right = probe(scene, Pose(rotation, np.array([0.0, 0.002, h])))
+        assert np.allclose(left, np.flipud(right), atol=1e-12)
 
-    def test_plan_distance_answers_for_the_plane_it_is_given(self):
-        # on a plane tilted about the cable axis, the plan of a centerline one
-        # radius above z = 0 lies r sin(tilt) off the plan of a point on z = 0
-        tilt = 0.3
-        tilted = PlaneModel(np.array([0.0, np.sin(tilt), np.cos(tilt), 0.0]))
-        point = np.array([[0.05, 0.0, 0.0]])
-        cable = straight_cable(radius=0.003)
-        expected = {
-            name: straight_cable(radius=0.003).plan_distance(plane, plane.to_plane_coords(point))
-            for name, plane in (("flat", PLANE), ("tilted", tilted))
-        }
-        assert expected["tilted"] == pytest.approx(0.003 * np.sin(tilt), rel=1e-6)
-        assert expected["flat"] == pytest.approx(0.0, abs=1e-12)
-        # one cable asked about both planes, in both orders
-        for name, plane in (("flat", PLANE), ("tilted", tilted), ("flat", PLANE)):
-            got = cable.plan_distance(plane, plane.to_plane_coords(point))
-            assert got.tobytes() == expected[name].tobytes(), name
+    def test_scenes_sharing_a_cable_probe_their_own_planes(self):
+        # the second plane is tilted about the cable axis and tangent to the
+        # tube, so the cable is one radius above both planes
+        radius, tilt = 0.008, 0.3
+        cable = straight_cable(radius=radius)
+        tilted = PlaneModel(np.array([0, np.sin(tilt), np.cos(tilt), radius * (1 - np.cos(tilt))]))
+        scenes = [
+            WorldScene(support_plane=plane, cables=[cable], occluders=[],
+                       camera=overhead_camera(), width=320, height=240)
+            for plane in (PLANE, tilted)
+        ]
+        face_h = 2 * radius - 0.002
+        got = {}
+        for scene in scenes + scenes:  # each scene asked twice, in turn
+            normal = scene.support_plane.normal
+            # pad y along the cable, its face face_h above the plane over the centerline
+            rotation = frame_from_y_z(np.array([1.0, 0, 0]), normal)
+            pose = Pose(rotation, np.array([0.0, 0.0, radius]) + (face_h - radius) * normal)
+            pressures = probe(scene, pose)
+            assert pressures.tobytes() == all_taxel_pressures(scene, pose).tobytes()
+            assert np.allclose(pressures, ridge_oracle(radius, face_h), atol=1e-6)
+            got.setdefault(id(scene), []).append(pressures.tobytes())
+        assert all(a == b for a, b in got.values())
 
 
 def per_sample_cable_z(scene):
@@ -286,15 +284,26 @@ class TestRenderOracles:
         assert saw_nan
 
 
+def ridge_oracle(radius, face_h):
+    """Pressures of a level pad face_h above the plane, its x across a straight cable."""
+    rho = np.abs(TactilePad().taxel_centers()[:, 0].reshape(6, 2))
+    surf = np.where(
+        rho <= radius, radius + np.sqrt(np.maximum(radius**2 - rho**2, 0)), -np.inf
+    )
+    return PRESSURE_GAIN * np.maximum(surf - face_h, 0.0)
+
+
 def all_taxel_pressures(scene, pose):
-    """Every taxel against every cable, with the noise draw probe uses."""
+    """Every taxel against every cable, with the noise draw probe uses; each
+    cable's plan on the scene's plane is built here, per call."""
     plane = scene.support_plane
     centers = pose.transform(scene.pad.taxel_centers())
     face_height = plane.signed_distance(centers)
     penetration = -face_height
     uv = plane.to_plane_coords(centers)
     for cable in scene.cables:
-        rho = cable.plan_distance(plane, uv)
+        plan = plane.to_plane_coords(cable.dense_samples)
+        rho = _point_to_polyline(uv, plan, cKDTree(plan))
         under = rho <= cable.radius
         surf = cable.radius + np.sqrt(
             np.maximum(cable.radius**2 - rho[under] ** 2, 0.0)
@@ -335,9 +344,10 @@ class TestProbeShortcut:
             for h in heights:
                 for x in (0.0, 0.0025, 0.0013):
                     pose = Pose(rotation, np.array([0.01, x, h]))
-                    hit, tmap = probe(scene, pose, EPS)
+                    pressures = probe(scene, pose)
                     expected = all_taxel_pressures(scene, pose)
-                    assert tmap.pressures.tobytes() == expected.tobytes()
+                    assert pressures.tobytes() == expected.tobytes()
+                    hit = (pressures > EPS).any()
                     touched += hit
                     untouched += not hit
         assert touched and untouched
@@ -376,9 +386,10 @@ class TestProbeShortcut:
             target = plane.from_plane_coords(uv)[0] + rng.uniform(1.0, 2.0) * radius * plane.normal
             pose = Pose(rotation, target - low)
             for scene in scenes:
-                hit, tmap = probe(scene, pose, EPS)
+                pressures = probe(scene, pose)
                 expected = all_taxel_pressures(scene, pose)
-                assert tmap.pressures.tobytes() == expected.tobytes()
+                assert pressures.tobytes() == expected.tobytes()
+                hit = (pressures > EPS).any()
             face = plane.signed_distance(pose.transform(scene.pad.taxel_centers()))
             single += hit and (face <= 2 * radius).sum() == 1
         assert single >= 20
@@ -401,11 +412,13 @@ class TestTaxelGrid:
 
 
 class TestMapCentroid:
+    """The pressure-weighted taxel centroid the walk takes of a touch."""
+
     def test_single_active_taxel(self):
         pose = face_down_pose([0.0, 0.0, 0.001])
         pressures = np.zeros((6, 2))
         pressures[1, 0] = 2.5
-        centroid = map_centroid(TactileMap(pressures, pose), PLANE, TactilePad())
+        centroid = _centroid(pressures, pose, PLANE, TactilePad())
         taxel_world = pose.transform(TactilePad().taxel_centers())[2]  # (1, 0)
         assert np.allclose(centroid[:2], taxel_world[:2], atol=1e-12)
         assert abs(centroid[2]) < 1e-12
@@ -415,7 +428,7 @@ class TestMapCentroid:
         pressures = np.zeros((6, 2))
         pressures[0, 0] = 1.0
         pressures[5, 1] = 1.0
-        centroid = map_centroid(TactileMap(pressures, pose), PLANE, TactilePad())
+        centroid = _centroid(pressures, pose, PLANE, TactilePad())
         centers = pose.transform(TactilePad().taxel_centers())
         mid = 0.5 * (centers[0] + centers[11])
         assert np.allclose(centroid[:2], mid[:2], atol=1e-12)
@@ -427,15 +440,9 @@ class TestMapCentroid:
         # pad offset laterally; centroid must stay within half a pitch of
         # the true centerline
         pose = face_down_pose([0.0, 0.002, 2 * radius - 0.002])
-        _, tmap = probe(scene, pose, EPS)
-        centroid = map_centroid(tmap, PLANE, TactilePad())
+        centroid = _centroid(probe(scene, pose), pose, PLANE, TactilePad())
         assert abs(centroid[1]) <= TactilePad().pitch / 2
         assert abs(PLANE.signed_distance(centroid)[0]) < 1e-9
-
-    def test_zero_map_rejected(self):
-        pose = face_down_pose([0.0, 0.0, 0.01])
-        with pytest.raises(EmptyContactError):
-            map_centroid(TactileMap(np.zeros((6, 2)), pose), PLANE, TactilePad())
 
 
 class TestScenarioFiles:
