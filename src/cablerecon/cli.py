@@ -14,13 +14,13 @@ from pathlib import Path
 
 from . import pipeline, scenarios
 from .errors import ProbeBudgetError
-from .geom import checked_number
+from .geom import checked
 
 
 def _seed_from(args) -> int | None:
     """The --seed or DLO_SEED override, checked before any file is written; None if unset."""
     if args.seed is not None:
-        return checked_number(args.seed, "int >= 0", "--seed")
+        return checked(args.seed, "an integer >= 0", "--seed")
     env = os.environ.get("DLO_SEED")
     if not env:
         return None
@@ -28,11 +28,11 @@ def _seed_from(args) -> int | None:
         value = int(env)
     except ValueError:
         value = env
-    return checked_number(value, "int >= 0", "DLO_SEED")
+    return checked(value, "an integer >= 0", "DLO_SEED")
 
 
 def cmd_gen_scene(args) -> int:
-    seed = 0 if args.seed is None else checked_number(args.seed, "int >= 0", "--seed")
+    seed = 0 if args.seed is None else checked(args.seed, "an integer >= 0", "--seed")
     try:
         doc = scenarios.make_template(args.template, seed=seed)
     except KeyError as exc:

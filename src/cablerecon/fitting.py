@@ -14,8 +14,8 @@ import numpy as np
 from scipy.interpolate import BSpline, make_interp_spline
 
 from .cloudproc import merge_close_points, voxel_downsample
-from .geom import ReconParams, checked_number
-from .yamlio import load_yaml, require_keys
+from .geom import ReconParams, checked, read
+from .yamlio import load_yaml
 
 
 @dataclass
@@ -31,6 +31,8 @@ class BSplineCurve:
         self.knots = np.asarray(self.knots, dtype=float)
         self.control_points = np.asarray(self.control_points, dtype=float)
         k, n = self.degree, len(self.control_points)
+        if n < k + 1:
+            raise ValueError("need at least degree+1 control points")
         if len(self.knots) != n + k + 1:
             raise ValueError("knot count must equal control points + degree + 1")
         if np.any(np.diff(self.knots) < 0):
@@ -139,8 +141,6 @@ def bspline_from_control_points(
 ) -> BSplineCurve:
     """Clamped spline shaped by a control polygon (no interpolation)."""
     ctrl = np.asarray(control_points, dtype=float).reshape(-1, 3)
-    if len(ctrl) < degree + 1:
-        raise ValueError("need at least degree+1 control points")
     interior = len(ctrl) - degree - 1
     knots = np.concatenate(
         [
@@ -164,13 +164,13 @@ def save_spline(path, curve: BSplineCurve) -> None:
 
 
 def load_spline(path) -> BSplineCurve:
-    keys = {"degree": int, "knots": list, "control_points": list}
-    doc = require_keys(load_yaml(path), keys, path)
-    return BSplineCurve(
-        degree=int(doc["degree"]),
-        knots=np.asarray(doc["knots"], dtype=float),
-        control_points=np.asarray(doc["control_points"], dtype=float),
-        sampling_count=checked_number(
-            doc.get("sampling_count", 200), "int >= 2", f"{path} sampling_count"
-        ),
-    )
+    """The spline file at `path`, each value checked by its rule; an error names the file."""
+    doc = checked(load_yaml(path), "a mapping", path)
+    degree = read(doc, "degree", path, "an integer > 0")
+    knots = read(doc, "knots", path, "a list of finite numbers")
+    control_points = read(doc, "control_points", path, "a list of points of 3 finite numbers")
+    count = read(doc, "sampling_count", path, "an integer >= 2", 200)
+    try:
+        return BSplineCurve(degree, knots, control_points, count)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

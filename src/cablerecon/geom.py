@@ -1,4 +1,4 @@
-"""Shared geometric primitives and frame conventions.
+"""Shared geometric primitives, frame conventions, and the rules of every value read.
 
 Base frame is right-handed and z-up; every cloud and pose in the package
 lives in this single frame. Rotation matrices use the column convention:
@@ -103,18 +103,7 @@ def frame_from_y_z(y_dir: np.ndarray, z_dir: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y, z])
 
 
-# rule -> (accepted numbers ABC, stored type, range test, what the error asks for)
-NUMBER_RULES = {
-    "int > 0": (numbers.Integral, int, lambda v: v > 0, "an integer > 0"),
-    "int >= 0": (numbers.Integral, int, lambda v: v >= 0, "an integer >= 0"),
-    "int >= 2": (numbers.Integral, int, lambda v: v >= 2, "an integer >= 2"),
-    "float > 0": (numbers.Real, float, lambda v: v > 0, "a finite number > 0"),
-    "float >= 0": (numbers.Real, float, lambda v: v >= 0, "a finite number >= 0"),
-    "float": (numbers.Real, float, lambda v: True, "a finite number"),
-}
-
-
-def finite_number(value, kind) -> bool:
+def _finite(value, kind=numbers.Real) -> bool:
     """True for a finite number of the `numbers` ABC `kind`, never for a bool."""
     if isinstance(value, bool) or not isinstance(value, kind):
         return False
@@ -122,18 +111,69 @@ def finite_number(value, kind) -> bool:
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
-def finite_triple(value) -> bool:
-    """True for a list, tuple or array of 3 finite numbers (no bools)."""
-    shaped = isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3
-    return shaped and all(finite_number(v, numbers.Real) for v in value)
+def _list_of(test, n=None, least=0):
+    """The test for a list, tuple or array of items that pass `test`: `n` or at least `least`."""
+    return lambda v: (isinstance(v, (list, tuple, np.ndarray)) and len(v) >= least
+                      and (n is None or len(v) == n) and all(map(test, v)))
 
 
-def checked_number(value, rule: str, name: str):
-    """`value` cast by a rule of NUMBER_RULES; a ValueError naming `name` if it breaks it."""
-    kind, cast, in_range, what = NUMBER_RULES[rule]
-    if not (finite_number(value, kind) and in_range(value)):
-        raise ValueError(f"{name} must be {what}, not {reprlib.repr(value)}")
+def _relative(path) -> bool:
+    """True for a string of '/'-joined path components, none empty, '.', '..' or with a NUL."""
+    return isinstance(path, str) and all(
+        part not in ("", ".", "..") and "\0" not in part for part in path.split("/"))
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+_triple = _list_of(_finite, 3)
+_SHALLOW = reprlib.Repr()
+_SHALLOW.maxlevel = 1  # an error shows a value's items, not theirs: never a whole document
+
+# every value read from a file, a flag or the environment passes one of these rules:
+# the text an error prints -> (the test, the cast of a value that passes it)
+RULES = {
+    "an integer > 0": (lambda v: _finite(v, numbers.Integral) and v > 0, int),
+    "an integer >= 0": (lambda v: _finite(v, numbers.Integral) and v >= 0, int),
+    "an integer >= 2": (lambda v: _finite(v, numbers.Integral) and v >= 2, int),
+    "a finite number > 0": (lambda v: _finite(v) and v > 0, float),
+    "a finite number >= 0": (lambda v: _finite(v) and v >= 0, float),
+    "a finite number": (_finite, float),
+    "3 finite numbers": (_triple, _floats),
+    # a normal, which normalize() takes if its norm reaches UNIT_TOL
+    "3 finite numbers, not all 0": (lambda v: _triple(v) and math.hypot(*v) >= UNIT_TOL, _floats),
+    "4 finite numbers": (_list_of(_finite, 4), _floats),
+    "a list of finite numbers": (_list_of(_finite), _floats),
+    "a list of points of 3 finite numbers": (_list_of(_triple), _floats),
+    # a clamped cubic needs at least 4 control points
+    "a list of at least 4 points of 3 finite numbers": (_list_of(_triple, least=4), _floats),
+    "a mapping": (lambda v: isinstance(v, dict), dict),
+    "a list of mappings": (_list_of(lambda x: isinstance(x, dict)), list),
+    "one path component": (lambda v: _relative(v) and "/" not in v, str),
+    "a mapping of relative paths": (lambda v: isinstance(v, dict) and all(map(_relative, v)), dict),
+}
+
+
+def checked(value, rule: str, name: str):
+    """`value` cast by RULES[rule]; a ValueError naming `name` if it breaks the rule."""
+    test, cast = RULES[rule]
+    if not test(value):
+        raise ValueError(f"{name} must be {rule}, not {_SHALLOW.repr(value)}")
     return cast(value)
+
+
+def read(mapping: dict, key, where, rule: str, default=None):
+    """mapping[key], or `default` if it is absent (None: the key is required), checked
+    and cast by `rule`; a ValueError begins with `where` and names the key."""
+    if key not in mapping and default is None:
+        raise ValueError(f"{where} is missing key {key!r}")
+    return checked(mapping.get(key, default), rule, f"{where} {key}")
+
+
+# the rule of each ReconParams field type
+_TYPE_RULES = {"int": "an integer > 0", "float": "a finite number > 0",
+               "tuple[float, float, float]": "3 finite numbers"}
 
 
 @dataclass
@@ -142,9 +182,10 @@ class ReconParams:
 
     The first seven follow the published defaults for cable reconstruction;
     the rest are implementation parameters of this artifact. Distances are
-    meters, angles degrees, pressures in simulated taxel units. Every scalar
-    must be finite and > 0, an integer where the field is one (a bool is
-    not); voxel_origin must be 3 finite numbers.
+    meters, angles degrees, pressures in simulated taxel units. Each field
+    is checked by the rule of its type in _TYPE_RULES: a scalar must be
+    finite and > 0, an integer where the field is one (a bool is not);
+    voxel_origin must be 3 finite numbers.
     """
 
     d_min: float = 0.0150       # stop distance to an endpoint
@@ -166,14 +207,9 @@ class ReconParams:
     voxel_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        origin = self.voxel_origin
-        if not finite_triple(origin):
-            raise ValueError(f"voxel_origin must be 3 finite numbers, not {origin!r}")
-        self.voxel_origin = tuple(map(float, origin))
         for f in fields(self):
-            if f.type in ("int", "float"):
-                value = checked_number(getattr(self, f.name), f"{f.type} > 0", f.name)
-                setattr(self, f.name, value)
+            setattr(self, f.name, checked(getattr(self, f.name), _TYPE_RULES[f.type], f.name))
+        self.voxel_origin = tuple(self.voxel_origin.tolist())  # Python floats, as typed
         ratio = 360.0 / self.theta_deg
         if self.max_rotation_attempts == round(ratio) and abs(
             ratio - round(ratio)

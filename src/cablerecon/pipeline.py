@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import numbers
-import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -24,8 +22,8 @@ import numpy as np
 from . import cloudproc, explore, fitting, imgproc, scenarios, topology, worldsim
 from .errors import EmptyInputError, ProbeBudgetError
 from .evaluation import curve_error, icp
-from .geom import ReconParams, finite_number, finite_triple
-from .yamlio import load_yaml, require_keys, save_yaml
+from .geom import ReconParams, checked, read
+from .yamlio import load_yaml, save_yaml
 
 EXIT_COMPLETE = 0
 EXIT_ERROR = 1
@@ -44,11 +42,11 @@ CANONICAL_CLOUDS = (
 
 MAX_PLANE_PIXELS = 20000
 
-# what eval and plot read from a finished run's manifest, and the type of each
-MANIFEST_KEYS = {"cables": list, "artifacts": dict, "plane": list}
-MANIFEST_CABLE_KEYS = {
-    "directory": str, "color": list, "final_segments": int, "final_endpoints": int,
-    "probes_used": int,
+# what eval and plot read of each cable of a finished run's manifest, and its rule
+CABLE_RULES = {
+    "directory": "one path component", "color": "3 finite numbers",
+    "final_segments": "an integer >= 0", "final_endpoints": "an integer >= 0",
+    "probes_used": "an integer >= 0",
 }
 
 
@@ -85,9 +83,7 @@ def _load_params(scenario_doc: dict, params_file=None) -> ReconParams:
         sources.append((f"params file {params_file}", load_yaml(params_file)))
     overrides = {}
     for where, doc in sources:
-        if not isinstance(doc, dict | None):
-            raise ValueError(f"{where} must be a mapping, not {type(doc).__name__}")
-        overrides.update(doc or {})
+        overrides.update(checked({} if doc is None else doc, "a mapping", where))
     unknown = sorted(map(str, set(overrides) - {f.name for f in fields(ReconParams)}))
     if unknown:
         raise ValueError(f"unknown reconstruction parameter(s): {', '.join(unknown)}")
@@ -255,27 +251,23 @@ def _write_manifest(out: Path, manifest: dict, plane, stats_list, exit_status, t
 
 
 def _read_manifest(run: Path) -> dict:
-    """The manifest of a finished run, with every key eval and plot read checked."""
+    """The manifest of a finished run; each value eval and plot read is checked, and
+    each cable holds its CABLE_RULES keys, cast."""
     path = run / "manifest.json"
     try:
-        doc = json.loads(path.read_text())
+        manifest = checked(json.loads(path.read_text()), "a mapping", path)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from None
-    manifest = require_keys(doc, {}, path)
     if "failure" in manifest:
-        raise ValueError(f"{run}: the run failed ({manifest['failure']['error']})")
-    require_keys(manifest, MANIFEST_KEYS, path)
-    for i, cable in enumerate(manifest["cables"]):
-        where = f"{path} cable {i}"
-        require_keys(cable, MANIFEST_CABLE_KEYS, where)
-        name, color = cable["directory"], cable["color"]
-        if "/" in name or "\0" in name or name in ("", ".", ".."):
-            raise ValueError(f"{where} directory must be one path component, not {name!r}")
-        if not finite_triple(color):
-            raise ValueError(f"{where} color must be 3 finite numbers, not {reprlib.repr(color)}")
-    plane = manifest["plane"]
-    if len(plane) != 4 or not all(finite_number(c, numbers.Real) for c in plane):
-        raise ValueError(f"{path} plane must be 4 finite numbers, not {reprlib.repr(plane)}")
+        failure = read(manifest, "failure", path, "a mapping")
+        raise ValueError(f"{run}: the run failed ({failure.get('error')})")
+    manifest["cables"] = [
+        {key: read(cable, key, f"{path} cable {i}", rule) for key, rule in CABLE_RULES.items()}
+        for i, cable in enumerate(read(manifest, "cables", path, "a list of mappings"))
+    ]
+    read(manifest, "artifacts", path, "a mapping of relative paths")
+    read(manifest, "plane", path, "4 finite numbers")
+    checked(manifest["plane"][:3], "3 finite numbers, not all 0", f"{path} plane normal")
     return manifest
 
 
@@ -283,12 +275,8 @@ def _reference_dense_clouds(reference) -> list[tuple[np.ndarray, np.ndarray]]:
     """(mean_color, dense cloud) pairs from a run dir or a scenario file."""
     ref = Path(reference)
     if ref.is_dir():
-        manifest = _read_manifest(ref)
-        out = []
-        for cable in manifest["cables"]:
-            cloud = cloudproc.load_ply(ref / cable["directory"] / "P_dense.ply")
-            out.append((np.asarray(cable["color"], dtype=float), cloud))
-        return out
+        return [(cable["color"], cloudproc.load_ply(ref / cable["directory"] / "P_dense.ply"))
+                for cable in _read_manifest(ref)["cables"]]
     _, scene = scenarios.load_scenario(ref)
     rendered = worldsim.render(scene)
     out = []
@@ -325,7 +313,7 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
         recon = cloudproc.load_ply(cable_dir / "P_interpolated.ply")
         if len(recon) == 0:
             raise EmptyInputError(f"{cable_dir}: empty interpolated cloud")
-        color = np.asarray(cable["color"], dtype=float)
+        color = cable["color"]
         ref_colors = np.array([c for c, _ in references])
         ref_idx = int(np.argmin(np.linalg.norm(ref_colors - color, axis=1)))
         target = references[ref_idx][1]
@@ -347,9 +335,9 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
                 "icp_iterations": int(reg.iterations),
                 "curve_mean_error": float(np.mean(means)) if means else None,
                 "curve_max_error": float(np.max(maxes)) if maxes else None,
-                "segment_count": int(cable["final_segments"]),
-                "endpoint_count": int(cable["final_endpoints"]),
-                "probe_count": int(cable["probes_used"]),
+                "segment_count": cable["final_segments"],
+                "endpoint_count": cable["final_endpoints"],
+                "probe_count": cable["probes_used"],
             }
         )
 

@@ -9,15 +9,12 @@ colored cables on a horizontal plane (cs2_*), each plain or occluded.
 
 from __future__ import annotations
 
-import reprlib
-
 import numpy as np
 
 from .cloudproc import PlaneModel
 from .fitting import bspline_from_control_points
 from .errors import DegenerateGeometryError
-from .geom import (NUMBER_RULES, UNIT_TOL, Pose, checked_number, finite_triple,
-                   frame_from_y_z, normalize)
+from .geom import UNIT_TOL, Pose, checked, frame_from_y_z, normalize, read
 from .imgproc import CameraIntrinsics
 from .worldsim import GroundTruthCable, WorldScene
 from .yamlio import load_yaml, save_yaml
@@ -39,42 +36,15 @@ def save_scenario(path, doc: dict) -> None:
     save_yaml(path, doc)
 
 
-_TRIPLE = "3 finite numbers"
-_POINTS = "a list of at least 4 points of 3 finite numbers"
-
-# rule -> test, for the values that are not single numbers
-_SHAPES = {
-    "a mapping": lambda v: isinstance(v, dict),
-    "a list of mappings": lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
-    _TRIPLE: finite_triple,
-    # a clamped cubic needs at least 4 control points
-    _POINTS: lambda v: isinstance(v, list) and len(v) >= 4 and all(map(finite_triple, v)),
-}
-
-
-def _get(mapping: dict, key: str, where: str, rule: str, default=None):
-    """mapping[key], or `default` if absent (None: required), checked and cast by `rule`,
-    one of geom.NUMBER_RULES or _SHAPES. A ValueError names the key."""
-    if key not in mapping and default is None:
-        raise ValueError(f"{where} is missing required key {key!r}")
-    value = mapping.get(key, default)
-    if rule in NUMBER_RULES:
-        return checked_number(value, rule, f"{where} {key}")
-    if not _SHAPES[rule](value):
-        raise ValueError(f"{where} {key} must be {rule}, not {reprlib.repr(value)}")
-    # numeric shapes become float arrays; mappings and lists stay as read
-    return np.asarray(value, dtype=float) if rule in (_TRIPLE, _POINTS) else value
-
-
 def load_scenario(path, seed: int | None = None) -> tuple[dict, WorldScene]:
     """The scenario at `path`, its seed replaced by `seed` if given, and its scene."""
-    doc = load_yaml(path)
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if not (type(version) is int and version == SCHEMA_VERSION):
-        raise ValueError(f"unsupported scenario schema_version: {version!r}")
+    where = f"scenario {path}"
+    doc = checked(load_yaml(path), "a mapping", where)
+    if read(doc, "schema_version", where, "an integer > 0") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported scenario schema_version: {doc['schema_version']!r}")
     if seed is not None:
         doc["seed"] = seed
-    return doc, build_scene(doc, f"scenario {path}")
+    return doc, build_scene(doc, where)
 
 
 def build_scene(doc: dict, where: str) -> WorldScene:
@@ -84,27 +54,25 @@ def build_scene(doc: dict, where: str) -> WorldScene:
     by one radius along its normal, which pins every centerline exactly one
     radius above the support surface.
     """
-    plane_doc = _get(doc, "plane", where, "a mapping")
-    point = _get(plane_doc, "point", f"{where} plane", _TRIPLE)
-    normal = _get(plane_doc, "normal", f"{where} plane", _TRIPLE)
-    if np.linalg.norm(normal) < UNIT_TOL:
-        raise ValueError(f"{where} plane normal must not be zero")
-    cam_doc = _get(doc, "camera", where, "a mapping")
+    plane_doc = read(doc, "plane", where, "a mapping")
+    point = read(plane_doc, "point", f"{where} plane", "3 finite numbers")
+    normal = read(plane_doc, "normal", f"{where} plane", "3 finite numbers, not all 0")
+    cam_doc = read(doc, "camera", where, "a mapping")
     cam = f"{where} camera"
-    cam_pos = _get(cam_doc, "position", cam, _TRIPLE)
-    look_dir = _get(cam_doc, "look_at", cam, _TRIPLE) - cam_pos
+    cam_pos = read(cam_doc, "position", cam, "3 finite numbers")
+    look_dir = read(cam_doc, "look_at", cam, "3 finite numbers") - cam_pos
     if np.linalg.norm(look_dir) < UNIT_TOL:
         raise ValueError(f"{cam} look_at must differ from its position")
-    up_hint = _get(cam_doc, "up_hint", cam, _TRIPLE, [0.0, 1.0, 0.0])
+    up_hint = read(cam_doc, "up_hint", cam, "3 finite numbers", [0.0, 1.0, 0.0])
     try:
         rotation = frame_from_y_z(-up_hint, look_dir)
     except DegenerateGeometryError:
         raise ValueError(f"{cam} up_hint must not be zero or within 1 degree of the view") from None
     intr = CameraIntrinsics(
-        fx=_get(cam_doc, "fx", cam, "float > 0"),
-        fy=_get(cam_doc, "fy", cam, "float > 0"),
-        cx=_get(cam_doc, "cx", cam, "float"),
-        cy=_get(cam_doc, "cy", cam, "float"),
+        fx=read(cam_doc, "fx", cam, "a finite number > 0"),
+        fy=read(cam_doc, "fy", cam, "a finite number > 0"),
+        cx=read(cam_doc, "cx", cam, "a finite number"),
+        cy=read(cam_doc, "cy", cam, "a finite number"),
         pose=Pose(rotation, cam_pos),
     )
 
@@ -114,23 +82,24 @@ def build_scene(doc: dict, where: str) -> WorldScene:
     plane = PlaneModel(np.append(normal, -np.dot(normal, point)))
 
     cables = []
-    for i, cable_doc in enumerate(_get(doc, "cables", where, "a list of mappings")):
+    for i, cable_doc in enumerate(read(doc, "cables", where, "a list of mappings")):
         at = f"{where} cable {i}"
-        radius = _get(cable_doc, "radius", at, "float > 0")
-        ctrl = _get(cable_doc, "control_points", at, _POINTS)
+        radius = read(cable_doc, "radius", at, "a finite number > 0")
+        ctrl = read(cable_doc, "control_points", at,
+                    "a list of at least 4 points of 3 finite numbers")
         on_plane = ctrl - plane.signed_distance(ctrl)[:, None] * plane.normal
         cables.append(
             GroundTruthCable(
                 centerline=bspline_from_control_points(on_plane + radius * plane.normal),
                 radius=radius,
-                color=_get(cable_doc, "color", at, _TRIPLE),
+                color=read(cable_doc, "color", at, "3 finite numbers"),
             )
         )
 
     occluders = [
-        (_get(box, "min", f"{where} occluder {i}", _TRIPLE),
-         _get(box, "max", f"{where} occluder {i}", _TRIPLE))
-        for i, box in enumerate(_get(doc, "occluders", where, "a list of mappings", []))
+        (read(box, "min", f"{where} occluder {i}", "3 finite numbers"),
+         read(box, "max", f"{where} occluder {i}", "3 finite numbers"))
+        for i, box in enumerate(read(doc, "occluders", where, "a list of mappings", []))
     ]
 
     return WorldScene(
@@ -138,10 +107,10 @@ def build_scene(doc: dict, where: str) -> WorldScene:
         cables=cables,
         occluders=occluders,
         camera=intr,
-        width=_get(cam_doc, "width", cam, "int > 0"),
-        height=_get(cam_doc, "height", cam, "int > 0"),
-        seed=_get(doc, "seed", where, "int >= 0", 0),
-        pressure_noise_sigma=_get(doc, "pressure_noise_sigma", where, "float >= 0", 0.0),
+        width=read(cam_doc, "width", cam, "an integer > 0"),
+        height=read(cam_doc, "height", cam, "an integer > 0"),
+        seed=read(doc, "seed", where, "an integer >= 0", 0),
+        pressure_noise_sigma=read(doc, "pressure_noise_sigma", where, "a finite number >= 0", 0.0),
     )
 
 

@@ -20,19 +20,5 @@ def load_yaml(path):
         raise ValueError(f"invalid YAML in {where}: {problem}") from None
 
 
-def require_keys(doc, kinds: dict, where):
-    """`doc`, if it is a mapping whose value at each key of `kinds` has that key's type;
-    otherwise a ValueError naming `where` and the key."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a mapping, not {type(doc).__name__}")
-    for key, kind in kinds.items():
-        if key not in doc:
-            raise ValueError(f"{where} is missing key {key!r}")
-        if not isinstance(doc[key], kind):
-            found = type(doc[key]).__name__
-            raise ValueError(f"{where} {key} must be a {kind.__name__}, not {found}")
-    return doc
-
-
 def save_yaml(path, doc) -> None:
     Path(path).write_text(yaml.dump(doc, Dumper=DUMPER, sort_keys=False))

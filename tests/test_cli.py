@@ -142,11 +142,17 @@ class TestRun:
         assert np.allclose(heights, radius, atol=2e-4)
 
 
-def manifest_text(plane=(0.0, 0.0, 1.0, 0.0), **cable):
-    """A finished run's manifest with one cable, holding `plane` and `cable`'s values."""
+def manifest_text(plane=(0.0, 0.0, 1.0, 0.0), artifacts=None, **cable):
+    """A finished run's manifest with one cable, holding `plane`, `artifacts` and `cable`'s
+    values."""
     keys = {"directory": "cable_00", "color": [30.0, 30.0, 30.0], "final_segments": 1,
             "final_endpoints": 2, "probes_used": 0}
-    return json.dumps({"cables": [{**keys, **cable}], "artifacts": {}, "plane": list(plane)})
+    return json.dumps({"cables": [{**keys, **cable}], "artifacts": artifacts or {},
+                       "plane": list(plane)})
+
+
+# a valid spline file: the polyline from the origin to (1, 0, 0)
+SPLINE = "degree: 1\nknots: [0, 0, 1, 1]\ncontrol_points: [[0, 0, 0], [1, 0, 0]]\n"
 
 
 class TestCleanErrors:
@@ -191,7 +197,7 @@ class TestCleanErrors:
         scenarios.save_scenario(path, doc)
         assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
-        assert err == "error: scenario params must be a mapping, not list\n"
+        assert err == "error: scenario params must be a mapping, not [1, 2]\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -212,6 +218,22 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(drop[-1]) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[1, 2]\n", "must be a mapping, not [1, 2]"),
+            ("plane: {}\n", "is missing key 'schema_version'"),
+            ("schema_version: true\n", "schema_version must be an integer > 0, not True"),
+        ],
+        ids=["list_document", "no_schema_version", "bool_schema_version"],
+    )
+    def test_scenario_document_is_read_by_the_rules(self, tmp_path, capsys, body, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(body)
+        assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: scenario {path} {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_cable_missing_its_radius_is_one_error_line(self, tmp_path, capsys):
@@ -362,16 +384,16 @@ class TestCleanErrors:
         "command, damaged, text, named",
         [
             ("eval", "manifest.json", "{}", "manifest.json is missing key 'cables'"),
-            ("plot", "manifest.json", "[]", "manifest.json must be a mapping, not list"),
+            ("plot", "manifest.json", "[]", "manifest.json must be a mapping, not []"),
             ("plot", "manifest.json", "{", "manifest.json: Expecting property name"),
             ("eval", "manifest.json", '{"cables": [], "artifacts": {}, "plane": null}',
-             "manifest.json plane must be a list, not NoneType"),
+             "manifest.json plane must be 4 finite numbers, not None"),
             ("plot", "manifest.json", '{"cables": [{}], "artifacts": {}, "plane": []}',
              "manifest.json cable 0 is missing key 'directory'"),
             ("eval", "cable_00/spline_seg00.yaml", "degree: 3\n",
              "cable_00/spline_seg00.yaml is missing key 'knots'"),
             ("eval", "cable_00/spline_seg00.yaml", "[3]\n",
-             "cable_00/spline_seg00.yaml must be a mapping, not list"),
+             "cable_00/spline_seg00.yaml must be a mapping, not [3]"),
             ("eval", "cable_00/spline_seg00.yaml",
              "degree: 1\nknots: [0, 0, 1, 1]\ncontrol_points: [[0, 0, 0], [1, 0, 0]]\n"
              "sampling_count: [5]\n",
@@ -398,6 +420,43 @@ class TestCleanErrors:
              "manifest.json cable 0 color must be 3 finite numbers, not []"),
             ("eval", "manifest.json", manifest_text(color=["x", 1, 2]),
              "manifest.json cable 0 color must be 3 finite numbers, not ['x', 1, 2]"),
+            ("plot", "manifest.json", manifest_text(plane=[0, 0, 0, 1]),
+             "manifest.json plane normal must be 3 finite numbers, not all 0, not [0, 0, 0]"),
+            ("eval", "manifest.json", manifest_text(artifacts={"cable_00/spline_seg../../x": "0"}),
+             "manifest.json artifacts must be a mapping of relative paths, not "),
+            ("eval", "manifest.json", manifest_text(artifacts={"/tmp/spline_seg00.yaml": "0"}),
+             "manifest.json artifacts must be a mapping of relative paths, not "),
+            ("eval", "manifest.json", manifest_text(artifacts={"cable_00//spline_seg00.yaml": "0"}),
+             "manifest.json artifacts must be a mapping of relative paths, not "),
+            ("eval", "manifest.json", manifest_text(artifacts={"./cable_00/spline_seg00.yaml": "0"}),
+             "manifest.json artifacts must be a mapping of relative paths, not "),
+            ("eval", "manifest.json", manifest_text(final_segments=-3),
+             "manifest.json cable 0 final_segments must be an integer >= 0, not -3"),
+            ("eval", "manifest.json", manifest_text(final_endpoints=2.0),
+             "manifest.json cable 0 final_endpoints must be an integer >= 0, not 2.0"),
+            ("eval", "manifest.json", manifest_text(probes_used=True),
+             "manifest.json cable 0 probes_used must be an integer >= 0, not True"),
+            ("eval", "manifest.json", '{"failure": "x"}',
+             "manifest.json failure must be a mapping, not 'x'"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("degree: 1", "degree: true"),
+             "cable_00/spline_seg00.yaml degree must be an integer > 0, not True"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("degree: 1", "degree: -1"),
+             "cable_00/spline_seg00.yaml degree must be an integer > 0, not -1"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("[0, 0, 1, 1]", "[a, 0, 1, 1]"),
+             "cable_00/spline_seg00.yaml knots must be a list of finite numbers, not ['a', 0, 1, 1]"),
+            ("eval", "cable_00/spline_seg00.yaml",
+             SPLINE.replace("[[0, 0, 0], [1, 0, 0]]", "[[0, 0], [1, 0]]"),
+             "cable_00/spline_seg00.yaml control_points must be a list of points of 3 finite "
+             "numbers, not [[...], [...]]"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("[0, 0, 1, 1]", "[0, 1, 1]"),
+             "cable_00/spline_seg00.yaml: knot count must equal control points + degree + 1"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("[0, 0, 1, 1]", "[0, 0, 1, 0.5]"),
+             "cable_00/spline_seg00.yaml: knots must be nondecreasing"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("[0, 0, 1, 1]", "[0, 0.5, 1, 1]"),
+             "cable_00/spline_seg00.yaml: end knots must be clamped to multiplicity degree+1"),
+            ("eval", "cable_00/spline_seg00.yaml",
+             SPLINE.replace("degree: 1", "degree: 2").replace("[0, 0, 1, 1]", "[0, 0, 0, 1, 1]"),
+             "cable_00/spline_seg00.yaml: need at least degree+1 control points"),
         ],
         ids=["eval_empty_manifest", "plot_list_manifest", "plot_truncated_manifest",
              "eval_null_plane", "plot_cable_without_directory", "eval_spline_without_knots",
@@ -405,7 +464,13 @@ class TestCleanErrors:
              "eval_text_timing", "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
              "plot_sorted_header_only", "plot_directory_outside_the_run",
              "eval_directory_outside_the_run", "plot_directory_with_nul", "plot_two_number_plane",
-             "eval_empty_color", "eval_text_color"],
+             "eval_empty_color", "eval_text_color", "plot_zero_normal_plane",
+             "eval_spline_key_outside_the_cable", "eval_absolute_artifact",
+             "eval_artifact_with_empty_component", "eval_artifact_with_dot_component",
+             "eval_negative_segments", "eval_fractional_endpoints", "eval_bool_probes",
+             "eval_text_failure", "eval_bool_degree", "eval_negative_degree", "eval_text_knot",
+             "eval_two_number_control_points", "eval_short_knots", "eval_decreasing_knots",
+             "eval_unclamped_knots", "eval_too_few_control_points"],
     )
     def test_damaged_run_directory_is_one_error_line(
         self, template_runs, tmp_path, capsys, command, damaged, text, named

@@ -6,9 +6,12 @@ from hypothesis import given, strategies as st
 
 from cablerecon.errors import DegenerateGeometryError
 from cablerecon.geom import (
+    RULES,
     ReconParams,
+    checked,
     frame_from_y_z,
     is_rotation,
+    read,
     rotation_about_axis,
 )
 
@@ -151,6 +154,75 @@ class TestReconParams:
         p = ReconParams(voxel_origin=np.array([1, 2, 3]))
         assert p.voxel_origin == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in p.voxel_origin)
+
+
+class TestRules:
+    # the rules an empty list or an empty mapping passes
+    TAKE_EMPTY = {
+        "a list of finite numbers": [], "a list of points of 3 finite numbers": [],
+        "a list of mappings": [], "a mapping": {}, "a mapping of relative paths": {},
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("value", [True, None, "", [], {}])
+    def test_no_rule_takes_a_bool_none_or_an_empty_value(self, rule, value):
+        if rule in self.TAKE_EMPTY and type(value) is type(self.TAKE_EMPTY[rule]):
+            assert len(checked(value, rule, "x")) == 0
+            return
+        with pytest.raises(ValueError, match=r"^x must be "):
+            checked(value, rule, "x")
+
+    def test_the_error_prints_the_rule_and_a_shallow_value(self):
+        with pytest.raises(ValueError) as err:
+            checked([{"d_min": 0.02}], "a mapping", "params file p.yaml")
+        assert str(err.value) == "params file p.yaml must be a mapping, not [{...}]"
+
+    def test_read_names_a_missing_key_and_takes_a_default(self):
+        with pytest.raises(ValueError) as err:
+            read({}, "seed", "scenario s.yaml", "an integer >= 0")
+        assert str(err.value) == "scenario s.yaml is missing key 'seed'"
+        assert read({}, "seed", "s", "an integer >= 0", 0) == 0
+        with pytest.raises(ValueError, match="^s seed must be an integer >= 0, not 1.5$"):
+            read({"seed": 1.5}, "seed", "s", "an integer >= 0", 0)
+
+    @pytest.mark.parametrize(
+        "value, rule, cast",
+        [
+            (np.int64(3), "an integer > 0", 3),
+            (7, "a finite number >= 0", 7.0),
+            ([1, 2, 3], "3 finite numbers", np.array([1.0, 2.0, 3.0])),
+            ([[0, 0, 1]] * 4, "a list of at least 4 points of 3 finite numbers",
+             np.array([[0.0, 0.0, 1.0]] * 4)),
+        ],
+    )
+    def test_a_value_that_passes_is_cast(self, value, rule, cast):
+        out = checked(value, rule, "x")
+        assert type(out) is type(cast) and np.array_equal(out, cast)
+
+    @pytest.mark.parametrize("path", ["cable_00", "images/color.ppm", "cable_00/spline_seg..x"])
+    def test_relative_paths_pass(self, path):
+        assert checked({path: "0"}, "a mapping of relative paths", "x") == {path: "0"}
+
+    @pytest.mark.parametrize(
+        "path",
+        ["/abs", "a//b", "a/", "./a", "a/./b", "../a", "cable_00/spline_seg../../x", "a\0b", 3],
+    )
+    def test_escaping_or_empty_paths_fail(self, path):
+        with pytest.raises(ValueError, match="^x must be a mapping of relative paths"):
+            checked({path: "0"}, "a mapping of relative paths", "x")
+
+    @pytest.mark.parametrize("name", ["cable_00", "a.b", "..."])
+    def test_one_path_component(self, name):
+        assert checked(name, "one path component", "x") == name
+        for bad in (f"{name}/x", f"x/{name}", "", ".", ".."):
+            with pytest.raises(ValueError, match="one path component"):
+                checked(bad, "one path component", "x")
+
+    @pytest.mark.parametrize("normal", [[0, 0, 0], [1e-10, 0, 0], [0, 0, 1, 0], [0, 0, True]])
+    def test_a_normal_is_three_numbers_not_all_zero(self, normal):
+        with pytest.raises(ValueError, match="not all 0"):
+            checked(normal, "3 finite numbers, not all 0", "x")
+        assert checked([0, 0, 2], "3 finite numbers, not all 0", "x").tolist() == [0.0, 0.0, 2.0]
 
 
 def _allclose_ref(m, tol):
