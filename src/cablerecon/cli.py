@@ -56,11 +56,11 @@ def cmd_run(args) -> int:
     except ProbeBudgetError as exc:
         print(f"error: probe budget exhausted: {exc}", file=sys.stderr)
         return pipeline.EXIT_BUDGET
-    for stats in result.stats:
-        state = "complete" if stats.complete else "partial"
+    for cable in result.manifest["cables"]:
+        state = "complete" if cable["complete"] else "partial"
         print(
-            f"{stats.directory}: {state}, {stats.final_segments} segment(s), "
-            f"{stats.tactile_points} tactile points, {stats.probes_used} probes"
+            f"{cable['directory']}: {state}, {cable['final_segments']} segment(s), "
+            f"{cable['tactile_points']} tactile points, {cable['probes_used']} probes"
         )
     print(result.out_dir)
     return result.exit_status

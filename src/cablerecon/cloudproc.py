@@ -92,25 +92,24 @@ def _plane_through(p0, p1, p2) -> np.ndarray | None:
 
 def ransac_plane(
     cloud: np.ndarray,
+    orient_toward: np.ndarray,
+    seed: int,
     inlier_tol: float = RANSAC_INLIER_TOL,
-    max_iters: int = RANSAC_MAX_ITERS,
-    seed: int = 0,
-    orient_toward: np.ndarray | None = None,
 ) -> PlaneModel:
-    """Best plane by inlier count over seeded 3-point hypotheses, stopping at
-    the first one every point supports (only a larger count could replace it).
+    """Best plane by inlier count over RANSAC_MAX_ITERS seeded 3-point hypotheses,
+    stopping at the first one every point supports (only a larger count could
+    replace it).
 
     The winning consensus set is refit by least squares (centroid plus the
-    smallest covariance eigenvector). `orient_toward` flips the normal so it
-    points at that position (the camera); without it the normal takes
-    positive z, breaking ties toward +y then +x.
+    smallest covariance eigenvector), and the normal is flipped to point at
+    `orient_toward` (the camera).
     """
     pts = as_cloud(cloud)
     if len(pts) < 3:
         raise DegenerateGeometryError("plane fit needs at least 3 points")
     rng = np.random.default_rng(seed)
     best = None  # (inlier_count, hypothesis_index, coeffs)
-    for it in range(max_iters):
+    for it in range(RANSAC_MAX_ITERS):
         idx = rng.choice(len(pts), size=3, replace=False)
         coeffs = _plane_through(*pts[idx])
         if coeffs is None:
@@ -131,14 +130,8 @@ def ransac_plane(
     normal = eigvecs[:, 0]
     coeffs = np.append(normal, -np.dot(normal, centroid))
 
-    if orient_toward is not None:
-        toward = np.asarray(orient_toward, dtype=float)
-        if np.dot(coeffs[:3], toward) + coeffs[3] < 0:
-            coeffs = -coeffs
-    else:
-        n = coeffs[:3]
-        if n[2] < 0 or (n[2] == 0 and (n[1] < 0 or (n[1] == 0 and n[0] < 0))):
-            coeffs = -coeffs
+    if np.dot(coeffs[:3], np.asarray(orient_toward, dtype=float)) + coeffs[3] < 0:
+        coeffs = -coeffs
     return PlaneModel(coeffs, inlier_count=int(best[0]))
 
 

@@ -14,6 +14,7 @@ from .worldsim import GroundTruthCable
 
 ICP_MAX_ITERS = 60
 ICP_TOL = 1e-10
+CURVE_SAMPLES = 200
 
 
 @dataclass
@@ -24,9 +25,6 @@ class RegistrationResult:
     iterations: int
     converged: bool
     rmse_history: list[float] = field(default_factory=list)
-
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
 def _best_rigid(source: np.ndarray, target: np.ndarray):
@@ -41,17 +39,12 @@ def _best_rigid(source: np.ndarray, target: np.ndarray):
     return r, t
 
 
-def icp(
-    source: np.ndarray,
-    target: np.ndarray,
-    max_iters: int = ICP_MAX_ITERS,
-    tol: float = ICP_TOL,
-) -> RegistrationResult:
+def icp(source: np.ndarray, target: np.ndarray) -> RegistrationResult:
     """Point-to-point ICP aligning `source` onto `target`.
 
     Alternates nearest-neighbor correspondence with the SVD-optimal rigid
     update (reflection-corrected) until the RMSE improvement drops below
-    `tol` or `max_iters` passes. The per-iteration RMSE sequence is
+    ICP_TOL or ICP_MAX_ITERS passes. The per-iteration RMSE sequence is
     non-increasing and returned for inspection.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 3)
@@ -67,12 +60,12 @@ def icp(
     history: list[float] = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, ICP_MAX_ITERS + 1):
         moved = src @ rot.T + trans
         dist, idx = tree.query(moved)
         rmse = float(np.sqrt(np.mean(dist**2)))
         history.append(rmse)
-        if rmse < tol or (len(history) >= 2 and abs(history[-2] - rmse) < tol):
+        if rmse < ICP_TOL or (len(history) >= 2 and abs(history[-2] - rmse) < ICP_TOL):
             converged = True
             break
         r_step, t_step = _best_rigid(moved, tgt[idx])
@@ -89,12 +82,8 @@ def icp(
     )
 
 
-def curve_error(
-    curve: BSplineCurve, truth: GroundTruthCable, n: int = 200
-) -> tuple[float, float]:
-    """Mean and max distance from curve samples to the truth centerline."""
-    if n < 10:
-        raise ValueError("need at least 10 samples for a stable error")
-    samples = sample_curve(curve, n)
+def curve_error(curve: BSplineCurve, truth: GroundTruthCable) -> tuple[float, float]:
+    """Mean and max distance from CURVE_SAMPLES curve samples to the truth centerline."""
+    samples = sample_curve(curve, CURVE_SAMPLES)
     d = truth.distance_to_centerline(samples)
     return float(d.mean()), float(d.max())

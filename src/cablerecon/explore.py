@@ -30,7 +30,7 @@ from .cloudproc import PlaneModel, project_to_plane
 from .errors import DescentOverrunError, ProbeBudgetError
 from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from .topology import SortedPolyline
-from .worldsim import PAD_SHAPE, TactilePad
+from .worldsim import PAD_PITCH, PAD_SHAPE, TAXELS
 
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
 POSE_COLUMNS = tuple("r00 r01 r02 r10 r11 r12 r20 r21 r22 tx ty tz".split())
@@ -40,19 +40,19 @@ TRACE_COLUMNS = (
 _POSE_FORMAT = ",".join(["%.9g"] * len(POSE_COLUMNS))
 
 
-def indicator(pressures: np.ndarray, pitch: float) -> float:
+def indicator(pressures: np.ndarray) -> float:
     """Frobenius norm of the 6x2 matrix of per-taxel Hessian norms.
 
     The map is padded to 8x4 by edge replication (the 2-wide axis has no
     interior for a central difference), then every original cell gets a 2x2
-    finite-difference Hessian with grid step `pitch`. Flat uniform contact
+    finite-difference Hessian with grid step PAD_PITCH. Flat uniform contact
     gives exactly 0; a cable ridge concentrates pressure and scores high.
     """
     p = np.asarray(pressures, dtype=float)
     if p.shape != PAD_SHAPE:
         raise ValueError("indicator expects a 6x2 map")
     padded = np.pad(p, 1, mode="edge")
-    h2 = pitch * pitch
+    h2 = PAD_PITCH * PAD_PITCH
     center = padded[1:-1, 1:-1]
     hxx = (padded[2:, 1:-1] - 2.0 * center + padded[:-2, 1:-1]) / h2
     hyy = (padded[1:-1, 2:] - 2.0 * center + padded[1:-1, :-2]) / h2
@@ -63,11 +63,11 @@ def indicator(pressures: np.ndarray, pitch: float) -> float:
     return float(np.linalg.norm(norms))
 
 
-def _centroid(pressures: np.ndarray, pose: Pose, plane: PlaneModel, pad: TactilePad) -> np.ndarray:
+def _centroid(pressures: np.ndarray, pose: Pose, plane: PlaneModel) -> np.ndarray:
     """Pressure-weighted mean of the taxel positions, on the plane; taken
     only after a touch, when some weight is above eps_contact > 0."""
     weights = pressures.ravel()
-    centers = pose.transform(pad.taxel_centers())
+    centers = pose.transform(TAXELS)
     centroid = (centers * weights[:, None]).sum(axis=0) / weights.sum()
     return project_to_plane(centroid, plane)[0]
 
@@ -162,7 +162,6 @@ def explore_from_endpoints(
     probe_fn,
     params: ReconParams,
     *,
-    pad: TactilePad,
     top: float,
 ) -> ExplorationResult:
     """Run the per-endpoint exploration walks and collect tactile points.
@@ -195,8 +194,8 @@ def explore_from_endpoints(
         while attempts < params.max_rotation_attempts:
             target = last + params.delta_y * rotation[:, 1]
             pose, pressures = _descend(probe_fn, rotation, target, plane, params, tracer, eid, top)
-            ind = indicator(pressures, pad.pitch)
-            p_new = _centroid(pressures, pose, plane, pad) if ind > params.t_h else None
+            ind = indicator(pressures)
+            p_new = _centroid(pressures, pose, plane) if ind > params.t_h else None
             accepted = p_new is not None and not np.linalg.norm(p_new - last) < 1e-12
             tracer.log(eid, pose, True, ind, accepted, p_new if accepted else None)
             if not accepted:  # flat, or no advance: turn and retry from the same point

@@ -17,6 +17,8 @@ from .cloudproc import merge_close_points, voxel_downsample
 from .geom import ReconParams, checked, read
 from .yamlio import load_yaml
 
+DEGREE = 3  # cubic: the ground-truth centerlines and the fitted models
+
 
 @dataclass
 class BSplineCurve:
@@ -101,11 +103,11 @@ def _polyline_curve(points: np.ndarray, params: np.ndarray) -> BSplineCurve:
     return BSplineCurve(degree=1, knots=knots, control_points=points)
 
 
-def fit_bspline(points: np.ndarray, degree: int = 3) -> BSplineCurve:
+def fit_bspline(points: np.ndarray) -> BSplineCurve:
     """Interpolating spline through ordered points, chord-parameterized.
 
     Clamped knots come from knot averaging, so the curve starts and ends
-    exactly at the first and last data points. Fewer points than degree+1
+    exactly at the first and last data points. Fewer points than DEGREE+1
     drop the degree; a degenerate collocation system falls back to the
     polyline through the data.
     """
@@ -115,7 +117,7 @@ def fit_bspline(points: np.ndarray, degree: int = 3) -> BSplineCurve:
     pts = pts[keep]
     if len(pts) < 2:
         raise ValueError("need at least 2 distinct points to fit a curve")
-    k = min(degree, len(pts) - 1)
+    k = min(DEGREE, len(pts) - 1)
     params = chord_length_params(pts)
     if k == 1:
         return _polyline_curve(pts, params)
@@ -136,20 +138,18 @@ def sample_curve(curve: BSplineCurve, n: int) -> np.ndarray:
     return curve.evaluate(ts)
 
 
-def bspline_from_control_points(
-    control_points: np.ndarray, degree: int = 3
-) -> BSplineCurve:
-    """Clamped spline shaped by a control polygon (no interpolation)."""
+def bspline_from_control_points(control_points: np.ndarray) -> BSplineCurve:
+    """Clamped spline of DEGREE shaped by a control polygon (no interpolation)."""
     ctrl = np.asarray(control_points, dtype=float).reshape(-1, 3)
-    interior = len(ctrl) - degree - 1
+    interior = len(ctrl) - DEGREE - 1
     knots = np.concatenate(
         [
-            np.zeros(degree + 1),
+            np.zeros(DEGREE + 1),
             (np.arange(1, interior + 1)) / (interior + 1),
-            np.ones(degree + 1),
+            np.ones(DEGREE + 1),
         ]
     )
-    return BSplineCurve(degree=degree, knots=knots, control_points=ctrl)
+    return BSplineCurve(degree=DEGREE, knots=knots, control_points=ctrl)
 
 
 def save_spline(path, curve: BSplineCurve) -> None:

@@ -151,7 +151,7 @@ RULES = {
     "a mapping": (lambda v: isinstance(v, dict), dict),
     "a list of mappings": (_list_of(lambda x: isinstance(x, dict)), list),
     "one path component": (lambda v: _relative(v) and "/" not in v, str),
-    "a mapping of relative paths": (lambda v: isinstance(v, dict) and all(map(_relative, v)), dict),
+    "a relative path": (_relative, str),
 }
 
 

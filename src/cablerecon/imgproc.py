@@ -94,7 +94,7 @@ def _foreground_box(mask: np.ndarray) -> tuple[slice, slice]:
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
-def blur_and_clean(mask_img: ImageGrid, color_img: ImageGrid) -> ImageGrid:
+def blur_and_clean(mask_img: ImageGrid) -> ImageGrid:
     """3x3 box blur re-binarized at 0.5, then one erosion with a cross.
 
     The blur suppresses isolated specks, the erosion strips the 1-pixel
@@ -102,8 +102,6 @@ def blur_and_clean(mask_img: ImageGrid, color_img: ImageGrid) -> ImageGrid:
     foreground's bounding box: a pixel outside it has at most 3 foreground
     neighbours, so it fails the vote of 5 out of 9 whatever the frame holds.
     """
-    if (mask_img.height, mask_img.width) != (color_img.height, color_img.width):
-        raise ValueError("mask and color image dimensions differ")
     mask = _binary(mask_img)
     out = np.zeros(mask.shape, dtype=bool)
     box = _foreground_box(mask)

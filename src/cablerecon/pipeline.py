@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,25 +51,10 @@ CABLE_RULES = {
 
 
 @dataclass
-class CableRunStats:
-    directory: str
-    color: list[float]
-    radius: float
-    first_sort_segments: int = 0
-    final_segments: int = 0
-    final_endpoints: int = 0
-    tactile_points: int = 0
-    probes_used: int = 0
-    dead_ends: int = 0
-    complete: bool = False
-
-
-@dataclass
 class RunResult:
     out_dir: Path
     exit_status: int
-    stats: list[CableRunStats] = field(default_factory=list)
-    manifest: dict = field(default_factory=dict)
+    manifest: dict  # as written to manifest.json; one record per cable under "cables"
 
 
 def _sha256(path: Path) -> str:
@@ -90,9 +75,9 @@ def _load_params(scenario_doc: dict, params_file=None) -> ReconParams:
     return ReconParams(**overrides)
 
 
-def _match_cable(scene: worldsim.WorldScene, mean_color: np.ndarray) -> int:
-    colors = np.array([c.color for c in scene.cables])
-    return int(np.argmin(np.linalg.norm(colors - mean_color, axis=1)))
+def _nearest(colors: np.ndarray, color) -> int:
+    """The row of `colors` nearest to `color`."""
+    return int(np.argmin(np.linalg.norm(colors - color, axis=1)))
 
 
 def run_pipeline(
@@ -114,9 +99,10 @@ def run_pipeline(
         "seed": scene.seed,
         "no_tactile": not tactile,
         "params": asdict(params),
+        "plane": None,
+        "cables": [],
     }
-    stats_list: list[CableRunStats] = []
-    plane = current = None
+    current = None
     try:
         scenarios.save_scenario(out / "scenario.yaml", doc)
         rendered = worldsim.render(scene)
@@ -140,23 +126,19 @@ def run_pipeline(
             seed=scene.seed,
             orient_toward=scene.camera.pose.translation,
         )
+        manifest["plane"] = [float(c) for c in plane.coefficients]
 
-        cleaned = imgproc.blur_and_clean(union_mask, rendered.color)
+        cleaned = imgproc.blur_and_clean(union_mask)
         clusters = imgproc.cluster_pixels(cleaned, rendered.color, params)
         if not clusters.clusters:
             raise EmptyInputError("no pixel cluster reaches min_cluster_size pixels")
 
+        truth_colors = np.array([c.color for c in scene.cables])
         for ci, cluster in enumerate(clusters.clusters):
             cable_dir = out / f"cable_{ci:02d}"
             current = cable_dir.name
             cable_dir.mkdir(exist_ok=True)
-            truth_idx = _match_cable(scene, cluster.mean_color)
-            radius = scene.cables[truth_idx].radius
-            stats = CableRunStats(
-                directory=cable_dir.name,
-                color=[float(c) for c in cluster.mean_color],
-                radius=radius,
-            )
+            radius = scene.cables[_nearest(truth_colors, cluster.mean_color)].radius
 
             dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
             cloudproc.save_ply(cable_dir / "P_dense.ply", dense)
@@ -182,18 +164,13 @@ def run_pipeline(
                 p_proj, plane, params.r_search, params.alpha_max_deg
             )
             topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
-            stats.first_sort_segments = len(poly.segments)
 
             probe_fn = functools.partial(worldsim.probe, scene)
             result = explore.explore_from_endpoints(
-                poly, plane, probe_fn, params, pad=scene.pad,
-                top=2 * max(c.radius for c in scene.cables),
+                poly, plane, probe_fn, params, top=2 * max(c.radius for c in scene.cables),
             ) if tactile else explore.ExplorationResult(np.zeros((0, 3)))
             result.save_trace_csv(cable_dir / "trace.csv")
             p_tactile = result.tactile_cloud
-            stats.probes_used = result.probes_used
-            stats.dead_ends = result.dead_ends
-            stats.tactile_points = len(p_tactile)
             cloudproc.save_ply(cable_dir / "P_tactile.ply", p_tactile)
 
             p_merged = explore.merge_clouds(poly.ordered_points(), p_tactile)
@@ -204,8 +181,6 @@ def run_pipeline(
                 p_refined, plane, params.r_search, params.alpha_max_deg
             )
             topology.save_sorted_csv(cable_dir / "P_resorted.csv", final)
-            stats.final_segments = len(final.segments)
-            stats.final_endpoints = 2 * len(final.segments)
 
             # reconstructed curves live on the fitted plane; real centerlines
             # run one radius above it, so exported models are lifted back up
@@ -222,24 +197,32 @@ def run_pipeline(
             p_interp = np.vstack(samples) if samples else np.zeros((0, 3))
             cloudproc.save_ply(cable_dir / "P_interpolated.ply", p_interp)
 
-            stats.complete = len(final.segments) == 1 and fitted == 1
-            stats_list.append(stats)
+            manifest["cables"].append({
+                "directory": cable_dir.name,
+                "color": [float(c) for c in cluster.mean_color],
+                "radius": radius,
+                "first_sort_segments": len(poly.segments),
+                "final_segments": len(final.segments),
+                "final_endpoints": 2 * len(final.segments),
+                "tactile_points": len(p_tactile),
+                "probes_used": result.probes_used,
+                "dead_ends": result.dead_ends,
+                "complete": len(final.segments) == 1 and fitted == 1,
+            })
     except Exception as exc:
         # a failed run still certifies what it wrote and says what failed
         manifest["failure"] = {"cable": current, "error": type(exc).__name__, "message": str(exc)}
         failed = EXIT_BUDGET if isinstance(exc, ProbeBudgetError) else EXIT_ERROR
-        _write_manifest(out, manifest, plane, stats_list, failed, t_start)
+        _write_manifest(out, manifest, failed, t_start)
         raise
 
-    exit_status = EXIT_COMPLETE if all(s.complete for s in stats_list) else EXIT_PARTIAL
-    _write_manifest(out, manifest, plane, stats_list, exit_status, t_start)
-    return RunResult(out_dir=out, exit_status=exit_status, stats=stats_list, manifest=manifest)
+    exit_status = EXIT_COMPLETE if all(c["complete"] for c in manifest["cables"]) else EXIT_PARTIAL
+    _write_manifest(out, manifest, exit_status, t_start)
+    return RunResult(out_dir=out, exit_status=exit_status, manifest=manifest)
 
 
-def _write_manifest(out: Path, manifest: dict, plane, stats_list, exit_status, t_start) -> None:
-    """Add the outcome and the sha256 of every artifact, write the manifest and timing."""
-    manifest["plane"] = None if plane is None else [float(c) for c in plane.coefficients]
-    manifest["cables"] = [vars(s) for s in stats_list]
+def _write_manifest(out: Path, manifest: dict, exit_status: int, t_start: float) -> None:
+    """Add the exit status and the sha256 of every artifact, write the manifest and timing."""
     manifest["exit_status"] = exit_status
     manifest["artifacts"] = {
         str(path.relative_to(out)): _sha256(path)
@@ -265,7 +248,8 @@ def _read_manifest(run: Path) -> dict:
         {key: read(cable, key, f"{path} cable {i}", rule) for key, rule in CABLE_RULES.items()}
         for i, cable in enumerate(read(manifest, "cables", path, "a list of mappings"))
     ]
-    read(manifest, "artifacts", path, "a mapping of relative paths")
+    for key in read(manifest, "artifacts", path, "a mapping"):
+        checked(key, "a relative path", f"{path} artifacts key")
     read(manifest, "plane", path, "4 finite numbers")
     checked(manifest["plane"][:3], "3 finite numbers, not all 0", f"{path} plane normal")
     return manifest
@@ -306,7 +290,10 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
             runtime = float(timing.read_text().strip())
         except ValueError as exc:
             raise ValueError(f"{timing}: {exc}") from None
+        runtime = checked(runtime, "a finite number >= 0", timing)
 
+    ref_colors = np.array([c for c, _ in references])
+    truth_colors = np.array([c.color for c in scene.cables])
     rows = []
     for cable in manifest["cables"]:
         cable_dir = run / cable["directory"]
@@ -314,12 +301,9 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
         if len(recon) == 0:
             raise EmptyInputError(f"{cable_dir}: empty interpolated cloud")
         color = cable["color"]
-        ref_colors = np.array([c for c, _ in references])
-        ref_idx = int(np.argmin(np.linalg.norm(ref_colors - color, axis=1)))
-        target = references[ref_idx][1]
-        reg = icp(recon, target)
+        reg = icp(recon, references[_nearest(ref_colors, color)][1])
 
-        truth = scene.cables[_match_cable(scene, color)]
+        truth = scene.cables[_nearest(truth_colors, color)]
         means, maxes = [], []
         prefix = f"{cable['directory']}/spline_seg"  # the certified splines, not a glob
         for rel in sorted(r for r in manifest["artifacts"] if r.startswith(prefix)):

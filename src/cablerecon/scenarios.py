@@ -157,12 +157,7 @@ def _uv_to_world(plane: PlaneModel, center_world: np.ndarray, uv: np.ndarray) ->
     return plane.from_plane_coords(uv + c_uv)
 
 
-def make_cs1(
-    seed: int = 0,
-    occluded: bool = False,
-    crossing_angle_deg: float = 55.0,
-    occluder_halfwidth: float = 0.035,
-) -> dict:
+def make_cs1(seed: int = 0, occluded: bool = False, crossing_angle_deg: float = 55.0) -> dict:
     """Single self-intersecting cable on a plane inclined by 15 degrees."""
     tilt = np.radians(15.0)
     normal = np.array([np.sin(tilt), 0.0, np.cos(tilt)])
@@ -180,7 +175,7 @@ def make_cs1(
     if occluded:
         # the self-crossing sits at the limacon pole, uv (0,0) before the shift
         crossing_world = _uv_to_world(plane, point, (-shift)[None, :])[0]
-        w = occluder_halfwidth
+        w = 0.035  # occluder half-width
         occluders.append(
             {
                 "min": _vec(crossing_world - np.array([w, w, 0.02])),

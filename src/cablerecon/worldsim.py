@@ -9,7 +9,7 @@ the 6x2 taxel pad. Everything is deterministic given the scene seed.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,9 +23,25 @@ from .imgproc import CameraIntrinsics, ImageGrid
 PRESSURE_GAIN = 1000.0   # pressure units per meter of penetration
 DENSE_SAMPLES = 4096     # centerline discretization for distance queries
 PAD_SHAPE = (6, 2)       # taxel rows along end-effector x, columns along y
+PAD_PITCH = 0.005        # meters between neighbouring taxel centers
 
 SHELF_COLOR = np.array([185.0, 170.0, 150.0])
 OCCLUDER_COLOR = np.array([90.0, 90.0, 95.0])
+
+
+def _taxel_centers() -> np.ndarray:
+    rows, cols = PAD_SHAPE
+    xs = (np.arange(rows) - (rows - 1) / 2.0) * PAD_PITCH
+    ys = (np.arange(cols) - (cols - 1) / 2.0) * PAD_PITCH
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    centers = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    centers.flags.writeable = False
+    return centers
+
+
+# (12, 3) read-only taxel centers in the pad frame, row-major over PAD_SHAPE, face at z = 0;
+# the long side lies along end-effector x
+TAXELS = _taxel_centers()
 
 
 def _point_to_polyline(queries: np.ndarray, samples: np.ndarray, tree: cKDTree) -> np.ndarray:
@@ -62,34 +78,11 @@ class GroundTruthCable:
         self.color = np.asarray(self.color, dtype=float)
         if self.radius <= 0:
             raise ValueError("cable radius must be positive")
-        self._samples = sample_curve(self.centerline, DENSE_SAMPLES)
-        self._tree = cKDTree(self._samples)
-
-    @property
-    def dense_samples(self) -> np.ndarray:
-        return self._samples
+        self.dense_samples = sample_curve(self.centerline, DENSE_SAMPLES)
+        self._tree = cKDTree(self.dense_samples)
 
     def distance_to_centerline(self, points: np.ndarray) -> np.ndarray:
-        return _point_to_polyline(points, self._samples, self._tree)
-
-
-@dataclass
-class TactilePad:
-    """6x2 taxel array (PAD_SHAPE); the long side lies along end-effector x."""
-
-    pitch: float = 0.005
-
-    def __post_init__(self):
-        rows, cols = PAD_SHAPE
-        xs = (np.arange(rows) - (rows - 1) / 2.0) * self.pitch
-        ys = (np.arange(cols) - (cols - 1) / 2.0) * self.pitch
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        self._centers = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-        self._centers.flags.writeable = False
-
-    def taxel_centers(self) -> np.ndarray:
-        """(12, 3) read-only taxel centers in the pad frame, face at z = 0."""
-        return self._centers
+        return _point_to_polyline(points, self.dense_samples, self._tree)
 
 
 @dataclass
@@ -105,7 +98,6 @@ class WorldScene:
     height: int
     seed: int = 0
     pressure_noise_sigma: float = 0.0
-    pad: TactilePad = field(default_factory=TactilePad)
 
     def __post_init__(self):
         self.occluders = [
@@ -287,7 +279,7 @@ def render(scene: WorldScene) -> RenderResult:
 
 
 def probe(scene: WorldScene, pad_pose: Pose) -> np.ndarray:
-    """(6, 2) taxel pressures of the scene's pad at `pad_pose`: rigid quasi-static contact.
+    """(6, 2) taxel pressures of the pad at `pad_pose`: rigid quasi-static contact.
 
     Per taxel, penetration is the height of the tallest surface under the
     taxel (support plane at 0, cable tube tops at r + sqrt(r^2 - rho^2))
@@ -302,7 +294,7 @@ def probe(scene: WorldScene, pad_pose: Pose) -> np.ndarray:
     the cable alike, and their pressure is exactly 0.0 either way.
     """
     plane = scene.support_plane
-    centers = pad_pose.transform(scene.pad.taxel_centers())
+    centers = pad_pose.transform(TAXELS)
     face_height = plane.signed_distance(centers)
     penetration = -face_height
 

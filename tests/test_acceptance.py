@@ -88,14 +88,14 @@ def test_criterion_1_occlusion_recovery_cs1(work_root, scenario_files, template_
 
 def test_criterion_2_two_cable_separation_cs2(work_root, template_runs):
     run = template_runs["cs2_occluded"]
-    ok_clusters = len(run.stats) == 2
-    report(2, ok_clusters, f"cs2_occluded yields {len(run.stats)} clusters")
-    for stats in run.stats:
+    cables = run.manifest["cables"]
+    report(2, len(cables) == 2, f"cs2_occluded yields {len(cables)} clusters")
+    for cable in cables:
         report(
             2,
-            stats.final_segments == 1 and stats.final_endpoints == 2,
-            f"{stats.directory}: {stats.final_segments} segment, "
-            f"{stats.final_endpoints} endpoints",
+            cable["final_segments"] == 1 and cable["final_endpoints"] == 2,
+            f"{cable['directory']}: {cable['final_segments']} segment, "
+            f"{cable['final_endpoints']} endpoints",
         )
     rep = pipeline.evaluate_run(
         run.out_dir, template_runs["cs2_plain"].out_dir, work_root / "c2_eval.yaml"
@@ -109,7 +109,7 @@ def test_criterion_2_two_cable_separation_cs2(work_root, template_runs):
 
 
 def test_criterion_3_vision_only_ablation(template_runs, no_tactile_run):
-    endpoints = sum(s.final_endpoints for s in no_tactile_run.stats)
+    endpoints = sum(c["final_endpoints"] for c in no_tactile_run.manifest["cables"])
     report(
         3,
         no_tactile_run.exit_status == pipeline.EXIT_PARTIAL and endpoints > 2,
@@ -137,7 +137,7 @@ def test_criterion_4_indicator_discrimination():
         pressures = probe(scene, Pose(pad_down, pos))
         # a touch of the plane well away from the cable
         if (pressures > EPS).any() and scene.cables[0].distance_to_centerline(pos)[0] >= 0.03:
-            flat_values.append(indicator(pressures, scene.pad.pitch))
+            flat_values.append(indicator(pressures))
 
     ridge_values = []
     while len(ridge_values) < 100:
@@ -150,7 +150,7 @@ def test_criterion_4_indicator_discrimination():
         )
         pressures = probe(scene, Pose(pad_down, pos))
         if (pressures > EPS).any():
-            ridge_values.append(indicator(pressures, scene.pad.pitch))
+            ridge_values.append(indicator(pressures))
 
     worst_flat = max(flat_values)
     best_ridge = min(ridge_values)
@@ -171,7 +171,7 @@ def test_criterion_5a_ransac_under_outliers():
         )
         outliers = rng.uniform(-0.5, 0.5, (100, 3))
         plane = ransac_plane(
-            np.vstack([inliers, outliers]), inlier_tol=0.002, seed=seed
+            np.vstack([inliers, outliers]), [0.0, 0.0, 2.0], seed=seed, inlier_tol=0.002
         )
         worst = max(
             worst, np.degrees(np.arccos(min(1.0, abs(plane.normal[2]))))
@@ -320,7 +320,7 @@ def test_criterion_8_small_angle_crossing_regression(work_root, monkeypatch):
     path = work_root / "cs1_cross30.yaml"
     scenarios.save_scenario(path, doc)
     run = pipeline.run_pipeline(path, work_root / "cs1_cross30")
-    stats = run.stats[0]
+    [cable] = run.manifest["cables"]
 
     # the plain greedy walk (no crossing recovery) fragments on the dense
     # merged cloud: refinement is what makes the final sort viable
@@ -334,6 +334,6 @@ def test_criterion_8_small_angle_crossing_regression(work_root, monkeypatch):
     )
     report(
         8,
-        stats.final_segments == 1 and stats.final_endpoints == 2,
+        cable["final_segments"] == 1 and cable["final_endpoints"] == 2,
         "refined cloud sorts back to a single 2-endpoint run",
     )

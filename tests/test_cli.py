@@ -71,7 +71,24 @@ class TestRun:
 
     def test_no_tactile_is_partial(self, no_tactile_run):
         assert no_tactile_run.exit_status == pipeline.EXIT_PARTIAL
-        assert all(s.final_endpoints > 2 for s in no_tactile_run.stats)
+        assert all(c["final_endpoints"] > 2 for c in no_tactile_run.manifest["cables"])
+
+    @pytest.mark.parametrize(
+        "template, extra, state",
+        [("cs2_plain", [], "complete"), ("cs1_occluded", ["--no-tactile"], "partial")],
+    )
+    def test_run_prints_one_line_per_manifest_cable(
+        self, tmp_path, scenario_files, capsys, template, extra, state
+    ):
+        out = tmp_path / "out"
+        cli.main(["run", str(scenario_files[template]), "--out", str(out), *extra])
+        cables = json.loads((out / "manifest.json").read_text())["cables"]
+        assert cables and all(c["complete"] == (state == "complete") for c in cables)
+        assert capsys.readouterr().out.splitlines() == [
+            f"{c['directory']}: {state}, {c['final_segments']} segment(s), "
+            f"{c['tactile_points']} tactile points, {c['probes_used']} probes"
+            for c in cables
+        ] + [str(out)]
 
     def test_cli_run_and_seed_precedence(self, tmp_path, scenario_files, monkeypatch):
         monkeypatch.setenv("DLO_SEED", "123")
@@ -121,15 +138,15 @@ class TestRun:
 
     def test_cs2_plain_yields_one_spline_per_cable(self, template_runs):
         run = template_runs["cs2_plain"]
-        assert len(run.stats) == 2
-        for stats in run.stats:
-            cable_dir = run.out_dir / stats.directory
+        assert len(run.manifest["cables"]) == 2
+        for cable in run.manifest["cables"]:
+            cable_dir = run.out_dir / cable["directory"]
             splines = sorted(cable_dir.glob("spline_seg*.yaml"))
             assert len(splines) == 1
-            assert stats.final_endpoints == 2
+            assert cable["final_endpoints"] == 2
             # near-closed loops terminate their walks at the adjacent
             # opposite endpoint, adding only a couple of contact points
-            assert stats.tactile_points <= 4
+            assert cable["tactile_points"] <= 4
 
     def test_interpolated_cloud_sits_at_cable_height(self, template_runs):
         # the exported model is lifted one radius off the fitted plane
@@ -402,6 +419,9 @@ class TestCleanErrors:
              "cable_00/P_interpolated.ply: invalid literal for int()"),
             ("eval", "timing.txt", "abc\n",
              "timing.txt: could not convert string to float: 'abc'"),
+            ("eval", "timing.txt", "nan\n", "timing.txt must be a finite number >= 0, not nan"),
+            ("eval", "timing.txt", "inf\n", "timing.txt must be a finite number >= 0, not inf"),
+            ("eval", "timing.txt", "-1\n", "timing.txt must be a finite number >= 0, not -1.0"),
             ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n0,0,1\n",
              "cable_00/P_sorted.csv: not one or more rows of segment_id,order_index,x,y,z"),
             ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n0,0,a,b,c\n",
@@ -423,13 +443,16 @@ class TestCleanErrors:
             ("plot", "manifest.json", manifest_text(plane=[0, 0, 0, 1]),
              "manifest.json plane normal must be 3 finite numbers, not all 0, not [0, 0, 0]"),
             ("eval", "manifest.json", manifest_text(artifacts={"cable_00/spline_seg../../x": "0"}),
-             "manifest.json artifacts must be a mapping of relative paths, not "),
+             "manifest.json artifacts key must be a relative path, "
+             "not 'cable_00/spline_seg../../x'"),
             ("eval", "manifest.json", manifest_text(artifacts={"/tmp/spline_seg00.yaml": "0"}),
-             "manifest.json artifacts must be a mapping of relative paths, not "),
+             "manifest.json artifacts key must be a relative path, not '/tmp/spline_seg00.yaml'"),
             ("eval", "manifest.json", manifest_text(artifacts={"cable_00//spline_seg00.yaml": "0"}),
-             "manifest.json artifacts must be a mapping of relative paths, not "),
+             "manifest.json artifacts key must be a relative path, "
+             "not 'cable_00//spline_seg00.yaml'"),
             ("eval", "manifest.json", manifest_text(artifacts={"./cable_00/spline_seg00.yaml": "0"}),
-             "manifest.json artifacts must be a mapping of relative paths, not "),
+             "manifest.json artifacts key must be a relative path, "
+             "not './cable_00/spline_seg00.yaml'"),
             ("eval", "manifest.json", manifest_text(final_segments=-3),
              "manifest.json cable 0 final_segments must be an integer >= 0, not -3"),
             ("eval", "manifest.json", manifest_text(final_endpoints=2.0),
@@ -461,7 +484,8 @@ class TestCleanErrors:
         ids=["eval_empty_manifest", "plot_list_manifest", "plot_truncated_manifest",
              "eval_null_plane", "plot_cable_without_directory", "eval_spline_without_knots",
              "eval_list_spline", "eval_list_sampling_count", "eval_text_vertex_count",
-             "eval_text_timing", "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
+             "eval_text_timing", "eval_nan_timing", "eval_inf_timing", "eval_negative_timing",
+             "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
              "plot_sorted_header_only", "plot_directory_outside_the_run",
              "eval_directory_outside_the_run", "plot_directory_with_nul", "plot_two_number_plane",
              "eval_empty_color", "eval_text_color", "plot_zero_normal_plane",

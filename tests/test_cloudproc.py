@@ -25,13 +25,15 @@ clouds = st.lists(
     max_size=40,
 ).map(np.array)
 
+CAMERA = np.array([0.0, 0.0, 2.0])  # the viewpoint every fit orients its normal toward
+
 
 class TestRansacPlane:
     def test_exact_horizontal_plane(self, rng):
         pts = np.column_stack(
             [rng.uniform(-1, 1, 100), rng.uniform(-1, 1, 100), np.ones(100)]
         )
-        plane = ransac_plane(pts, seed=3)
+        plane = ransac_plane(pts, CAMERA, seed=3)
         assert abs(abs(plane.normal[2]) - 1.0) < 1e-9
         assert abs(abs(plane.offset) - 1.0) < 1e-9
         assert plane.inlier_count == 100
@@ -43,25 +45,25 @@ class TestRansacPlane:
         )
         outliers = rng.uniform(-0.5, 0.5, (n_out, 3))
         cloud = np.vstack([inliers, outliers])
-        plane = ransac_plane(cloud, inlier_tol=0.002, seed=11)
+        plane = ransac_plane(cloud, CAMERA, seed=11, inlier_tol=0.002)
         angle = np.degrees(np.arccos(min(1.0, abs(plane.normal[2]))))
         assert angle < 1.0
 
     def test_three_points_exact(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        plane = ransac_plane(pts, seed=0)
+        plane = ransac_plane(pts, CAMERA, seed=0)
         assert plane.inlier_count == 3
         assert np.max(np.abs(plane.signed_distance(pts))) < 1e-12
 
     def test_collinear_rejected(self):
         pts = np.array([[float(i), 2.0 * i, 0.0] for i in range(10)])
         with pytest.raises(DegenerateGeometryError):
-            ransac_plane(pts, seed=0)
+            ransac_plane(pts, CAMERA, seed=0)
 
     def test_seeded_reproducibility(self, rng):
         cloud = rng.normal(size=(200, 3))
-        a = ransac_plane(cloud, seed=42)
-        b = ransac_plane(cloud, seed=42)
+        a = ransac_plane(cloud, CAMERA, seed=42)
+        b = ransac_plane(cloud, CAMERA, seed=42)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert a.inlier_count == b.inlier_count
 
@@ -69,12 +71,12 @@ class TestRansacPlane:
         pts = np.column_stack(
             [rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), np.zeros(50)]
         )
-        camera = np.array([0.0, 0.0, 2.0])
-        plane = ransac_plane(pts, seed=1, orient_toward=camera)
-        assert plane.signed_distance(camera)[0] > 0
+        for camera in (CAMERA, -CAMERA):
+            plane = ransac_plane(pts, camera, seed=1)
+            assert plane.signed_distance(camera)[0] > 0
 
 
-def _full_loop_ransac(cloud, inlier_tol, max_iters, seed, orient_toward=None):
+def _full_loop_ransac(cloud, inlier_tol, max_iters, seed, orient_toward):
     """Reference: the plane fit scoring all `max_iters` hypotheses."""
     pts = as_cloud(cloud)
     rng = np.random.default_rng(seed)
@@ -94,14 +96,8 @@ def _full_loop_ransac(cloud, inlier_tol, max_iters, seed, orient_toward=None):
     eigvals, eigvecs = np.linalg.eigh(np.atleast_2d(cov))
     normal = eigvecs[:, 0]
     coeffs = np.append(normal, -np.dot(normal, centroid))
-    if orient_toward is not None:
-        toward = np.asarray(orient_toward, dtype=float)
-        if np.dot(coeffs[:3], toward) + coeffs[3] < 0:
-            coeffs = -coeffs
-    else:
-        n = coeffs[:3]
-        if n[2] < 0 or (n[2] == 0 and (n[1] < 0 or (n[1] == 0 and n[0] < 0))):
-            coeffs = -coeffs
+    if np.dot(coeffs[:3], orient_toward) + coeffs[3] < 0:
+        coeffs = -coeffs
     return PlaneModel(coeffs, inlier_count=int(best[0]))
 
 
@@ -132,9 +128,8 @@ class TestRansacEarlyStop:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_equals_the_full_loop(self, make_cloud, seed):
         cloud = make_cloud(np.random.default_rng(seed))
-        camera = np.array([0.0, 0.0, 2.0])
-        for toward in (None, camera):
-            got = ransac_plane(cloud, seed=seed, orient_toward=toward)
+        for toward in (CAMERA, -CAMERA):
+            got = ransac_plane(cloud, toward, seed=seed)
             want = _full_loop_ransac(cloud, cloudproc.RANSAC_INLIER_TOL, 500, seed, toward)
             assert got.coefficients.tobytes() == want.coefficients.tobytes()
             assert got.inlier_count == want.inlier_count
@@ -149,7 +144,7 @@ class TestRansacEarlyStop:
             return coeffs
 
         monkeypatch.setattr(cloudproc, "_plane_through", counting)
-        plane = ransac_plane(cloud, seed=3)
+        plane = ransac_plane(cloud, CAMERA, seed=3)
         return plane, calls
 
     def test_full_consensus_stops_after_one_hypothesis(self, monkeypatch, rng):

@@ -91,7 +91,7 @@ def test_every_artifact_but_the_trace_is_unchanged(run_pair):
     new_artifacts, old_artifacts = new.manifest["artifacts"], old.manifest["artifacts"]
     assert new_artifacts.keys() == old_artifacts.keys()
     traces = [name for name in new_artifacts if name.endswith("/" + TRACE)]
-    assert len(traces) == len(new.stats) > 0
+    assert len(traces) == len(new.manifest["cables"]) > 0
     for name in new_artifacts.keys() - set(traces):
         assert new_artifacts[name] == old_artifacts[name], name
 
@@ -102,9 +102,9 @@ def test_the_trace_loses_only_untouched_rows_above_the_clearance(run_pair):
     assert old.manifest["plane"] == new.manifest["plane"]
     clearance = top + ReconParams().delta_z
     skipped = 0
-    for stats, old_stats in zip(new.stats, old.stats, strict=True):
-        new_rows = read_trace(new.out_dir / stats.directory / TRACE)
-        old_rows = read_trace(old.out_dir / stats.directory / TRACE)
+    for cable, old_cable in zip(new.manifest["cables"], old.manifest["cables"], strict=True):
+        new_rows = read_trace(new.out_dir / cable["directory"] / TRACE)
+        old_rows = read_trace(old.out_dir / cable["directory"] / TRACE)
         # the trace prints 9 significant digits, far inside the 0.5 mm
         # between the clearance and the nearest step of the height lattice
         low = height(plane, old_rows) <= clearance
@@ -113,6 +113,6 @@ def test_the_trace_loses_only_untouched_rows_above_the_clearance(run_pair):
         kept_rows = [row for row, kept in zip(old_rows, low) if kept]
         renumbered = [{**row, "step": str(i)} for i, row in enumerate(kept_rows)]
         assert new_rows == renumbered
-        assert stats.probes_used == len(new_rows) < old_stats.probes_used == len(old_rows)
+        assert cable["probes_used"] == len(new_rows) < old_cable["probes_used"] == len(old_rows)
         skipped += len(old_rows) - len(new_rows)
     assert skipped > 0

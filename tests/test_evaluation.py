@@ -82,14 +82,14 @@ def straight_truth(radius=0.003):
 class TestCurveError:
     def test_zero_for_the_centerline_itself(self):
         truth = straight_truth()
-        mean, peak = curve_error(truth.centerline, truth, n=100)
+        mean, peak = curve_error(truth.centerline, truth)
         assert mean < 1e-6
         assert peak < 1e-6
 
     def test_constant_lateral_offset(self):
         truth = straight_truth()
         offset = truth.centerline.translated(np.array([0.0, 0.002, 0.0]))
-        mean, peak = curve_error(offset, truth, n=100)
+        mean, peak = curve_error(offset, truth)
         assert mean == pytest.approx(0.002, abs=1e-6)
         assert peak == pytest.approx(0.002, abs=1e-6)
 
@@ -103,7 +103,7 @@ class TestCurveError:
             radius=0.003,
             color=np.zeros(3),
         )
-        base = curve_error(curve, truth, n=80)
+        base = curve_error(curve, truth)
 
         shift = np.array([0.3, -0.2, 0.5])
         curve_m = curve.translated(shift)
@@ -112,11 +112,6 @@ class TestCurveError:
             radius=0.003,
             color=np.zeros(3),
         )
-        moved = curve_error(curve_m, truth_m, n=80)
+        moved = curve_error(curve_m, truth_m)
         assert moved[0] == pytest.approx(base[0], abs=1e-9)
         assert moved[1] == pytest.approx(base[1], abs=1e-9)
-
-    def test_rejects_too_few_samples(self):
-        truth = straight_truth()
-        with pytest.raises(ValueError):
-            curve_error(truth.centerline, truth, n=5)

@@ -20,7 +20,7 @@ from cablerecon.explore import (
 )
 from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
-from cablerecon.worldsim import TactilePad, probe
+from cablerecon.worldsim import PAD_PITCH, probe
 
 from test_worldsim import PLANE, make_scene, straight_cable
 
@@ -51,39 +51,37 @@ def stencil_oracle(p, pitch):
 
 class TestIndicator:
     def test_constant_map_scores_zero(self):
-        assert indicator(np.full((6, 2), 3.7), 0.005) == 0.0
+        assert indicator(np.full((6, 2), 3.7)) == 0.0
 
     def test_single_peak_matches_frozen_oracle(self):
         peak = np.zeros((6, 2))
         peak[2, 0] = 1.0
-        value = indicator(peak, pitch=0.005)
+        value = indicator(peak)
         assert value == pytest.approx(116619.03789690601, rel=1e-12)
-        assert value == pytest.approx(stencil_oracle(peak, 0.005), rel=1e-12)
+        assert value == pytest.approx(stencil_oracle(peak, PAD_PITCH), rel=1e-12)
 
     def test_matches_stencil_oracle_on_random_maps(self, rng):
         for _ in range(10):
             p = rng.uniform(0, 3, (6, 2))
-            assert indicator(p, 0.005) == pytest.approx(
-                stencil_oracle(p, 0.005), rel=1e-9
-            )
+            assert indicator(p) == pytest.approx(stencil_oracle(p, PAD_PITCH), rel=1e-9)
 
     def test_ramp_hessians_vanish_away_from_the_pad_edge(self):
         # replicate padding leaves a second-difference residue on the two
         # boundary rows; the interior of a linear ramp is exactly flat
         ramp = np.tile(np.arange(6.0)[:, None], (1, 2))
         interior_only = ramp.copy()
-        value_full = indicator(ramp, 0.005)
-        assert value_full == pytest.approx(stencil_oracle(ramp, 0.005), rel=1e-12)
+        value_full = indicator(ramp)
+        assert value_full == pytest.approx(stencil_oracle(ramp, PAD_PITCH), rel=1e-12)
         # removing the edge rows from the comparison: rows 1..4 of the map
         # contribute nothing (verified against the oracle on a shifted ramp)
         padded = np.pad(interior_only, 1, mode="edge")
-        h2 = 0.005**2
+        h2 = PAD_PITCH**2
         hxx = (padded[2:, 1:-1] - 2 * padded[1:-1, 1:-1] + padded[:-2, 1:-1]) / h2
         assert np.allclose(hxx[1:-1], 0.0)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            indicator(np.zeros((5, 2)), 0.005)
+            indicator(np.zeros((5, 2)))
 
 
 TOP = 2 * 0.003  # the gap fixture's cable top, the tallest surface in its scene
@@ -108,7 +106,7 @@ class TestExploration:
         assert len(poly.segments) == 2
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene), params, top=TOP
         )
         cloud = result.tactile_cloud
         assert len(cloud) > 0
@@ -116,7 +114,7 @@ class TestExploration:
         assert np.abs(PLANE.signed_distance(cloud)).max() < 1e-9
         # and within one cable radius plus a taxel pitch of the truth
         d = cable.distance_to_centerline(cloud)
-        assert d.max() < cable.radius + scene.pad.pitch
+        assert d.max() < cable.radius + PAD_PITCH
         # the gap itself received the 4-6 bridging points of a 5 cm hole
         in_gap = cloud[(cloud[:, 0] > -0.024) & (cloud[:, 0] < 0.026)]
         assert 3 <= len(in_gap) <= 7
@@ -132,7 +130,7 @@ class TestExploration:
         scene, poly, _ = gap_fixture()
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=TOP
+            poly, PLANE, partial(probe, scene), params, top=TOP
         )
         per_walk: dict[int, list[np.ndarray]] = {}
         for row in result.trace:
@@ -143,7 +141,7 @@ class TestExploration:
         for pts in per_walk.values():
             steps = np.linalg.norm(np.diff(np.array(pts), axis=0), axis=1)
             if len(steps):
-                assert steps.max() <= params.delta_y + scene.pad.pitch + 1e-9
+                assert steps.max() <= params.delta_y + PAD_PITCH + 1e-9
 
     def test_true_dead_end_closes_after_a_full_turn(self):
         # a visual segment with no physical cable anywhere: every contact is
@@ -153,7 +151,7 @@ class TestExploration:
         poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
         params = ReconParams()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=0.0
+            poly, PLANE, partial(probe, scene), params, top=0.0
         )
         assert len(result.tactile_cloud) == 0
         assert result.dead_ends == 2
@@ -167,14 +165,13 @@ class TestExploration:
         params = ReconParams(probe_budget=5)
         with pytest.raises(ProbeBudgetError):
             explore_from_endpoints(
-                poly, PLANE, partial(probe, scene), params, pad=scene.pad, top=TOP
+                poly, PLANE, partial(probe, scene), params, top=TOP
             )
 
     def test_trace_csv_written(self, tmp_path):
         scene, poly, _ = gap_fixture()
         result = explore_from_endpoints(
-            poly, PLANE, partial(probe, scene), ReconParams(),
-            pad=scene.pad, top=TOP,
+            poly, PLANE, partial(probe, scene), ReconParams(), top=TOP
         )
         result.save_trace_csv(tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
@@ -182,9 +179,7 @@ class TestExploration:
         assert len(lines) == len(result.trace) + 1
 
     def test_centroid_uses_the_walks_pad(self):
-        _, poly, cable = gap_fixture()
-        pad = TactilePad(pitch=0.004)
-        scene = make_scene([cable], pad=pad)
+        scene, poly, _ = gap_fixture()
         params = ReconParams()
         touches = []
 
@@ -194,14 +189,12 @@ class TestExploration:
                 touches.append((pressures, pose))
             return pressures
 
-        result = explore_from_endpoints(poly, PLANE, recording_probe, params, pad=pad, top=TOP)
+        result = explore_from_endpoints(poly, PLANE, recording_probe, params, top=TOP)
         rows = [r for r in result.trace if r["touched"]]
         accepted = [m for m, r in zip(touches, rows, strict=True) if r["accepted"]]
         assert len(accepted) == len(result.tactile_cloud) > 0
         for (pressures, pose), point in zip(accepted, result.tactile_cloud):
-            assert point.tobytes() == _centroid(pressures, pose, PLANE, pad).tobytes()
-        default = [_centroid(m, pose, PLANE, TactilePad()) for m, pose in accepted]
-        assert not np.array_equal(default, result.tactile_cloud)
+            assert point.tobytes() == _centroid(pressures, pose, PLANE).tobytes()
 
 
 class TestTouch:
@@ -320,8 +313,8 @@ class TestMergeClouds:
         assert len(out) == 10
 
 
-def trace_rows(run_dir, stats):
-    return (run_dir / stats.directory / "trace.csv").read_text().count("\n") - 1
+def trace_rows(run_dir, cable):
+    return (run_dir / cable["directory"] / "trace.csv").read_text().count("\n") - 1
 
 
 class TestProbeBudgetBoundary:
@@ -336,23 +329,23 @@ class TestProbeBudgetBoundary:
         self, template_runs, scenario_files, tmp_path
     ):
         default = template_runs["cs1_occluded"]
-        [stats] = default.stats
-        assert stats.probes_used == trace_rows(default.out_dir, stats) > 0
+        [cable] = default.manifest["cables"]
+        assert cable["probes_used"] == trace_rows(default.out_dir, cable) > 0
         exact = self._run_with_budget(
-            scenario_files["cs1_occluded"], tmp_path / "exact", stats.probes_used
+            scenario_files["cs1_occluded"], tmp_path / "exact", cable["probes_used"]
         )
         assert exact.exit_status == pipeline.EXIT_COMPLETE
         assert exact.manifest["artifacts"] == default.manifest["artifacts"]
 
     def test_one_probe_fewer_exhausts_the_budget(self, template_runs, scenario_files, tmp_path):
-        [stats] = template_runs["cs1_occluded"].stats
+        [cable] = template_runs["cs1_occluded"].manifest["cables"]
         out = tmp_path / "short"
         with pytest.raises(ProbeBudgetError):
-            self._run_with_budget(scenario_files["cs1_occluded"], out, stats.probes_used - 1)
+            self._run_with_budget(scenario_files["cs1_occluded"], out, cable["probes_used"] - 1)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == pipeline.EXIT_BUDGET
         assert manifest["failure"]["error"] == "ProbeBudgetError"
-        assert manifest["failure"]["cable"] == stats.directory
+        assert manifest["failure"]["cable"] == cable["directory"]
 
     @pytest.mark.parametrize("seed", [0, 1, 23])
     def test_probes_used_is_the_trace_row_count_under_noise(self, tmp_path, seed):
@@ -365,6 +358,6 @@ class TestProbeBudgetBoundary:
         path = tmp_path / "noisy.yaml"
         scenarios.save_scenario(path, doc)
         result = pipeline.run_pipeline(path, tmp_path / "run")
-        assert result.stats
-        for stats in result.stats:
-            assert stats.probes_used == trace_rows(result.out_dir, stats) > 0
+        assert result.manifest["cables"]
+        for cable in result.manifest["cables"]:
+            assert cable["probes_used"] == trace_rows(result.out_dir, cable) > 0

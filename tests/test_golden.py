@@ -55,5 +55,5 @@ def test_cs2_plain_vga_artifacts_match_the_golden_digest(tmp_path):
     result = pipeline.run_pipeline(path, tmp_path / "run")
 
     assert result.exit_status == pipeline.EXIT_COMPLETE
-    assert len(result.stats) == 2
+    assert len(result.manifest["cables"]) == 2
     assert artifacts_digest(result) == GOLDEN_VGA_ARTIFACTS_SHA256, MESSAGE

@@ -39,13 +39,13 @@ def components_8(mask):
 class TestBlurAndClean:
     def test_empty_mask_fixed_point(self):
         mask = np.zeros((12, 12), dtype=bool)
-        out = blur_and_clean(grid(mask), color_like(mask))
+        out = blur_and_clean(grid(mask))
         assert not out.data.any()
 
     def test_solid_square_loses_one_pixel_border(self):
         mask = np.zeros((14, 14), dtype=bool)
         mask[2:12, 2:12] = True
-        out = blur_and_clean(grid(mask), color_like(mask))
+        out = blur_and_clean(grid(mask))
         expected = np.zeros_like(mask)
         expected[3:11, 3:11] = True
         assert np.array_equal(out.data, expected)
@@ -54,12 +54,8 @@ class TestBlurAndClean:
         # blur leaves the speck at 1/9 < 0.5, so thresholding erases it
         mask = np.zeros((9, 9), dtype=bool)
         mask[4, 4] = True
-        out = blur_and_clean(grid(mask), color_like(mask))
+        out = blur_and_clean(grid(mask))
         assert not out.data.any()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            blur_and_clean(grid(np.zeros((4, 4))), color_like(np.zeros((5, 5))))
 
 
 def brute_force_clusters(features, min_cluster_size, cut_threshold):

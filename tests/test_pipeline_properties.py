@@ -87,7 +87,7 @@ def test_unoccluded_scene_completes_without_tactile(tmp_path, scenario_files):
         scenario_files["cs1_plain"], tmp_path / "plain_nt", tactile=False
     )
     assert result.exit_status == pipeline.EXIT_COMPLETE
-    assert all(s.tactile_points == 0 for s in result.stats)
+    assert all(c["tactile_points"] == 0 for c in result.manifest["cables"])
 
 
 def test_noisy_probe_is_still_pose_deterministic():
@@ -107,7 +107,7 @@ def test_exploration_skips_singleton_segments():
     pts = np.array([[0.0, 0, 0], [0.2, 0.2, 0.0]])
     poly = SortedPolyline(points=pts, segments=[np.array([0]), np.array([1])])
     result = explore_from_endpoints(
-        poly, PLANE, partial(probe, scene), ReconParams(), pad=scene.pad, top=0.0
+        poly, PLANE, partial(probe, scene), ReconParams(), top=0.0
     )
     assert result.probes_used == 0
     assert len(result.tactile_cloud) == 0

@@ -20,9 +20,10 @@ from cablerecon.scenarios import (
     save_scenario,
 )
 from cablerecon.worldsim import (
+    PAD_PITCH,
     PRESSURE_GAIN,
+    TAXELS,
     GroundTruthCable,
-    TactilePad,
     WorldScene,
     _box_entry_depth,
     _point_to_polyline,
@@ -286,7 +287,7 @@ class TestRenderOracles:
 
 def ridge_oracle(radius, face_h):
     """Pressures of a level pad face_h above the plane, its x across a straight cable."""
-    rho = np.abs(TactilePad().taxel_centers()[:, 0].reshape(6, 2))
+    rho = np.abs(TAXELS[:, 0].reshape(6, 2))
     surf = np.where(
         rho <= radius, radius + np.sqrt(np.maximum(radius**2 - rho**2, 0)), -np.inf
     )
@@ -297,7 +298,7 @@ def all_taxel_pressures(scene, pose):
     """Every taxel against every cable, with the noise draw probe uses; each
     cable's plan on the scene's plane is built here, per call."""
     plane = scene.support_plane
-    centers = pose.transform(scene.pad.taxel_centers())
+    centers = pose.transform(TAXELS)
     face_height = plane.signed_distance(centers)
     penetration = -face_height
     uv = plane.to_plane_coords(centers)
@@ -380,7 +381,7 @@ class TestProbeShortcut:
             tilt = rotation_about_axis(np.array([0.6, 0.8, 0.0]), rng.uniform(15.0, 40.0))
             rotation = frame_from_y_z(rng.normal(size=3), plane.normal) @ tilt
             # put the lowest taxel over the cable, between r and 2r high
-            low = Pose(rotation, np.zeros(3)).transform(scenes[0].pad.taxel_centers())
+            low = Pose(rotation, np.zeros(3)).transform(TAXELS)
             low = low[np.argmin(plane.signed_distance(low))]
             uv = rng.uniform(-0.05, 0.05) * along + rng.uniform(-0.6, 0.6) * radius * across
             target = plane.from_plane_coords(uv)[0] + rng.uniform(1.0, 2.0) * radius * plane.normal
@@ -390,25 +391,22 @@ class TestProbeShortcut:
                 expected = all_taxel_pressures(scene, pose)
                 assert pressures.tobytes() == expected.tobytes()
                 hit = (pressures > EPS).any()
-            face = plane.signed_distance(pose.transform(scene.pad.taxel_centers()))
+            face = plane.signed_distance(pose.transform(TAXELS))
             single += hit and (face <= 2 * radius).sum() == 1
         assert single >= 20
 
 
 class TestTaxelGrid:
-    @pytest.mark.parametrize("pitch", [0.005, 0.0037])
-    def test_built_once_read_only_and_equal_to_the_grid(self, pitch):
-        pad = TactilePad(pitch=pitch)
-        xs = (np.arange(6) - 2.5) * pitch
-        ys = (np.arange(2) - 0.5) * pitch
+    def test_built_once_read_only_and_equal_to_the_grid(self):
+        assert PAD_PITCH == 0.005
+        xs = (np.arange(6) - 2.5) * PAD_PITCH
+        ys = (np.arange(2) - 0.5) * PAD_PITCH
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         want = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(12)])
-        got = pad.taxel_centers()
-        assert got.tobytes() == want.tobytes() and got.shape == (12, 3)
-        assert got is pad.taxel_centers()
-        assert not got.flags.writeable
+        assert TAXELS.tobytes() == want.tobytes() and TAXELS.shape == (12, 3)
+        assert not TAXELS.flags.writeable
         with pytest.raises(ValueError):
-            got[0, 0] = 1.0
+            TAXELS[0, 0] = 1.0
 
 
 class TestMapCentroid:
@@ -418,8 +416,8 @@ class TestMapCentroid:
         pose = face_down_pose([0.0, 0.0, 0.001])
         pressures = np.zeros((6, 2))
         pressures[1, 0] = 2.5
-        centroid = _centroid(pressures, pose, PLANE, TactilePad())
-        taxel_world = pose.transform(TactilePad().taxel_centers())[2]  # (1, 0)
+        centroid = _centroid(pressures, pose, PLANE)
+        taxel_world = pose.transform(TAXELS)[2]  # (1, 0)
         assert np.allclose(centroid[:2], taxel_world[:2], atol=1e-12)
         assert abs(centroid[2]) < 1e-12
 
@@ -428,8 +426,8 @@ class TestMapCentroid:
         pressures = np.zeros((6, 2))
         pressures[0, 0] = 1.0
         pressures[5, 1] = 1.0
-        centroid = _centroid(pressures, pose, PLANE, TactilePad())
-        centers = pose.transform(TactilePad().taxel_centers())
+        centroid = _centroid(pressures, pose, PLANE)
+        centers = pose.transform(TAXELS)
         mid = 0.5 * (centers[0] + centers[11])
         assert np.allclose(centroid[:2], mid[:2], atol=1e-12)
 
@@ -440,8 +438,8 @@ class TestMapCentroid:
         # pad offset laterally; centroid must stay within half a pitch of
         # the true centerline
         pose = face_down_pose([0.0, 0.002, 2 * radius - 0.002])
-        centroid = _centroid(probe(scene, pose), pose, PLANE, TactilePad())
-        assert abs(centroid[1]) <= TactilePad().pitch / 2
+        centroid = _centroid(probe(scene, pose), pose, PLANE)
+        assert abs(centroid[1]) <= PAD_PITCH / 2
         assert abs(PLANE.signed_distance(centroid)[0]) < 1e-9
 
 
