@@ -21,7 +21,6 @@ ProbeBudgetError once the rows reach `probe_budget`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +83,8 @@ class ExplorationResult:
         return len(self.trace)
 
     def save_trace_csv(self, path) -> None:
-        pick = itemgetter(*TRACE_COLUMNS)
         lines = [",".join(TRACE_COLUMNS)]
-        lines.extend(",".join(map(str, pick(row))) for row in self.trace)
+        lines.extend(",".join(map(str, row.values())) for row in self.trace)
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -94,25 +92,17 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-class _Tracer:
-    def __init__(self):
-        self.rows: list[dict] = []
-
-    def log(self, endpoint_id, pose, touched, ind, accepted, p_new):
-        row = {
-            "step": len(self.rows),
-            "endpoint_id": endpoint_id,
-            "touched": int(touched),
-            "indicator": _fmt(ind) if ind is not None else "",
-            "accepted": int(accepted),
-            "px": _fmt(p_new[0]) if p_new is not None else "",
-            "py": _fmt(p_new[1]) if p_new is not None else "",
-            "pz": _fmt(p_new[2]) if p_new is not None else "",
-        }
-        # "%.9g" % x is the text of _fmt(x); one format call covers the pose
-        values = pose.rotation.ravel().tolist() + pose.translation.tolist()
-        row.update(zip(POSE_COLUMNS, (_POSE_FORMAT % tuple(values)).split(",")))
-        self.rows.append(row)
+def _log(trace: list[dict], endpoint_id: int, pose: Pose, ind=None, p_new=None) -> None:
+    """Append a probe's row: in the air without `ind`, a rejected touch
+    without `p_new`, an accepted touch with both."""
+    # "%.9g" % x is the text of _fmt(x); one format call covers the pose
+    values = pose.rotation.ravel().tolist() + pose.translation.tolist()
+    pose_text = (_POSE_FORMAT % tuple(values)).split(",")
+    ind_text = "" if ind is None else _fmt(ind)
+    point = ["", "", ""] if p_new is None else [_fmt(x) for x in p_new]
+    touch = [int(ind is not None), ind_text, int(p_new is not None), *point]
+    row = [len(trace), endpoint_id, *pose_text, *touch]
+    trace.append(dict(zip(TRACE_COLUMNS, row, strict=True)))
 
 
 def _descend(
@@ -121,7 +111,7 @@ def _descend(
     target_on_plane: np.ndarray,
     plane: PlaneModel,
     params: ReconParams,
-    tracer: _Tracer,
+    trace: list[dict],
     endpoint_id: int,
     top: float,
 ) -> tuple[Pose, np.ndarray]:
@@ -143,12 +133,12 @@ def _descend(
         height -= params.delta_z
     while True:
         pose = Pose(rotation, pos)
-        if len(tracer.rows) >= params.probe_budget:
+        if len(trace) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         pressures = probe_fn(pose)
         if (pressures > params.eps_contact).any():
             return pose, pressures
-        tracer.log(endpoint_id, pose, False, None, False, None)
+        _log(trace, endpoint_id, pose)
         if plane.signed_distance(pos)[0] < -DESCENT_LIMIT:
             raise DescentOverrunError(
                 "probe descended past the plane without any contact"
@@ -180,7 +170,7 @@ def explore_from_endpoints(
     ends = poly.endpoints
     visited: set[int] = set()
     tactile: list[np.ndarray] = []
-    tracer = _Tracer()
+    trace: list[dict] = []
     dead_ends = 0
 
     for eid, (last, heading) in enumerate(zip(ends, ends - poly.neighbors)):
@@ -193,12 +183,13 @@ def explore_from_endpoints(
         attempts = 0
         while attempts < params.max_rotation_attempts:
             target = last + params.delta_y * rotation[:, 1]
-            pose, pressures = _descend(probe_fn, rotation, target, plane, params, tracer, eid, top)
+            pose, pressures = _descend(probe_fn, rotation, target, plane, params, trace, eid, top)
             ind = indicator(pressures)
             p_new = _centroid(pressures, pose, plane) if ind > params.t_h else None
-            accepted = p_new is not None and not np.linalg.norm(p_new - last) < 1e-12
-            tracer.log(eid, pose, True, ind, accepted, p_new if accepted else None)
-            if not accepted:  # flat, or no advance: turn and retry from the same point
+            if p_new is not None and np.linalg.norm(p_new - last) < 1e-12:
+                p_new = None  # no advance
+            _log(trace, eid, pose, ind, p_new)
+            if p_new is None:  # flat, or no advance: turn and retry from the same point
                 attempts += 1
                 rotation = rotation @ r_step
                 continue
@@ -218,7 +209,7 @@ def explore_from_endpoints(
             dead_ends += 1
 
     cloud = np.array(tactile).reshape(-1, 3)
-    return ExplorationResult(tactile_cloud=cloud, trace=tracer.rows, dead_ends=dead_ends)
+    return ExplorationResult(tactile_cloud=cloud, trace=trace, dead_ends=dead_ends)
 
 
 def merge_clouds(visual: np.ndarray, tactile: np.ndarray) -> np.ndarray:

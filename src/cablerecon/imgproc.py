@@ -8,7 +8,6 @@ of the surviving pixels through the depth image.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,15 +208,14 @@ def _reach_components(features, rows, cols, k: int, threshold: float) -> np.ndar
     labels = _components((np.ones(len(src)), (src, dst)), n)
 
     ids = np.unique(labels[core])
-    frags = [features[labels == f] for f in ids]
     bound = threshold * (1 + 1e-9)  # the kd-tree's bound excludes a pair exactly at it
     joins = []
-    for a, b in itertools.combinations(range(len(ids)), 2):
-        small, large = sorted((frags[a], frags[b]), key=len)
-        d, j = cKDTree(large).query(small, k=1, distance_upper_bound=bound)
+    for f in ids[:-1]:  # one tree per fragment, asked by the core points of later ones
+        frag, later = np.flatnonzero(labels == f), np.flatnonzero(core & (labels > f))
+        d, j = cKDTree(features[frag]).query(features[later], k=1, distance_upper_bound=bound)
         hit = np.isfinite(d)
-        if (np.linalg.norm(small[hit] - large[j[hit]], axis=1) <= threshold).any():
-            joins.append((ids[a], ids[b]))
+        link = np.linalg.norm(features[later[hit]] - features[frag[j[hit]]], axis=1) <= threshold
+        joins += [(f, g) for g in np.unique(labels[later[hit][link]])]
     ja, jb = np.array(joins, dtype=int).reshape(-1, 2).T
     return _components((np.ones(len(ja)), (ja, jb)), labels.max() + 1)[labels]
 

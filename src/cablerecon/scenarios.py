@@ -21,8 +21,6 @@ from .yamlio import load_yaml, save_yaml
 
 SCHEMA_VERSION = 1
 
-TEMPLATES = ("cs1_plain", "cs1_occluded", "cs2_plain", "cs2_occluded")
-
 
 def _fmt(x: float) -> float:
     return float(f"{float(x):.9g}")
@@ -138,23 +136,38 @@ def _oval_uv(r_u: float, r_v: float, center, gap_m: float, n: int = 25) -> np.nd
     return np.column_stack([c[0] + r_u * np.cos(phi), c[1] + r_v * np.sin(phi)])
 
 
-def _camera_doc(position, look_at) -> dict:
-    return {
-        "fx": 600.0,
-        "fy": 600.0,
-        "cx": 320.0,
-        "cy": 240.0,
-        "width": 640,
-        "height": 480,
-        "position": _vec(position),
-        "look_at": _vec(look_at),
-        "up_hint": [0.0, 1.0, 0.0],
-    }
-
-
 def _uv_to_world(plane: PlaneModel, center_world: np.ndarray, uv: np.ndarray) -> np.ndarray:
     c_uv = plane.to_plane_coords(center_world)[0]
     return plane.from_plane_coords(uv + c_uv)
+
+
+def _document(seed: int, normal, point, cables, occluders) -> dict:
+    """A template's scenario document: the plane through `point` with
+    `normal`, the (color, control points) `cables` and the (min, max)
+    `occluders`; the camera sits 0.65 m above `point` along `normal` and
+    looks at it."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "seed": int(seed),
+        "plane": {"point": _vec(point), "normal": _vec(normal)},
+        "cables": [
+            {"color": color, "radius": 0.003, "control_points": [_vec(p) for p in ctrl]}
+            for color, ctrl in cables
+        ],
+        "occluders": [{"min": _vec(lo), "max": _vec(hi)} for lo, hi in occluders],
+        "camera": {
+            "fx": 600.0,
+            "fy": 600.0,
+            "cx": 320.0,
+            "cy": 240.0,
+            "width": 640,
+            "height": 480,
+            "position": _vec(point + 0.65 * normal),
+            "look_at": _vec(point),
+            "up_hint": [0.0, 1.0, 0.0],
+        },
+        "pressure_noise_sigma": 0.0,
+    }
 
 
 def make_cs1(seed: int = 0, occluded: bool = False, crossing_angle_deg: float = 55.0) -> dict:
@@ -163,7 +176,6 @@ def make_cs1(seed: int = 0, occluded: bool = False, crossing_angle_deg: float = 
     normal = np.array([np.sin(tilt), 0.0, np.cos(tilt)])
     point = np.array([0.55, 0.0, 0.10])
     plane = PlaneModel(np.append(normal, -np.dot(normal, point)))
-    camera_pos = point + 0.65 * normal
 
     uv_raw = _limacon_uv(crossing_angle_deg, scale=0.11)
     # recenter so the whole figure sits around the camera target
@@ -176,28 +188,9 @@ def make_cs1(seed: int = 0, occluded: bool = False, crossing_angle_deg: float = 
         # the self-crossing sits at the limacon pole, uv (0,0) before the shift
         crossing_world = _uv_to_world(plane, point, (-shift)[None, :])[0]
         w = 0.035  # occluder half-width
-        occluders.append(
-            {
-                "min": _vec(crossing_world - np.array([w, w, 0.02])),
-                "max": _vec(crossing_world + np.array([w, w, 0.06])),
-            }
-        )
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": int(seed),
-        "plane": {"point": _vec(point), "normal": _vec(normal)},
-        "cables": [
-            {
-                "color": [30.0, 30.0, 33.0],
-                "radius": 0.003,
-                "control_points": [_vec(p) for p in ctrl],
-            }
-        ],
-        "occluders": occluders,
-        "camera": _camera_doc(camera_pos, point),
-        "pressure_noise_sigma": 0.0,
-    }
+        occluders.append((crossing_world - np.array([w, w, 0.02]),
+                          crossing_world + np.array([w, w, 0.06])))
+    return _document(seed, normal, point, [([30.0, 30.0, 33.0], ctrl)], occluders)
 
 
 def make_cs2(seed: int = 0, occluded: bool = False) -> dict:
@@ -205,56 +198,34 @@ def make_cs2(seed: int = 0, occluded: bool = False) -> dict:
     normal = np.array([0.0, 0.0, 1.0])
     point = np.array([0.55, 0.0, 0.0])
     plane = PlaneModel(np.append(normal, -np.dot(normal, point)))
-    camera_pos = point + 0.65 * normal
 
     black_uv = _oval_uv(0.085, 0.105, center=(-0.165, 0.0), gap_m=0.012)
     blue_uv = _oval_uv(0.085, 0.105, center=(0.165, 0.0), gap_m=0.012)
-    black = _uv_to_world(plane, point, black_uv)
-    blue = _uv_to_world(plane, point, blue_uv)
+    cables = [([25.0, 25.0, 28.0], _uv_to_world(plane, point, black_uv)),
+              ([40.0, 80.0, 200.0], _uv_to_world(plane, point, blue_uv))]
 
     occluders = []
     if occluded:
         for uc in (-0.10, 0.10):
             center = _uv_to_world(plane, point, np.array([[uc, 0.09]]))[0]
             half = np.array([0.035, 0.045, 0.0])
-            occluders.append(
-                {
-                    "min": _vec(center - half - np.array([0, 0, 0.02])),
-                    "max": _vec(center + half + np.array([0, 0, 0.06])),
-                }
-            )
+            occluders.append((center - half - np.array([0, 0, 0.02]),
+                              center + half + np.array([0, 0, 0.06])))
+    return _document(seed, normal, point, cables, occluders)
 
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": int(seed),
-        "plane": {"point": _vec(point), "normal": _vec(normal)},
-        "cables": [
-            {
-                "color": [25.0, 25.0, 28.0],
-                "radius": 0.003,
-                "control_points": [_vec(p) for p in black],
-            },
-            {
-                "color": [40.0, 80.0, 200.0],
-                "radius": 0.003,
-                "control_points": [_vec(p) for p in blue],
-            },
-        ],
-        "occluders": occluders,
-        "camera": _camera_doc(camera_pos, point),
-        "pressure_noise_sigma": 0.0,
-    }
+
+# name -> (builder, occluded); a template is one entry
+_TEMPLATES = {
+    "cs1_plain": (make_cs1, False),
+    "cs1_occluded": (make_cs1, True),
+    "cs2_plain": (make_cs2, False),
+    "cs2_occluded": (make_cs2, True),
+}
+TEMPLATES = tuple(_TEMPLATES)
 
 
 def make_template(name: str, seed: int = 0) -> dict:
-    if name == "cs1_plain":
-        return make_cs1(seed=seed, occluded=False)
-    if name == "cs1_occluded":
-        return make_cs1(seed=seed, occluded=True)
-    if name == "cs2_plain":
-        return make_cs2(seed=seed, occluded=False)
-    if name == "cs2_occluded":
-        return make_cs2(seed=seed, occluded=True)
-    raise KeyError(
-        f"unknown template {name!r}; valid templates: {', '.join(TEMPLATES)}"
-    )
+    if name not in _TEMPLATES:
+        raise KeyError(f"unknown template {name!r}; valid templates: {', '.join(TEMPLATES)}")
+    build, occluded = _TEMPLATES[name]
+    return build(seed=seed, occluded=occluded)

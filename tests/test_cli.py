@@ -90,6 +90,21 @@ class TestRun:
             for c in cables
         ] + [str(out)]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: a run into an existing --out certifies the files "
+        "an earlier run left there",
+    )
+    def test_a_second_run_into_one_out_certifies_none_of_the_first_runs_files(
+        self, tmp_path, scenario_files
+    ):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(scenario_files["cs2_plain"]), "--out", str(out)]) == 0
+        assert cli.main(["run", str(scenario_files["cs1_plain"]), "--out", str(out)]) == 0
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        stale = [k for k in artifacts if k.startswith("cable_01/")]
+        assert stale == [] and "images/mask_cable_01.pgm" not in artifacts
+
     def test_cli_run_and_seed_precedence(self, tmp_path, scenario_files, monkeypatch):
         monkeypatch.setenv("DLO_SEED", "123")
         out = tmp_path / "envseed"

@@ -25,19 +25,19 @@ TRACE = "trace.csv"
 
 
 def descend_every_step(
-    probe_fn, rotation, target_on_plane, plane, params, tracer, endpoint_id, top,
+    probe_fn, rotation, target_on_plane, plane, params, trace, endpoint_id, top,
 ):
     """The descent before in-air steps were skipped: `top` is ignored."""
     normal = plane.normal
     pos = target_on_plane + params.hover_height * normal
     while True:
         pose = Pose(rotation.copy(), pos.copy())
-        if len(tracer.rows) >= params.probe_budget:
+        if len(trace) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         pressures = probe_fn(pose)
         touched = (pressures > params.eps_contact).any()
         if not touched:
-            tracer.log(endpoint_id, pose, False, None, False, None)
+            explore._log(trace, endpoint_id, pose)
         if touched:
             return pose, pressures
         height = float(plane.signed_distance(pos)[0])

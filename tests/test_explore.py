@@ -13,7 +13,7 @@ from cablerecon.explore import (
     _centroid,
     _descend,
     _fmt,
-    _Tracer,
+    _log,
     explore_from_endpoints,
     indicator,
     merge_clouds,
@@ -208,12 +208,12 @@ class TestTouch:
             calls.append(pose)
             return maps[len(calls) - 1]
 
-        tracer = _Tracer()
+        trace = []
         pose, pressures = _descend(
-            fake_probe, np.eye(3), np.zeros(3), PLANE, params, tracer, 0, top=0.0
+            fake_probe, np.eye(3), np.zeros(3), PLANE, params, trace, 0, top=0.0
         )
         assert pose is calls[-1]
-        return pressures, tracer.rows, calls
+        return pressures, trace, calls
 
     def test_a_taxel_at_eps_contact_is_no_touch(self):
         params = ReconParams()
@@ -250,16 +250,22 @@ class TestTraceRows:
         rng = np.random.default_rng(8)
         randoms = rng.normal(size=300) * 10.0 ** rng.uniform(-300, 300, 300)
         values = np.concatenate([[-0.0, 5e-324, 1e300, -1e300], randoms, np.ones(8)])
-        tracer = _Tracer()
+        trace = []
         for k, chunk in enumerate(values.reshape(-1, 12)):
             pose = SimpleNamespace(rotation=chunk[:9].reshape(3, 3), translation=chunk[9:])
-            p_new = chunk[:3] if k % 2 else None
-            tracer.log(k % 3, pose, bool(k % 2), chunk[4] if k % 2 else None, k % 4 == 1, p_new)
-        for chunk, row in zip(values.reshape(-1, 12), tracer.rows, strict=True):
+            # k % 4: 0 and 2 in the air, 1 an accepted touch, 3 a rejected one
+            p_new = chunk[:3] if k % 4 == 1 else None
+            _log(trace, k % 3, pose, chunk[4] if k % 2 else None, p_new)
+        for k, (chunk, row) in enumerate(zip(values.reshape(-1, 12), trace, strict=True)):
+            assert list(row) == self.COLUMNS and row["step"] == k
             assert [row[c] for c in POSE_COLUMNS] == [_fmt(x) for x in chunk]
-        ExplorationResult(np.zeros((0, 3)), trace=tracer.rows).save_trace_csv(tmp_path / "t.csv")
+            assert (row["touched"], row["accepted"]) == (k % 2, int(k % 4 == 1))
+            assert row["indicator"] == (_fmt(chunk[4]) if k % 2 else "")
+            point = [_fmt(x) for x in chunk[:3]] if k % 4 == 1 else ["", "", ""]
+            assert [row["px"], row["py"], row["pz"]] == point
+        ExplorationResult(np.zeros((0, 3)), trace=trace).save_trace_csv(tmp_path / "t.csv")
         lines = [",".join(self.COLUMNS)]
-        lines += [",".join(str(row[c]) for c in self.COLUMNS) for row in tracer.rows]
+        lines += [",".join(str(row[c]) for c in self.COLUMNS) for row in trace]
         assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
 

@@ -542,6 +542,33 @@ def test_cluster_cases_prove_some_core_points_and_query_others(monkeypatch):
     assert any(rest == 0 for _, rest in proven.values())
 
 
+def test_fragment_join_queries_one_tree_per_fragment_but_the_last(monkeypatch):
+    # F fragments join with at most F - 1 kd-trees of fragments, each asked
+    # once by the later fragments, not with one tree per pair (F(F - 1)/2)
+    first_labels = []
+    components = imgproc._components
+
+    def logged_components(arg, n):
+        first_labels.append(components(arg, n))
+        return first_labels[-1]
+
+    monkeypatch.setattr(imgproc, "_components", logged_components)
+    monkeypatch.setattr(imgproc, "cKDTree", _QueryLog)
+    fragments = {}
+    for name, (features, rows, cols), k, cut in CLUSTER_CASES:
+        n, k_eff = len(features), min(k, len(features) - 1)
+        if k_eff <= 0:
+            continue
+        first_labels.clear()
+        _QueryLog.log.clear()
+        imgproc._reach_components(features, rows, cols, k, cut)
+        core = cKDTree(features).query(features, k=k_eff + 1)[0][:, k_eff] <= cut
+        fragments[name] = len(np.unique(first_labels[0][core]))
+        joins = [q for q in _QueryLog.log if q[0] < n]
+        assert len(joins) <= max(fragments[name] - 1, 0), name
+    assert fragments["noisy_strokes_10.0_1_12.0"] > 2  # where F - 1 < F(F - 1)/2
+
+
 def test_links_hand_pairs_at_the_threshold_to_the_row_norm():
     # From 8 dimensions on, numpy sums the squares pairwise and the kd-tree
     # in order, so the two distances of many pairs differ in the last ulp

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 import zlib
 
@@ -16,6 +17,7 @@ from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
 from cablerecon.scenarios import (
     TEMPLATES,
     load_scenario,
+    make_cs1,
     make_template,
     save_scenario,
 )
@@ -443,6 +445,16 @@ class TestMapCentroid:
         assert abs(PLANE.signed_distance(centroid)[0]) < 1e-9
 
 
+# sha256 of each template's scenario file at seed 0, and of the criterion-8 scene
+FROZEN_SCENARIOS = {
+    "cs1_plain": "fa19c6ddb4b7637eb756d66a2e5a21144bdf53f538adc0a8c9d2ebd9c9a6066c",
+    "cs1_occluded": "95018700f76a7d140b6aa21d3f0cd02d231756875b0871be2a5e670cf46765e6",
+    "cs2_plain": "9687e3901722886485ec1350c2fea5a40ca0feadcc3577158e373d2e437dde5a",
+    "cs2_occluded": "8334c2db74a94c1b4103f97a7c64eada0eed72dd3a5ae6267f83684463910c8e",
+    "criterion_8": "ab5f0a9c78298056e2a37a7b5c46a5c037f84e14c9723ea4aa9924c4c4b86495",
+}
+
+
 class TestScenarioFiles:
     def test_same_seed_bytes_identical(self, tmp_path):
         for name in ("cs1_occluded", "cs2_plain"):
@@ -451,6 +463,17 @@ class TestScenarioFiles:
             save_scenario(a, make_template(name, seed=9))
             save_scenario(b, make_template(name, seed=9))
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", FROZEN_SCENARIOS)
+    def test_template_bytes_are_frozen(self, tmp_path, name):
+        # a template's file is its geometry: a new way to build it keeps every byte
+        if name == "criterion_8":
+            doc = make_cs1(seed=7, occluded=True, crossing_angle_deg=30.0)
+        else:
+            doc = make_template(name, seed=0)
+        path = tmp_path / f"{name}.yaml"
+        save_scenario(path, doc)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FROZEN_SCENARIOS[name]
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     @pytest.mark.parametrize("name", TEMPLATES)
@@ -490,5 +513,9 @@ class TestScenarioFiles:
             load_scenario(path)
 
     def test_unknown_template_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             make_template("nosuch")
+        assert exc.value.args[0] == (
+            "unknown template 'nosuch'; valid templates: "
+            "cs1_plain, cs1_occluded, cs2_plain, cs2_occluded"
+        )
