@@ -3,6 +3,9 @@
 The fit interpolates (it does not smooth): the pipeline has already
 regularized the cloud through downsampling and midpoint merging, and the
 tactile points carry real contacts that the curve must honor.
+
+The fit and its evaluation are numpy, bit-equal to `scipy.interpolate`; the
+one scipy call is LAPACK's banded solve `gbsv`, as in `make_interp_spline`.
 """
 
 from __future__ import annotations
@@ -11,13 +14,38 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
+from scipy.linalg import get_lapack_funcs
 
 from .cloudproc import merge_close_points, voxel_downsample
 from .geom import ReconParams, checked, read
 from .yamlio import load_yaml
 
 DEGREE = 3  # cubic: the ground-truth centerlines and the fitted models
+_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
+
+
+def _basis(t: np.ndarray, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The span `ell` of nonzero width that holds each x of the domain (the last at its
+    end), and row a = B_{ell-k+a}(x) of the k+1 B-splines nonzero there, by de Boor's
+    recursion in the operation order of scipy's `_deBoor_D`; no denominator is 0."""
+    n = len(t) - k - 1
+    last = np.searchsorted(t, t[n]) - 1
+    span = np.searchsorted(t, x, "right") - 1
+    ell = np.minimum(span, last)
+    near = t[ell + np.arange(1 - k, k + 1)[:, None]]  # near[r] = t[ell + r + 1 - k]
+    left, right = x - near[:k], near[k:] - x
+    h = np.zeros((k + 1, len(x)))
+    h[0] = 1.0
+    if last < n - 1:  # scipy takes the zero-width span n-1 at x = t[n]: every B-spline is 0
+        h[0, span > last] = 0.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for i in range(1, j + 1):
+            w = hh[i - 1] / (near[k + i - 1] - near[k + i - 1 - j])
+            h[i - 1] += w * right[i - 1]
+            h[i] = w * left[k + i - 1 - j]
+    return ell, h
 
 
 @dataclass
@@ -44,14 +72,26 @@ class BSplineCurve:
             and np.allclose(self.knots[-k - 1 :], self.knots[-1])
         ):
             raise ValueError("end knots must be clamped to multiplicity degree+1")
+        if not self.knots[k] < self.knots[n]:
+            raise ValueError("parameter domain must not be empty")
 
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.knots[self.degree]), float(self.knots[-self.degree - 1])
 
     def evaluate(self, ts: np.ndarray) -> np.ndarray:
-        spl = BSpline(self.knots, self.control_points, self.degree, extrapolate=False)
-        return np.atleast_2d(spl(np.asarray(ts, dtype=float)))
+        """Points at parameters `ts`, NaN outside the domain: `BSpline(extrapolate=False)`."""
+        x = np.asarray(ts, dtype=float).ravel()
+        lo, hi = self.domain
+        inside = (x >= lo) & (x <= hi)
+        k = self.degree
+        ell, h = _basis(self.knots, k, np.where(inside, x, lo))
+        ctrl = np.take(self.control_points.T, ell + np.arange(-k, 1)[:, None], axis=1)
+        out = np.zeros((3, len(x)))
+        for a in range(k + 1):  # scipy's sum: from 0.0, in order of a
+            out += ctrl[:, a] * h[a]
+        out[:, ~inside] = np.nan
+        return np.ascontiguousarray(out.T)
 
     def translated(self, offset: np.ndarray) -> "BSplineCurve":
         """Rigidly shifted copy (affine invariance of the control polygon)."""
@@ -122,11 +162,15 @@ def fit_bspline(points: np.ndarray) -> BSplineCurve:
     if k == 1:
         return _polyline_curve(pts, params)
     knots = _averaged_knots(params, k)
-    try:
-        spl = make_interp_spline(params, pts, k=k, t=knots)
-    except np.linalg.LinAlgError:
+    # the collocation matrix in LAPACK band storage: ab[2k + row - col, col]
+    ell, h = _basis(knots, k, params)
+    ab = np.zeros((3 * k + 1, len(pts)), order="F")
+    for a in range(k + 1):
+        ab[2 * k + np.arange(len(pts)) - (ell - k + a), ell - k + a] = h[a]
+    _, _, ctrl, info = _GBSV(k, k, ab, pts, overwrite_ab=True)
+    if info > 0:  # singular collocation
         return _polyline_curve(pts, params)
-    return BSplineCurve(degree=k, knots=spl.t, control_points=spl.c)
+    return BSplineCurve(degree=k, knots=knots, control_points=ctrl)
 
 
 def sample_curve(curve: BSplineCurve, n: int) -> np.ndarray:

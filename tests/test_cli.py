@@ -492,6 +492,8 @@ class TestCleanErrors:
              "cable_00/spline_seg00.yaml: knots must be nondecreasing"),
             ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("[0, 0, 1, 1]", "[0, 0.5, 1, 1]"),
              "cable_00/spline_seg00.yaml: end knots must be clamped to multiplicity degree+1"),
+            ("eval", "cable_00/spline_seg00.yaml", SPLINE.replace("[0, 0, 1, 1]", "[1, 1, 1, 1]"),
+             "cable_00/spline_seg00.yaml: parameter domain must not be empty"),
             ("eval", "cable_00/spline_seg00.yaml",
              SPLINE.replace("degree: 1", "degree: 2").replace("[0, 0, 1, 1]", "[0, 0, 0, 1, 1]"),
              "cable_00/spline_seg00.yaml: need at least degree+1 control points"),
@@ -509,7 +511,7 @@ class TestCleanErrors:
              "eval_negative_segments", "eval_fractional_endpoints", "eval_bool_probes",
              "eval_text_failure", "eval_bool_degree", "eval_negative_degree", "eval_text_knot",
              "eval_two_number_control_points", "eval_short_knots", "eval_decreasing_knots",
-             "eval_unclamped_knots", "eval_too_few_control_points"],
+             "eval_unclamped_knots", "eval_empty_domain", "eval_too_few_control_points"],
     )
     def test_damaged_run_directory_is_one_error_line(
         self, template_runs, tmp_path, capsys, command, damaged, text, named

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline, make_interp_spline
 
+from cablerecon import fitting
 from cablerecon.fitting import (
     BSplineCurve,
+    _averaged_knots,
     bspline_from_control_points,
     chord_length_params,
     fit_bspline,
@@ -205,3 +213,88 @@ class TestCurveContainers:
         assert np.allclose(
             moved.evaluate(ts), curve.evaluate(ts) + [0, 0, 0.003], atol=1e-12
         )
+
+
+# knot vectors a spline file may hold: (knots, degree)
+KNOT_EDGE_CASES = {
+    "interior_multiplicity_2": ([0, 0, 0, 0, 0.3, 0.3, 0.6, 1, 1, 1, 1], 3),
+    "interior_multiplicity_4": ([0, 0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1, 1], 3),
+    "end_multiplicity_5": ([0, 0, 0, 0, 0.4, 1, 1, 1, 1, 1], 3),
+    "start_multiplicity_5": ([0, 0, 0, 0, 0, 0.4, 1, 1, 1, 1], 3),
+    "degree_1": ([0, 0, 0.2, 0.5, 0.7, 1, 1], 1),
+    "degree_5": ([0] * 6 + [0.1, 0.3, 0.5, 0.9] + [1] * 6, 5),
+    "near_clamped": ([0, 0, 0, 1e-12, 0.5, 1 - 1e-12, 1, 1, 1], 2),
+}
+
+
+class TestScipyOracle:
+    """The numpy fit and evaluation against scipy.interpolate, bit for bit."""
+
+    @staticmethod
+    def assert_evaluates_like_scipy(curve, ts):
+        ref = BSpline(curve.knots, curve.control_points, curve.degree, extrapolate=False)(ts)
+        out = curve.evaluate(ts)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert out.tobytes() == ref.tobytes()  # the sign of zero and NaN too
+
+    def test_random_fits_equal_scipy(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            pts = np.cumsum(rng.normal(scale=0.02, size=(int(rng.integers(3, 120)), 3)), axis=0)
+            curve = fit_bspline(pts)
+            params = chord_length_params(pts)
+            k = curve.degree
+            assert k in (2, 3)
+            ref = make_interp_spline(params, pts, k=k, t=_averaged_knots(params, k))
+            assert np.array_equal(curve.control_points, ref.c)
+            assert curve.control_points.tobytes() == ref.c.tobytes()
+            ts = np.concatenate([rng.uniform(-0.1, 1.1, 200), curve.knots, [np.nan]])
+            self.assert_evaluates_like_scipy(curve, ts)
+
+    def test_random_degree_1_to_3_curves_evaluate_like_scipy(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(k + 1, 30))
+            interior = np.sort(rng.choice(np.linspace(0, 1, 12)[1:-1], n - k - 1))
+            knots = np.concatenate([np.zeros(k + 1), interior, np.ones(k + 1)])
+            curve = BSplineCurve(k, knots, rng.normal(size=(n, 3)))
+            ts = np.concatenate([rng.uniform(-0.1, 1.1, 100), knots, [np.nan, np.inf]])
+            self.assert_evaluates_like_scipy(curve, ts)
+
+    @pytest.mark.parametrize("name", KNOT_EDGE_CASES)
+    def test_knot_edge_cases_evaluate_like_scipy(self, name):
+        knots, k = KNOT_EDGE_CASES[name]
+        rng = np.random.default_rng(5)
+        ctrl = rng.normal(size=(len(knots) - k - 1, 3))
+        ctrl[:, 2] = -0.0  # scipy's sum starts from +0.0, so this coordinate is +0.0
+        curve = BSplineCurve(k, knots, ctrl)
+        ts = np.concatenate(
+            [np.linspace(-0.2, 1.2, 701), knots, [np.nan, np.inf, -np.inf]]
+        )
+        self.assert_evaluates_like_scipy(curve, ts)
+
+    def test_singular_collocation_falls_back_to_the_polyline(self, monkeypatch):
+        def singular(kl, ku, ab, b, overwrite_ab=False):
+            return ab, np.zeros(len(b), dtype=np.int32), b.copy(), 1
+
+        monkeypatch.setattr(fitting, "_GBSV", singular)
+        pts = np.array([[0.0, 0, 0], [0.05, 0.03, 0], [0.1, 0.0, 0], [0.2, 0.05, 0.01]])
+        curve = fit_bspline(pts)
+        params = chord_length_params(pts)
+        assert curve.degree == 1
+        assert np.array_equal(curve.control_points, pts)
+        assert np.array_equal(curve.knots, np.concatenate([[0.0], params, [1.0]]))
+
+
+def test_cold_import_loads_no_scipy_interpolate():
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys, cablerecon.pipeline; print(sorted(m for m in "
+        "('scipy.interpolate', 'scipy.optimize', 'scipy.fft') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
