@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs
 
 from .cloudproc import merge_close_points, voxel_downsample
@@ -128,13 +129,9 @@ def chord_length_params(points: np.ndarray) -> np.ndarray:
 
 
 def _averaged_knots(params: np.ndarray, degree: int) -> np.ndarray:
-    n = len(params)
-    interior = [
-        params[j : j + degree].mean() for j in range(1, n - degree)
-    ]
-    return np.concatenate(
-        [np.zeros(degree + 1), interior, np.ones(degree + 1)]
-    )
+    # interior knot j is the mean of params[j : j + degree], j = 1 .. n - degree - 1
+    interior = sliding_window_view(params[1:], degree)[:-1].mean(axis=1)
+    return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
 
 
 def _polyline_curve(points: np.ndarray, params: np.ndarray) -> BSplineCurve:

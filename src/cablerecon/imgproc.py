@@ -340,10 +340,12 @@ def save_pgm(path, mask_img: ImageGrid) -> None:
 
 
 def save_ppm(path, color_img: ImageGrid) -> None:
-    """Binary PPM (P6) color image."""
+    """Binary PPM (P6) color image, clipped and converted 64 rows at a time."""
     data = np.asarray(color_img.data)
-    header = f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode()
-    Path(path).write_bytes(header + np.clip(data, 0, 255).astype(np.uint8).tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
+        for r in range(0, data.shape[0], 64):
+            f.write(np.clip(data[r : r + 64], 0, 255).astype(np.uint8).tobytes())
 
 
 def save_depth(path, depth_img: ImageGrid) -> None:

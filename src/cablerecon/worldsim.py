@@ -24,6 +24,7 @@ PRESSURE_GAIN = 1000.0   # pressure units per meter of penetration
 DENSE_SAMPLES = 4096     # centerline discretization for distance queries
 PAD_SHAPE = (6, 2)       # taxel rows along end-effector x, columns along y
 PAD_PITCH = 0.005        # meters between neighbouring taxel centers
+BAND_PIXELS = 1 << 16    # render works on bands of whole rows holding about this many pixels
 
 SHELF_COLOR = np.array([185.0, 170.0, 150.0])
 OCCLUDER_COLOR = np.array([90.0, 90.0, 95.0])
@@ -134,14 +135,15 @@ class RenderResult:
         return ImageGrid(grid)
 
 
-def _ray_grid(scene: WorldScene):
+def _ray_grid(scene: WorldScene, rows: slice):
+    """Camera origin and the world-frame ray direction of each pixel in `rows`."""
     intr = scene.camera
-    dirs_cam = np.empty((scene.height, scene.width, 3))
+    dirs_cam = np.empty((rows.stop - rows.start, scene.width, 3))
     dirs_cam[..., 0] = (np.arange(scene.width, dtype=float) - intr.cx) / intr.fx
-    dirs_cam[..., 1] = ((np.arange(scene.height, dtype=float) - intr.cy) / intr.fy)[:, None]
+    v = (np.arange(rows.start, rows.stop, dtype=float) - intr.cy) / intr.fy
+    dirs_cam[..., 1] = v[:, None]
     dirs_cam[..., 2] = 1.0
-    dirs_world = dirs_cam @ intr.pose.rotation.T
-    return intr.pose.translation, dirs_world
+    return intr.pose.translation, dirs_cam @ intr.pose.rotation.T
 
 
 def _box_entry_depth(origin, dirs, lo, hi):
@@ -180,12 +182,9 @@ def _footprint(lo, hi, intr: CameraIntrinsics, h: int, w: int) -> tuple[slice, s
     return slice(r0, r1), slice(c0, c1)
 
 
-def _stamps(cable: GroundTruthCable, intr: CameraIntrinsics, h: int, w: int):
-    """Rows, columns and camera z of every in-frame pixel of the cable's stamped disks.
-
-    Each centerline sample in front of the camera stamps a disk of its
-    projected radius; samples are stamped in one batch per radius.
-    """
+def _project(cable: GroundTruthCable, intr: CameraIntrinsics):
+    """Row, column, camera z and projected disk radius of each centerline
+    sample in front of the camera."""
     cam = (cable.dense_samples - intr.pose.translation) @ intr.pose.rotation
     z = cam[:, 2]
     front = z > 1e-6
@@ -193,19 +192,29 @@ def _stamps(cable: GroundTruthCable, intr: CameraIntrinsics, h: int, w: int):
     col = intr.fx * cam[front, 0] / zf + intr.cx
     row = intr.fy * cam[front, 1] / zf + intr.cy
     radii = np.round(0.5 * (intr.fx + intr.fy) * cable.radius / zf).astype(int)
-    out_r, out_c, out_z = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    return row, col, zf, radii
+
+
+def _stamp(buf: np.ndarray, r0: int, c0: int, row, col, z, radii) -> None:
+    """Stamp each sample's disk into `buf`, the depth buffer whose corner is
+    pixel (r0, c0), keeping the nearest z; one batch per radius, and pixels
+    outside the buffer are dropped."""
+    flat = buf.reshape(-1)
     for ri in np.unique(radii):
         dd = np.arange(-ri, ri + 1)
         gr, gc = np.meshgrid(dd, dd, indexing="ij")
         keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
         sel = radii == ri
-        rr = np.round(row[sel, None] + gr[keep]).astype(int)
-        cc = np.round(col[sel, None] + gc[keep]).astype(int)
-        ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        out_r.append(rr[ok])
-        out_c.append(cc[ok])
-        out_z.append(np.broadcast_to(zf[sel, None], ok.shape)[ok])
-    return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_z)
+        rr = np.round(row[sel, None] + gr[keep]).astype(int) - r0
+        cc = np.round(col[sel, None] + gc[keep]).astype(int) - c0
+        ok = (rr >= 0) & (rr < buf.shape[0]) & (cc >= 0) & (cc < buf.shape[1])
+        z_ok = np.broadcast_to(z[sel, None], ok.shape)[ok]
+        np.minimum.at(flat, (rr * buf.shape[1] + cc)[ok], z_ok)
+
+
+def _clip(lo: int, hi: int, b0: int, b1: int) -> slice:
+    """Rows [lo, hi) that lie in rows [b0, b1), counted from b0."""
+    return slice(min(max(lo, b0), b1) - b0, min(max(hi, b0), b1) - b0)
 
 
 def render(scene: WorldScene) -> RenderResult:
@@ -214,64 +223,71 @@ def render(scene: WorldScene) -> RenderResult:
     Cable centerlines are stamped with their projected width and carry the
     depth of the generating centerline sample; samples are stamped in one
     batch per projected disk radius, and a minimum does not depend on the
-    order of its inputs, so the result equals a per-sample stamp. Occluder
-    boxes remove cable pixels whose ray they block and cover the shelf
-    where they project; each box's slab test runs only on its footprint
-    (see `_footprint`), and every ray outside it misses the box. Depth is
-    camera-frame z in meters, 0 where no surface is hit.
+    order of its inputs, so the result equals a per-sample stamp. The
+    per-cable depth buffers span one window: every sample centre plus or
+    minus its disk radius, clipped to the frame. Occluder boxes remove
+    cable pixels whose ray they block and cover the shelf where they
+    project; each box's slab test runs only on its footprint (see
+    `_footprint`), and every ray outside it misses the box. Rays, hits and
+    colors are computed in bands of whole rows of about BAND_PIXELS pixels,
+    written straight into the outputs. Depth is camera-frame z in meters,
+    0 where no surface is hit.
     """
-    origin, dirs = _ray_grid(scene)
     h, w = scene.height, scene.width
-    plane = scene.support_plane
-
-    denom = dirs @ plane.normal
-    num = -(float(plane.signed_distance(origin)[0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_plane = num / denom
-    plane_hit = (denom < 0) & (t_plane > 0)
-    plane_z = np.where(plane_hit, t_plane, np.inf)
-
-    box_z = np.full((h, w), np.inf)
-    for lo, hi in scene.occluders:
-        foot = _footprint(lo, hi, scene.camera, h, w)
-        box_z[foot] = np.minimum(box_z[foot], _box_entry_depth(origin, dirs[foot], lo, hi))
+    intr, plane = scene.camera, scene.support_plane
+    samples = [_project(cable, intr) for cable in scene.cables]
+    row, col, rad = (np.concatenate([np.zeros(0), *(s[k] for s in samples)]) for k in (0, 1, 3))
+    r0 = r1 = c0 = c1 = 0
+    if row.size:
+        first = np.floor([(row - rad).min(), (col - rad).min()])
+        last = np.ceil([(row + rad).max(), (col + rad).max()])
+        (r0, c0), (r1, c1) = np.clip([first, last + 1], 0, [h, w]).astype(int)
+    cable_z = np.full((len(samples), r1 - r0, c1 - c0), np.inf)
+    for buf, s in zip(cable_z, samples):
+        _stamp(buf, r0, c0, *s)
 
     # background 0, shelf 1, occluder 2, cable ci 3 + ci: one palette gather colors it
     palette = np.vstack([[0, 0, 0], SHELF_COLOR, OCCLUDER_COLOR, *(c.color for c in scene.cables)])
-    surface = np.where(box_z < plane_z, 2, plane_hit)
+    num = -(float(plane.signed_distance(intr.pose.translation)[0]))
+    feet = [_footprint(lo, hi, intr, h, w) for lo, hi in scene.occluders]
+    masks = [np.zeros((h, w), dtype=bool) for _ in samples]
+    color, depth, shelf = np.empty((h, w, 3)), np.empty((h, w)), np.empty((h, w), dtype=bool)
+    step = max(1, BAND_PIXELS // w)
+    for b0 in range(0, h, step):
+        b1 = min(b0 + step, h)
+        origin, dirs = _ray_grid(scene, slice(b0, b1))
+        denom = dirs @ plane.normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_plane = num / denom
+        plane_hit = (denom < 0) & (t_plane > 0)
+        plane_z = np.where(plane_hit, t_plane, np.inf)
 
-    # the per-cable depth buffers span only the window that holds every stamped pixel
-    stamps = [_stamps(cable, scene.camera, h, w) for cable in scene.cables]
-    rows = np.concatenate([np.zeros(0, dtype=int), *(rr for rr, _, _ in stamps)])
-    cols = np.concatenate([np.zeros(0, dtype=int), *(cc for _, cc, _ in stamps)])
-    r0, r1, c0, c1 = (
-        (rows.min(), rows.max() + 1, cols.min(), cols.max() + 1) if rows.size else (0, 0, 0, 0)
-    )
-    win = (slice(r0, r1), slice(c0, c1))
-    cable_z = np.full((len(scene.cables), r1 - r0, c1 - c0), np.inf)
-    for buf, (rr, cc, z) in zip(cable_z, stamps):
-        np.minimum.at(buf.reshape(-1), (rr - r0) * (c1 - c0) + (cc - c0), z)
+        box_z = np.full((b1 - b0, w), np.inf)
+        for (lo, hi), (rows, cols) in zip(scene.occluders, feet):
+            foot = (_clip(rows.start, rows.stop, b0, b1), cols)
+            box_z[foot] = np.minimum(box_z[foot], _box_entry_depth(origin, dirs[foot], lo, hi))
 
-    winner = cable_z.argmin(axis=0) if scene.cables else None
-    covered = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-    masks = []
-    for ci, buf in enumerate(cable_z):
-        visible = np.isfinite(buf) & (winner == ci) & (buf < box_z[win])
-        covered |= visible
-        surface[win][visible] = 3 + ci
-        mask = np.zeros((h, w), dtype=bool)
-        mask[win] = visible
-        masks.append(ImageGrid(mask))
-
-    shelf = plane_hit & (plane_z < box_z)
-    shelf[win] &= ~covered
-    depth = np.minimum(plane_z, box_z)
-    depth[win] = np.where(covered, cable_z.min(axis=0, initial=np.inf), depth[win])
-    depth = np.where(np.isfinite(depth), depth, 0.0)
-    color = palette.take(surface, axis=0)
+        surface = np.where(box_z < plane_z, 2, plane_hit)
+        shelf[b0:b1] = plane_hit & (plane_z < box_z)
+        band_depth = np.minimum(plane_z, box_z)
+        # the window's rows in the band, and the band's rows in the window
+        win = (_clip(r0, r1, b0, b1), slice(c0, c1))
+        z = cable_z[:, _clip(b0, b1, r0, r1)]
+        if z.size:
+            winner = z.argmin(axis=0)
+            covered = np.zeros(z.shape[1:], dtype=bool)
+            for ci, buf in enumerate(z):
+                visible = np.isfinite(buf) & (winner == ci) & (buf < box_z[win])
+                covered |= visible
+                surface[win][visible] = 3 + ci
+                masks[ci][b0:b1][win] = visible
+            shelf[b0:b1][win] &= ~covered
+            band_depth[win] = np.where(covered, z.min(axis=0), band_depth[win])
+        depth[b0:b1] = np.where(np.isfinite(band_depth), band_depth, 0.0)
+        color[b0:b1] = palette.take(surface, axis=0)
 
     return RenderResult(
-        cable_masks=masks,
+        cable_masks=[ImageGrid(mask) for mask in masks],
         color=ImageGrid(color),
         depth=ImageGrid(depth),
         shelf_mask=ImageGrid(shelf),

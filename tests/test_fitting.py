@@ -227,6 +227,23 @@ KNOT_EDGE_CASES = {
 }
 
 
+def loop_averaged_knots(params, degree):
+    """The per-knot loop that `_averaged_knots` replaced, kept as its oracle."""
+    n = len(params)
+    interior = [params[j : j + degree].mean() for j in range(1, n - degree)]
+    return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+
+
+def test_averaged_knots_equal_the_per_knot_loop():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        degree = int(rng.integers(2, 4))
+        n = int(rng.integers(degree + 1, 200))  # n = degree + 1 has no interior knot
+        params = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, n - 2)), [1.0]])
+        expected = loop_averaged_knots(params, degree)
+        assert _averaged_knots(params, degree).tobytes() == expected.tobytes()
+
+
 class TestScipyOracle:
     """The numpy fit and evaluation against scipy.interpolate, bit for bit."""
 

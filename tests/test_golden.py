@@ -3,15 +3,18 @@
 A speedup or refactor must leave every run artifact byte-identical. These
 tests run scenes end to end and pin the sha256 of the manifest's
 `artifacts` map (path -> sha256 of the file): a small one-cable occluded
-scene, and the two-cable plain scene at the full 640x480. The second one
-reaches what the first does not: two pixel clusters, the winner between
-two cables' depth buffers, and a render window spanning two cables.
+scene, and the two-cable plain and occluded scenes at the full 640x480.
+The VGA scenes reach what the first does not: two pixel clusters, the
+winner between two cables' depth buffers, a render window spanning two
+cables and, on the occluded one, occluder footprints and a window cut by
+the seams between render bands.
 """
 
 import hashlib
 import json
+import tracemalloc
 
-from cablerecon import pipeline, scenarios
+from cablerecon import pipeline, scenarios, worldsim
 
 # cs1_occluded, seed 1, intrinsics scaled by 0.5 to 320x240
 GOLDEN_ARTIFACTS_SHA256 = (
@@ -20,6 +23,10 @@ GOLDEN_ARTIFACTS_SHA256 = (
 # cs2_plain, seed 1, the template camera (640x480)
 GOLDEN_VGA_ARTIFACTS_SHA256 = (
     "0a0fed4e38474e4ebb8c5eb7315f3dbcc2eb3aff0e7265f06b4d9d59379f04f8"
+)
+# cs2_occluded, seed 1, the template camera (640x480)
+GOLDEN_VGA_OCCLUDED_ARTIFACTS_SHA256 = (
+    "9d0528746b568bde9be30e8075a49440fcf3583cb1750fc690ab9a370406ea49"
 )
 MESSAGE = (
     "run artifacts changed. If the output change is intended, update the "
@@ -57,3 +64,40 @@ def test_cs2_plain_vga_artifacts_match_the_golden_digest(tmp_path):
     assert result.exit_status == pipeline.EXIT_COMPLETE
     assert len(result.manifest["cables"]) == 2
     assert artifacts_digest(result) == GOLDEN_VGA_ARTIFACTS_SHA256, MESSAGE
+
+
+def test_cs2_occluded_vga_artifacts_match_the_golden_digest(tmp_path):
+    path = tmp_path / "cs2_occluded.yaml"
+    scenarios.save_scenario(path, scenarios.make_template("cs2_occluded", seed=1))
+
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    assert len(result.manifest["cables"]) == 2
+    assert artifacts_digest(result) == GOLDEN_VGA_OCCLUDED_ARTIFACTS_SHA256, MESSAGE
+
+
+# Above its outputs, render holds the cable window (about 1.5 MB here) and
+# the rays, hits and colors of a band and the one before it (about 9 MB at
+# 64k pixels); the margin leaves 3.5 MB for allocator and version
+# differences. The full-frame render it replaced held 35 MB.
+RENDER_PEAK_MARGIN = 14e6  # bytes
+
+
+def test_cs2_occluded_vga_render_peak_stays_near_its_outputs(tmp_path):
+    path = tmp_path / "cs2_occluded.yaml"
+    scenarios.save_scenario(path, scenarios.make_template("cs2_occluded", seed=1))
+    _, scene = scenarios.load_scenario(path)
+    worldsim.render(scene)  # nothing allocated once per process is counted
+
+    tracemalloc.start()
+    try:
+        out = worldsim.render(scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    images = [out.color, out.depth, out.shelf_mask, *out.cable_masks]
+    outputs = sum(image.data.nbytes for image in images)
+    assert 10e6 < outputs < 11e6
+    assert peak <= outputs + RENDER_PEAK_MARGIN, (peak, outputs)
