@@ -90,12 +90,7 @@ def _plane_through(p0, p1, p2) -> np.ndarray | None:
     return np.append(normal, -np.dot(normal, p0))
 
 
-def ransac_plane(
-    cloud: np.ndarray,
-    orient_toward: np.ndarray,
-    seed: int,
-    inlier_tol: float = RANSAC_INLIER_TOL,
-) -> PlaneModel:
+def ransac_plane(cloud: np.ndarray, orient_toward: np.ndarray, seed: int) -> PlaneModel:
     """Best plane by inlier count over RANSAC_MAX_ITERS seeded 3-point hypotheses,
     stopping at the first one every point supports (only a larger count could
     replace it).
@@ -115,7 +110,7 @@ def ransac_plane(
         if coeffs is None:
             continue
         dist = np.abs(pts @ coeffs[:3] + coeffs[3])
-        count = int(np.count_nonzero(dist <= inlier_tol))
+        count = int(np.count_nonzero(dist <= RANSAC_INLIER_TOL))
         if best is None or count > best[0]:
             best = (count, it, coeffs)
             if count == len(pts):
@@ -123,7 +118,7 @@ def ransac_plane(
     if best is None:
         raise DegenerateGeometryError("all RANSAC samples were collinear")
 
-    inliers = pts[np.abs(pts @ best[2][:3] + best[2][3]) <= inlier_tol]
+    inliers = pts[np.abs(pts @ best[2][:3] + best[2][3]) <= RANSAC_INLIER_TOL]
     centroid = inliers.mean(axis=0)
     cov = np.cov((inliers - centroid).T)
     eigvals, eigvecs = np.linalg.eigh(np.atleast_2d(cov))
@@ -135,8 +130,8 @@ def ransac_plane(
     return PlaneModel(coeffs, inlier_count=int(best[0]))
 
 
-def voxel_downsample(cloud: np.ndarray, d_m: float, origin: tuple) -> np.ndarray:
-    """One centroid per occupied voxel of edge `d_m`, anchored at `origin`.
+def voxel_downsample(cloud: np.ndarray, d_m: float) -> np.ndarray:
+    """One centroid per occupied voxel of edge `d_m`, the grid anchored at the origin.
 
     Output order is lexicographic in the voxel index, so the result is
     independent of input ordering.
@@ -146,7 +141,7 @@ def voxel_downsample(cloud: np.ndarray, d_m: float, origin: tuple) -> np.ndarray
     pts = as_cloud(cloud)
     if len(pts) == 0:
         return pts
-    bins = np.floor((pts - np.asarray(origin, dtype=float)) / d_m).astype(np.int64)
+    bins = np.floor(pts / d_m).astype(np.int64)
     uniq, inverse = np.unique(bins, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, pts)

@@ -4,14 +4,14 @@ From every unvisited endpoint the end effector advances one step along the
 cable direction, descends until the pad touches, and classifies the contact
 with a curvature indicator built from per-taxel Hessian norms. The probe
 only reports pressures (`probe_fn(pose) -> pressures`): the walk decides
-the touch (a taxel above eps_contact) and the contact point. A descent
-keeps its delta_z height lattice from hover_height but probes only from one
+the touch (a taxel above EPS_CONTACT) and the contact point. A descent
+keeps its delta_z height lattice from HOVER_HEIGHT but probes only from one
 delta_z above the tallest surface the pad can meet (2r of the thickest
 cable): higher up a probe reads no pressure, so it is not made. Cable
 contacts extend the walk and re-aim the frame; flat contacts rotate the
 frame about the plane normal to try another direction. A walk closes when
 it comes within d_min of another endpoint or exhausts a full turn of
-rotations (a true cable end).
+360 / theta_deg rotations (a true cable end).
 
 Every probe logs exactly one trace row, so the trace is the probe count:
 a result's `probes_used` is its row count, and a descent stops with
@@ -32,6 +32,8 @@ from .topology import SortedPolyline
 from .worldsim import PAD_PITCH, PAD_SHAPE, TAXELS
 
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
+HOVER_HEIGHT = 0.0200  # meters above the plane where a descent's steps start
+EPS_CONTACT = 0.05  # a taxel pressure above this is a touch
 POSE_COLUMNS = tuple("r00 r01 r02 r10 r11 r12 r20 r21 r22 tx ty tz".split())
 TRACE_COLUMNS = (
     "step", "endpoint_id", *POSE_COLUMNS, "touched", "indicator", "accepted", "px", "py", "pz"
@@ -64,7 +66,7 @@ def indicator(pressures: np.ndarray) -> float:
 
 def _centroid(pressures: np.ndarray, pose: Pose, plane: PlaneModel) -> np.ndarray:
     """Pressure-weighted mean of the taxel positions, on the plane; taken
-    only after a touch, when some weight is above eps_contact > 0."""
+    only after a touch, when some weight is above EPS_CONTACT > 0."""
     weights = pressures.ravel()
     centers = pose.transform(TAXELS)
     centroid = (centers * weights[:, None]).sum(axis=0) / weights.sum()
@@ -116,9 +118,9 @@ def _descend(
     top: float,
 ) -> tuple[Pose, np.ndarray]:
     """Lower the pad along -normal in delta_z steps until a taxel reads
-    above eps_contact; return that pose and its pressures.
+    above EPS_CONTACT; return that pose and its pressures.
 
-    The steps start hover_height above the target, but the pad face is
+    The steps start HOVER_HEIGHT above the target, but the pad face is
     only probed (logging a trace row) once it is at most `top` + delta_z
     above the fitted plane. Nothing is taller than `top`, so a higher probe
     reads exactly 0 pressure without noise (with noise it could only be a
@@ -126,7 +128,7 @@ def _descend(
     from the true one. The touching probe is logged by the caller.
     """
     normal = plane.normal
-    pos = target_on_plane + params.hover_height * normal
+    pos = target_on_plane + HOVER_HEIGHT * normal
     height = float(plane.signed_distance(pos)[0])
     while height > top + params.delta_z:
         pos = pos - params.delta_z * normal
@@ -136,7 +138,7 @@ def _descend(
         if len(trace) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         pressures = probe_fn(pose)
-        if (pressures > params.eps_contact).any():
+        if (pressures > EPS_CONTACT).any():
             return pose, pressures
         _log(trace, endpoint_id, pose)
         if plane.signed_distance(pos)[0] < -DESCENT_LIMIT:

@@ -112,7 +112,7 @@ def refine_merged(cloud: np.ndarray, params: ReconParams) -> np.ndarray:
     spacing guarantees of the first-pass conditioning. Already-sparse
     clouds pass through with the same point set.
     """
-    out = voxel_downsample(cloud, params.d_m, params.voxel_origin)
+    out = voxel_downsample(cloud, params.d_m)
     return merge_close_points(out, params.t_p)
 
 

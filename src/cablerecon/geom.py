@@ -172,20 +172,17 @@ def read(mapping: dict, key, where, rule: str, default=None):
 
 
 # the rule of each ReconParams field type
-_TYPE_RULES = {"int": "an integer > 0", "float": "a finite number > 0",
-               "tuple[float, float, float]": "3 finite numbers"}
+_TYPE_RULES = {"int": "an integer > 0", "float": "a finite number > 0"}
 
 
 @dataclass
 class ReconParams:
-    """Every tunable value of the reconstruction pipeline, with its default.
+    """Every settable value of the reconstruction pipeline, with its default.
 
-    The first seven follow the published defaults for cable reconstruction;
-    the rest are implementation parameters of this artifact. Distances are
-    meters, angles degrees, pressures in simulated taxel units. Each field
-    is checked by the rule of its type in _TYPE_RULES: a scalar must be
-    finite and > 0, an integer where the field is one (a bool is not);
-    voxel_origin must be 3 finite numbers.
+    The first seven are the published defaults for cable reconstruction, the
+    last three implementation parameters. Distances are meters, angles degrees.
+    Each field passes the rule of its type in _TYPE_RULES (finite and > 0, an
+    integer where the field is one, never a bool), and theta_deg divides 360.
     """
 
     d_min: float = 0.0150       # stop distance to an endpoint
@@ -195,23 +192,23 @@ class ReconParams:
     delta_y: float = 0.0100     # advance step along the cable
     delta_z: float = 0.0015     # descent step toward the surface
     theta_deg: float = 15.0     # retry rotation about the plane normal
-    r_search: float = 0.0350    # sorter neighbor radius (1.75 * d_m)
-    alpha_max_deg: float = 75.0  # sorter angular deviation cap
-    max_rotation_attempts: int = 24  # 360 / theta_deg
-    eps_contact: float = 0.05   # touch detection pressure threshold
     probe_budget: int = 10000   # hard cap on probe calls per run
-    hover_height: float = 0.0200  # descent start height above the plane
     min_cluster_size: int = 30  # smaller pixel clusters are noise
-    spatial_weight: float = 0.5  # pixel coordinates weighted against CIELAB units
     cut_threshold: float = 60.0  # MST edge length above which clusters separate
-    voxel_origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         for f in fields(self):
             setattr(self, f.name, checked(getattr(self, f.name), _TYPE_RULES[f.type], f.name))
-        self.voxel_origin = tuple(self.voxel_origin.tolist())  # Python floats, as typed
-        ratio = 360.0 / self.theta_deg
-        if self.max_rotation_attempts == round(ratio) and abs(
-            ratio - round(ratio)
-        ) > 1e-9:
-            raise ValueError("theta_deg must divide 360 evenly")
+        turns = 360.0 / self.theta_deg  # inf for a subnormal theta_deg
+        if not math.isfinite(turns) or abs(turns - round(turns)) > 1e-9:
+            raise ValueError(f"theta_deg must divide 360 evenly, not {self.theta_deg!r}")
+
+    @property
+    def r_search(self) -> float:
+        """The sorter's neighbour radius."""
+        return 1.75 * self.d_m
+
+    @property
+    def max_rotation_attempts(self) -> int:
+        """The theta_deg turns in a full turn; that many in a row without progress end a walk."""
+        return round(360.0 / self.theta_deg)

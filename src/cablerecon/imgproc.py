@@ -21,6 +21,7 @@ from .errors import EmptyInputError, InsufficientDepthError
 from .geom import Pose, ReconParams
 
 DEPTH_MAGIC = b"DPTHF32\x00"
+SPATIAL_WEIGHT = 0.5  # pixel coordinates weighted against CIELAB units in clustering
 
 
 @dataclass
@@ -226,13 +227,13 @@ def cluster_pixels(
     """Separate cables by color and position with a density MST cut.
 
     Each foreground pixel becomes a feature (s*row, s*col, L, a, b), s
-    being `spatial_weight`. The partition equals a minimum spanning tree
+    being SPATIAL_WEIGHT. The partition equals a minimum spanning tree
     over mutual-reachability distances (core size = `min_cluster_size`) cut
     at edges longer than `cut_threshold`, computed as the components of the
     threshold graph of those distances in near-linear time, without the
     tree, most core pixels proven from one kd-tree query per 4x4 pixel block.
     Components smaller than `min_cluster_size` are dropped as noise.
-    The three values come from `params`. With the default weights, color
+    The last two come from `params`. With these weights, color
     dominates, so one cable split spatially by an occluder stays a single
     cluster while differently colored cables separate.
     """
@@ -242,8 +243,7 @@ def cluster_pixels(
         raise EmptyInputError("mask has no foreground pixels")
     colors = np.asarray(color_img.data, dtype=float)[rows, cols]
     lab = rgb_to_lab(colors)
-    s = params.spatial_weight
-    features = np.column_stack([s * rows, s * cols, lab]).astype(float)
+    features = np.column_stack([SPATIAL_WEIGHT * rows, SPATIAL_WEIGHT * cols, lab]).astype(float)
 
     labels = _reach_components(features, rows, cols, params.min_cluster_size, params.cut_threshold)
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)

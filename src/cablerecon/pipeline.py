@@ -152,7 +152,7 @@ def run_pipeline(
             cloudproc.save_ply(cable_dir / "P_skeleton.ply", p_skeleton)
 
             p_down = cloudproc.merge_close_points(
-                cloudproc.voxel_downsample(p_skeleton, params.d_m, params.voxel_origin),
+                cloudproc.voxel_downsample(p_skeleton, params.d_m),
                 params.t_p,
             )
             cloudproc.save_ply(cable_dir / "P_down.ply", p_down)
@@ -160,9 +160,7 @@ def run_pipeline(
             p_proj = cloudproc.project_to_plane(p_down, plane)
             cloudproc.save_ply(cable_dir / "P_proj.ply", p_proj)
 
-            poly = topology.sort_and_find_endpoints(
-                p_proj, plane, params.r_search, params.alpha_max_deg
-            )
+            poly = topology.sort_and_find_endpoints(p_proj, plane, params.r_search)
             topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
 
             probe_fn = functools.partial(worldsim.probe, scene)
@@ -177,9 +175,7 @@ def run_pipeline(
             cloudproc.save_ply(cable_dir / "P_merged.ply", p_merged)
 
             p_refined = fitting.refine_merged(p_merged, params)
-            final = topology.sort_and_find_endpoints(
-                p_refined, plane, params.r_search, params.alpha_max_deg
-            )
+            final = topology.sort_and_find_endpoints(p_refined, plane, params.r_search)
             topology.save_sorted_csv(cable_dir / "P_resorted.csv", final)
 
             # reconstructed curves live on the fitted plane; real centerlines
@@ -283,6 +279,9 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
     manifest = _read_manifest(run)
     _, scene = scenarios.load_scenario(run / "scenario.yaml")
     references = _reference_dense_clouds(reference)
+    for where, cables in ((reference, references), (run / "scenario.yaml", scene.cables)):
+        if not cables:
+            raise ValueError(f"{where}: no cable to compare against")
     runtime = None
     timing = run / "timing.txt"
     if timing.exists():

@@ -22,6 +22,8 @@ TIE_TOL = 1e-9
 # are dropped; keeps the straightest-first rule from skipping over points
 # across inflections while leaving real gap-jumps (no nearer option) intact
 NEAREST_WINDOW = 1.6
+# the walk rejects any step that turns more than this from its running direction
+ALPHA_MAX_DEG = 75.0
 
 
 @dataclass
@@ -151,14 +153,13 @@ def sort_and_find_endpoints(
     cloud: np.ndarray,
     plane: PlaneModel,
     r_search: float,
-    alpha_max_deg: float,
 ) -> SortedPolyline:
     """Greedy direction-following walk over a plane-projected cloud.
 
     Seeds at the unvisited point farthest from the unvisited centroid,
     takes the nearest neighbor within `r_search` first, then always the
     candidate with the least angular deviation from the running direction
-    (rejecting anything past `alpha_max_deg`). When the walk stalls, the
+    (rejecting anything past ALPHA_MAX_DEG). When the walk stalls, the
     segment is extended once from its seed end in the reverse direction,
     then closed. Loop orphans left at self-intersections are spliced back
     into their host walk. Tie-breaks depend only on geometry, so any
@@ -168,7 +169,7 @@ def sort_and_find_endpoints(
     if len(pts) == 0:
         raise EmptyInputError("cannot sort an empty cloud")
     uv = plane.to_plane_coords(pts)
-    cos_min = float(np.cos(np.radians(alpha_max_deg)))
+    cos_min = float(np.cos(np.radians(ALPHA_MAX_DEG)))
 
     keys = [tuple(k) for k in np.round(pts, 12)]
     free = np.ones(len(pts), dtype=bool)

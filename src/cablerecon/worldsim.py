@@ -283,8 +283,11 @@ def render(scene: WorldScene) -> RenderResult:
                 masks[ci][b0:b1][win] = visible
             shelf[b0:b1][win] &= ~covered
             band_depth[win] = np.where(covered, z.min(axis=0), band_depth[win])
+            del winner, covered, visible
         depth[b0:b1] = np.where(np.isfinite(band_depth), band_depth, 0.0)
         color[b0:b1] = palette.take(surface, axis=0)
+        # free this band's arrays before the next band's are built beside them
+        del origin, dirs, denom, t_plane, plane_hit, plane_z, box_z, surface, band_depth
 
     return RenderResult(
         cable_masks=[ImageGrid(mask) for mask in masks],

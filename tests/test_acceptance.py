@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from cablerecon import pipeline, scenarios
+from cablerecon import cloudproc, pipeline, scenarios
 from cablerecon.cloudproc import ransac_plane
 from cablerecon.evaluation import icp
 from cablerecon.explore import indicator
@@ -162,7 +162,8 @@ def test_criterion_4_indicator_discrimination():
     )
 
 
-def test_criterion_5a_ransac_under_outliers():
+def test_criterion_5a_ransac_under_outliers(monkeypatch):
+    monkeypatch.setattr(cloudproc, "RANSAC_INLIER_TOL", 0.002)
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -170,9 +171,7 @@ def test_criterion_5a_ransac_under_outliers():
             [rng.uniform(-1, 1, 400), rng.uniform(-1, 1, 400), np.zeros(400)]
         )
         outliers = rng.uniform(-0.5, 0.5, (100, 3))
-        plane = ransac_plane(
-            np.vstack([inliers, outliers]), [0.0, 0.0, 2.0], seed=seed, inlier_tol=0.002
-        )
+        plane = ransac_plane(np.vstack([inliers, outliers]), [0.0, 0.0, 2.0], seed=seed)
         worst = max(
             worst, np.degrees(np.arccos(min(1.0, abs(plane.normal[2]))))
         )
@@ -225,7 +224,7 @@ def test_criterion_5d_sorter_matches_arc_length():
         count += 1
         rng = np.random.default_rng(1000 + seed)
         shuffled = pts[rng.permutation(len(pts))]
-        poly = sort_and_find_endpoints(shuffled, PLANE, 0.035, 75.0)
+        poly = sort_and_find_endpoints(shuffled, PLANE, 0.035)
         assert len(poly.segments) == 1, f"curve seed {seed - 1} fragmented"
         assert is_arc_order(recovered_order(poly, pts)), f"curve seed {seed - 1} misordered"
     report(5, True, "5d sorter matches arc-length order on 50 smooth curves")
@@ -301,7 +300,7 @@ def test_criterion_7_determinism_across_templates(work_root, scenario_files):
 
 
 def test_criterion_8_small_angle_crossing_regression(work_root, monkeypatch):
-    # the merged cloud and the sort arguments (plane, r_search, alpha_max_deg)
+    # the merged cloud and the sort arguments (plane, r_search)
     # of the run, to sort that exact cloud with the plain walk afterwards
     merged, sort_args = [], []
     merge_clouds = pipeline.explore.merge_clouds

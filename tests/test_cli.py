@@ -132,7 +132,7 @@ class TestRun:
         recorded = json.loads((out / "manifest.json").read_text())["params"]
         assert recorded["min_cluster_size"] == 25
         assert recorded["cut_threshold"] == 55.0 and type(recorded["cut_threshold"]) is float
-        assert recorded["spatial_weight"] == 0.5
+        assert recorded["d_m"] == 0.02
         assert set(recorded) == {f.name for f in dataclasses.fields(ReconParams)}
 
     def test_run_directory_is_self_describing(self, template_runs):
@@ -204,10 +204,20 @@ class TestCleanErrors:
             ("d_m: .nan\n", "d_m"),
             ("voxel_origin: [1]\n", "voxel_origin"),
             ("- d_min: 0.02\n", "must be a mapping"),
+            # derived from d_m and theta_deg, or a module constant: not a key
+            ("r_search: 0.05\n", "r_search"),
+            ("alpha_max_deg: 60\n", "alpha_max_deg"),
+            ("max_rotation_attempts: 12\n", "max_rotation_attempts"),
+            ("hover_height: 0.03\n", "hover_height"),
+            ("spatial_weight: 0.7\n", "spatial_weight"),
+            ("eps_contact: 0.1\n", "eps_contact"),
+            ("theta_deg: 17\n", "theta_deg must divide 360 evenly"),
         ],
         ids=[
             "unknown_key", "zero_cut", "negative_size", "fractional_size", "text_cut",
             "text_t_h", "bool_budget", "nan_d_m", "short_origin", "list_document",
+            "r_search", "alpha_max_deg", "max_rotation_attempts", "hover_height",
+            "spatial_weight", "eps_contact", "theta_not_dividing_360",
         ],
     )
     def test_bad_params_file_is_one_error_line(
@@ -410,6 +420,24 @@ class TestCleanErrors:
         assert cli.main(["eval", run_dir, str(bad), "--out", str(report)]) == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid YAML in {bad}, line ") and err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("empty", ["reference_scenario", "reference_run", "run_scenario"])
+    def test_eval_against_no_cable_is_one_error_line(
+        self, template_runs, scenario_files, tmp_path, capsys, empty
+    ):
+        run = shutil.copytree(template_runs["cs1_plain"].out_dir, tmp_path / "run")
+        reference = shutil.copy(scenario_files["cs1_plain"], tmp_path / "reference.yaml")
+        if empty == "reference_run":
+            reference = named = shutil.copytree(run, tmp_path / "reference")
+            manifest = json.loads((reference / "manifest.json").read_text())
+            (reference / "manifest.json").write_text(json.dumps({**manifest, "cables": []}))
+        else:
+            named = reference if empty == "reference_scenario" else run / "scenario.yaml"
+            scenarios.save_scenario(named, {**scenarios.load_scenario(named)[0], "cables": []})
+        report = tmp_path / "report.yaml"
+        assert cli.main(["eval", str(run), str(reference), "--out", str(report)]) == pipeline.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {named}: no cable to compare against\n"
         assert not report.exists()
 
     @pytest.mark.parametrize(

@@ -38,14 +38,15 @@ class TestRansacPlane:
         assert abs(abs(plane.offset) - 1.0) < 1e-9
         assert plane.inlier_count == 100
 
-    def test_recovers_plane_under_outliers(self, rng):
+    def test_recovers_plane_under_outliers(self, rng, monkeypatch):
         n_in, n_out = 400, 100
         inliers = np.column_stack(
             [rng.uniform(-1, 1, n_in), rng.uniform(-1, 1, n_in), np.zeros(n_in)]
         )
         outliers = rng.uniform(-0.5, 0.5, (n_out, 3))
         cloud = np.vstack([inliers, outliers])
-        plane = ransac_plane(cloud, CAMERA, seed=11, inlier_tol=0.002)
+        monkeypatch.setattr(cloudproc, "RANSAC_INLIER_TOL", 0.002)
+        plane = ransac_plane(cloud, CAMERA, seed=11)
         angle = np.degrees(np.arccos(min(1.0, abs(plane.normal[2]))))
         assert angle < 1.0
 
@@ -204,27 +205,25 @@ class TestPlaneBasis:
 
 
 class TestVoxelDownsample:
-    ORIGIN = (0.0, 0.0, 0.0)
-
     def test_single_point_passthrough(self):
         cloud = np.array([[0.31, -0.02, 0.77]])
-        assert np.allclose(voxel_downsample(cloud, 0.02, self.ORIGIN), cloud)
+        assert np.allclose(voxel_downsample(cloud, 0.02), cloud)
 
     def test_two_points_one_voxel_centroid(self):
         cloud = np.array([[0.0, 0, 0], [0.004, 0, 0]])
-        out = voxel_downsample(cloud, 0.02, self.ORIGIN)
+        out = voxel_downsample(cloud, 0.02)
         assert out.shape == (1, 3)
         assert np.allclose(out[0], [0.002, 0, 0])
 
     def test_distinct_voxels_kept(self):
         cloud = np.array([[0.0, 0, 0], [0.025, 0, 0]])
-        assert len(voxel_downsample(cloud, 0.02, self.ORIGIN)) == 2
+        assert len(voxel_downsample(cloud, 0.02)) == 2
 
     @settings(max_examples=50)
     @given(clouds)
     def test_centroids_stay_inside_their_voxel(self, cloud):
         d = 0.1
-        out = voxel_downsample(cloud, d, self.ORIGIN)
+        out = voxel_downsample(cloud, d)
         assert len(out) <= len(cloud)
         bins = np.floor(out / d)
         assert np.all(out >= bins * d - 1e-12)

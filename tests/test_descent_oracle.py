@@ -1,7 +1,7 @@
 """The descent that skips in-air steps against a copy of the one that probed them.
 
 `explore._descend` keeps the delta_z height lattice that starts
-hover_height above the plane but probes only from `top` + delta_z down,
+HOVER_HEIGHT above the plane but probes only from `top` + delta_z down,
 where `top` is the tallest surface in the scene (2r of the thickest
 cable). At sigma = 0 a probe above `top` reads exactly 0 pressure, so every
 run artifact must equal, bit for bit, a run with the descent that probed
@@ -29,13 +29,13 @@ def descend_every_step(
 ):
     """The descent before in-air steps were skipped: `top` is ignored."""
     normal = plane.normal
-    pos = target_on_plane + params.hover_height * normal
+    pos = target_on_plane + explore.HOVER_HEIGHT * normal
     while True:
         pose = Pose(rotation.copy(), pos.copy())
         if len(trace) >= params.probe_budget:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         pressures = probe_fn(pose)
-        touched = (pressures > params.eps_contact).any()
+        touched = (pressures > explore.EPS_CONTACT).any()
         if not touched:
             explore._log(trace, endpoint_id, pose)
         if touched:

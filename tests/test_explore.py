@@ -8,6 +8,7 @@ import pytest
 from cablerecon import pipeline, scenarios
 from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
+    EPS_CONTACT,
     POSE_COLUMNS,
     ExplorationResult,
     _centroid,
@@ -96,7 +97,7 @@ def gap_fixture():
         [np.arange(-0.2, -0.024, 0.015), np.arange(0.026, 0.2, 0.015)]
     )
     visual = np.column_stack([xs, np.zeros(len(xs)), np.zeros(len(xs))])
-    poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
+    poly = sort_and_find_endpoints(visual, PLANE, 0.035)
     return scene, poly, cable
 
 
@@ -123,7 +124,7 @@ class TestExploration:
 
         merged = merge_clouds(poly.ordered_points(), cloud)
         refined = refine_merged(merged, params)
-        final = sort_and_find_endpoints(refined, PLANE, params.r_search, params.alpha_max_deg)
+        final = sort_and_find_endpoints(refined, PLANE, params.r_search)
         assert len(final.segments) == 1
 
     def test_monotone_progress_per_walk(self):
@@ -148,7 +149,7 @@ class TestExploration:
         # flat plane, so each walk should rotate a full turn and close
         scene = make_scene([])
         visual = np.column_stack([np.arange(0, 0.05, 0.015), np.zeros(4), np.zeros(4)])
-        poly = sort_and_find_endpoints(visual, PLANE, 0.035, 75.0)
+        poly = sort_and_find_endpoints(visual, PLANE, 0.035)
         params = ReconParams()
         result = explore_from_endpoints(
             poly, PLANE, partial(probe, scene), params, top=0.0
@@ -185,7 +186,7 @@ class TestExploration:
 
         def recording_probe(pose):
             pressures = probe(scene, pose)
-            if (pressures > params.eps_contact).any():
+            if (pressures > EPS_CONTACT).any():
                 touches.append((pressures, pose))
             return pressures
 
@@ -198,7 +199,7 @@ class TestExploration:
 
 
 class TestTouch:
-    """The walk, not the probe, decides a touch: a taxel above eps_contact."""
+    """The walk, not the probe, decides a touch: a taxel above EPS_CONTACT."""
 
     def descend(self, maps, params):
         """Descend over `maps` in turn; (returned map, trace rows, probe calls)."""
@@ -218,10 +219,10 @@ class TestTouch:
     def test_a_taxel_at_eps_contact_is_no_touch(self):
         params = ReconParams()
         at = np.zeros((6, 2))
-        at[4, 1] = params.eps_contact
+        at[4, 1] = EPS_CONTACT
         above = at.copy()
-        above[4, 1] = np.nextafter(params.eps_contact, np.inf)
-        level = np.full((6, 2), params.eps_contact)
+        above[4, 1] = np.nextafter(EPS_CONTACT, np.inf)
+        level = np.full((6, 2), EPS_CONTACT)
         pressures, rows, calls = self.descend([at, level, above], params)
         assert pressures.tobytes() == above.tobytes()
         assert len(calls) == 3 and [r["touched"] for r in rows] == [0, 0]
@@ -232,7 +233,7 @@ class TestTouch:
     def test_a_taxel_just_above_eps_contact_touches_at_once(self):
         params = ReconParams()
         above = np.zeros((6, 2))
-        above[0, 0] = np.nextafter(params.eps_contact, np.inf)
+        above[0, 0] = np.nextafter(EPS_CONTACT, np.inf)
         pressures, rows, calls = self.descend([above], params)
         assert pressures.tobytes() == above.tobytes()
         assert len(calls) == 1 and rows == []

@@ -138,9 +138,7 @@ class TestFullPipelineIdempotence:
             [np.cos(angles), np.sin(angles), np.zeros(len(angles))]
         )
         refined = refine_merged(cloud, params)
-        poly = sort_and_find_endpoints(
-            refined, plane, params.r_search, params.alpha_max_deg
-        )
+        poly = sort_and_find_endpoints(refined, plane, params.r_search)
         assert len(poly.segments) == 1
         assert len(poly.endpoints) == 2
         curve = fit_bspline(poly.points[poly.segments[0]])

@@ -102,9 +102,16 @@ class TestReconParams:
         with pytest.raises(ValueError):
             ReconParams(d_m=0.0)
 
-    def test_theta_must_divide_full_turn_when_attempts_match(self):
-        with pytest.raises(ValueError):
-            ReconParams(theta_deg=17.0, max_rotation_attempts=round(360 / 17.0))
+    def test_derived_values_follow_d_m_and_theta(self):
+        assert ReconParams(d_m=0.03).r_search == 1.75 * 0.03
+        assert ReconParams().r_search == 0.035
+        assert ReconParams(theta_deg=30).max_rotation_attempts == 12
+        assert type(ReconParams().max_rotation_attempts) is int
+
+    @pytest.mark.parametrize("theta", [17.0, 720.0, 1e-320])
+    def test_theta_must_divide_full_turn(self, theta):
+        with pytest.raises(ValueError, match="theta_deg must divide 360 evenly"):
+            ReconParams(theta_deg=theta)
 
     def test_replace_copies(self):
         p = ReconParams()
@@ -117,9 +124,9 @@ class TestReconParams:
     def test_every_field_is_checked(self):
         # a field of any other type would escape the checks in __post_init__
         names = [f.name for f in dataclasses.fields(ReconParams)]
-        assert sorted(names) == sorted(self.INTS + self.FLOATS + ["voxel_origin"])
-        assert {"min_cluster_size", "probe_budget", "max_rotation_attempts"} <= set(self.INTS)
-        assert {"spatial_weight", "cut_threshold", "d_m"} <= set(self.FLOATS)
+        assert sorted(names) == sorted(self.INTS + self.FLOATS) and len(names) == 10
+        assert {"min_cluster_size", "probe_budget"} == set(self.INTS)
+        assert {"cut_threshold", "d_m", "theta_deg"} <= set(self.FLOATS)
 
     @pytest.mark.parametrize("value", [0, -2, 2.5, 24.0, True, "3", None, np.nan])
     def test_int_fields_take_positive_integers_only(self, value):
@@ -140,20 +147,6 @@ class TestReconParams:
         assert p.min_cluster_size == 12 and type(p.min_cluster_size) is int
         assert p.cut_threshold == 40.0 and type(p.cut_threshold) is float
         assert p.d_min == 7.0 and type(p.d_min) is float
-
-    @pytest.mark.parametrize(
-        "origin",
-        [[1.0], [0.0, 0.0], [0, 0, np.nan], [0, 0, np.inf], [0, 0, True], "abc", 0.0, [[0, 0, 0]]],
-    )
-    def test_voxel_origin_must_be_three_finite_numbers(self, origin):
-        with pytest.raises(ValueError, match="voxel_origin"):
-            ReconParams(voxel_origin=origin)
-
-    def test_voxel_origin_is_stored_as_a_float_triple(self):
-        assert ReconParams().voxel_origin == (0.0, 0.0, 0.0)
-        p = ReconParams(voxel_origin=np.array([1, 2, 3]))
-        assert p.voxel_origin == (1.0, 2.0, 3.0)
-        assert all(type(v) is float for v in p.voxel_origin)
 
 
 class TestRules:

@@ -78,9 +78,9 @@ def test_cs2_occluded_vga_artifacts_match_the_golden_digest(tmp_path):
 
 
 # Above its outputs, render holds the cable window (about 1.5 MB here) and
-# the rays, hits and colors of a band and the one before it (about 9 MB at
-# 64k pixels); the margin leaves 3.5 MB for allocator and version
-# differences. The full-frame render it replaced held 35 MB.
+# the rays, hits and colors of one band of about 64k pixels, freed before
+# the next band is built: about 8.3 MB in all on this scene (CPython 3.11,
+# NumPy 2.4). The margin leaves the rest for allocator and version differences.
 RENDER_PEAK_MARGIN = 14e6  # bytes
 
 

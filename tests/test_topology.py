@@ -43,7 +43,7 @@ class TestSortBasics:
         pts = on_plane(uv)
         for _ in range(5):
             shuffled = pts[rng.permutation(5)]
-            poly = sort_and_find_endpoints(shuffled, PLANE, 0.035, 75.0)
+            poly = sort_and_find_endpoints(shuffled, PLANE, 0.035)
             assert len(poly.segments) == 1
             order = recovered_order(poly, pts)
             assert is_arc_order(order)
@@ -56,9 +56,7 @@ class TestSortBasics:
         xs = np.arange(0, 0.1, 0.015)
         run1 = on_plane(np.column_stack([xs, np.zeros(len(xs))]))
         run2 = on_plane(np.column_stack([xs, np.full(len(xs), 10 * r_search)]))
-        poly = sort_and_find_endpoints(
-            np.vstack([run1, run2]), PLANE, r_search, 75.0
-        )
+        poly = sort_and_find_endpoints(np.vstack([run1, run2]), PLANE, r_search)
         assert len(poly.segments) == 2
         assert len(poly.endpoints) == 4
 
@@ -69,7 +67,7 @@ class TestSortBasics:
         uv = 0.1 * np.column_stack([np.cos(angles[keep]), np.sin(angles[keep])])
         pts = on_plane(uv)
         rng = np.random.default_rng(3)
-        poly = sort_and_find_endpoints(pts[rng.permutation(len(pts))], PLANE, 0.035, 75.0)
+        poly = sort_and_find_endpoints(pts[rng.permutation(len(pts))], PLANE, 0.035)
         assert len(poly.segments) == 1
         order = recovered_order(poly, pts)
         assert is_arc_order(order)
@@ -79,11 +77,11 @@ class TestSortBasics:
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyInputError):
-            sort_and_find_endpoints(np.zeros((0, 3)), PLANE, 0.035, 75.0)
+            sort_and_find_endpoints(np.zeros((0, 3)), PLANE, 0.035)
 
     def test_endpoint_count_twice_segments(self, rng):
         pts = on_plane(rng.uniform(-0.3, 0.3, (25, 2)))
-        poly = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        poly = sort_and_find_endpoints(pts, PLANE, 0.035)
         assert len(poly.endpoints) == 2 * len(poly.segments)
         covered = np.concatenate(poly.segments)
         assert sorted(covered.tolist()) == list(range(len(pts)))
@@ -92,11 +90,11 @@ class TestSortBasics:
         angles = np.linspace(0.2, 2.8, 20)
         uv = 0.12 * np.column_stack([np.cos(angles), np.sin(angles)])
         pts = on_plane(uv)
-        reference = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        reference = sort_and_find_endpoints(pts, PLANE, 0.035)
         ref_pts = reference.ordered_points()
         for _ in range(5):
             shuffled = pts[rng.permutation(len(pts))]
-            poly = sort_and_find_endpoints(shuffled, PLANE, 0.035, 75.0)
+            poly = sort_and_find_endpoints(shuffled, PLANE, 0.035)
             got = poly.ordered_points()
             assert len(poly.segments) == len(reference.segments)
             assert np.allclose(got, ref_pts) or np.allclose(got, ref_pts[::-1])
@@ -128,7 +126,7 @@ class TestSortAgainstArcLengthOracle:
             count += 1
             rng = np.random.default_rng(seed)
             shuffled = pts[rng.permutation(len(pts))]
-            poly = sort_and_find_endpoints(shuffled, PLANE, 0.035, 75.0)
+            poly = sort_and_find_endpoints(shuffled, PLANE, 0.035)
             assert len(poly.segments) == 1
             assert is_arc_order(recovered_order(poly, pts))
 
@@ -148,15 +146,15 @@ class TestCrossingRecovery:
 
     def test_self_crossing_heals_into_one_segment(self):
         pts = self._limacon_cloud()
-        poly = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        poly = sort_and_find_endpoints(pts, PLANE, 0.035)
         assert len(poly.segments) == 1
 
     def test_raw_walk_keeps_the_known_failure_mode(self, monkeypatch):
         # the paper-style plain walk fragments on self-crossings
         pts = self._limacon_cloud()
-        healed = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        healed = sort_and_find_endpoints(pts, PLANE, 0.035)
         plain_walk(monkeypatch)
-        raw = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        raw = sort_and_find_endpoints(pts, PLANE, 0.035)
         assert len(raw.segments) >= len(healed.segments)
 
 
@@ -203,7 +201,7 @@ class TestEndpointRows:
 class TestSortedCsv:
     def test_roundtrip(self, tmp_path, rng):
         pts = on_plane(rng.uniform(-0.2, 0.2, (12, 2)))
-        poly = sort_and_find_endpoints(pts, PLANE, 0.035, 75.0)
+        poly = sort_and_find_endpoints(pts, PLANE, 0.035)
         save_sorted_csv(tmp_path / "sorted.csv", poly)
         back = load_sorted_csv(tmp_path / "sorted.csv")
         assert len(back.segments) == len(poly.segments)
@@ -317,8 +315,8 @@ class TestBatchedSortMatchesPointLoop:
             plain_walk(monkeypatch)
         for _ in range(25):
             cloud, plane = _fuzz_cloud(kind, rng)
-            got = sort_and_find_endpoints(cloud, plane, 0.035, 75.0)
-            want = sort_ref(cloud, plane, 0.035, 75.0)
+            got = sort_and_find_endpoints(cloud, plane, 0.035)
+            want = sort_ref(cloud, plane, 0.035, topology.ALPHA_MAX_DEG)
             assert [seg.tolist() for seg in got.segments] == want
 
     def test_vecdot_is_bit_equal_to_per_row_norm_and_dot(self):
@@ -345,6 +343,6 @@ class TestBatchedSortMatchesPointLoop:
             d = np.linalg.norm(off[0])
             if d != np.linalg.norm(off, axis=1)[0]:
                 break
-        assert len(sort_and_find_endpoints(pts, PLANE, d, 75.0).segments) == 1
+        assert len(sort_and_find_endpoints(pts, PLANE, d).segments) == 1
         below = np.nextafter(d, 0.0)
-        assert len(sort_and_find_endpoints(pts, PLANE, below, 75.0).segments) == 2
+        assert len(sort_and_find_endpoints(pts, PLANE, below).segments) == 2

@@ -10,9 +10,9 @@ from scipy.spatial import cKDTree
 from cablerecon import yamlio
 from cablerecon.cloudproc import PlaneModel
 from cablerecon.errors import InvalidViewError
-from cablerecon.explore import _centroid
+from cablerecon.explore import EPS_CONTACT as EPS, _centroid
 from cablerecon.fitting import bspline_from_control_points
-from cablerecon.geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
+from cablerecon.geom import Pose, frame_from_y_z, rotation_about_axis
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
 from cablerecon.scenarios import (
     TEMPLATES,
@@ -34,7 +34,6 @@ from cablerecon.worldsim import (
 )
 
 PLANE = PlaneModel(np.array([0.0, 0.0, 1.0, 0.0]))  # z = 0, normal up
-EPS = ReconParams().eps_contact
 
 
 def overhead_camera(height=0.6):
