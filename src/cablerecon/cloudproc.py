@@ -30,10 +30,13 @@ class PlaneModel:
 
     The normal is oriented toward the viewpoint used at fit time, so it
     points away from the support surface, up into the workspace.
+    `fit_error` is the largest distance of a fitted point from the plane,
+    0.0 for a plane that was not fitted.
     """
 
     coefficients: np.ndarray  # (4,), (a, b, c) unit-norm
     inlier_count: int = 0
+    fit_error: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -97,7 +100,8 @@ def ransac_plane(cloud: np.ndarray, orient_toward: np.ndarray, seed: int) -> Pla
 
     The winning consensus set is refit by least squares (centroid plus the
     smallest covariance eigenvector), and the normal is flipped to point at
-    `orient_toward` (the camera).
+    `orient_toward` (the camera). The plane's `fit_error` is the largest
+    distance of a consensus point from the refit.
     """
     pts = as_cloud(cloud)
     if len(pts) < 3:
@@ -127,7 +131,9 @@ def ransac_plane(cloud: np.ndarray, orient_toward: np.ndarray, seed: int) -> Pla
 
     if np.dot(coeffs[:3], np.asarray(orient_toward, dtype=float)) + coeffs[3] < 0:
         coeffs = -coeffs
-    return PlaneModel(coeffs, inlier_count=int(best[0]))
+    plane = PlaneModel(coeffs, inlier_count=int(best[0]))
+    plane.fit_error = float(np.abs(plane.signed_distance(inliers)).max())
+    return plane
 
 
 def voxel_downsample(cloud: np.ndarray, d_m: float) -> np.ndarray:

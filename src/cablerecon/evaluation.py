@@ -1,5 +1,6 @@
 """Reconstruction accuracy metrics: ICP alignment RMSE and, in simulation,
-direct distance between the fitted curve and the generating centerline."""
+direct distance between the fitted curve and the generating centerline,
+from the model's side and from the truth's."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .worldsim import GroundTruthCable
 ICP_MAX_ITERS = 60
 ICP_TOL = 1e-10
 CURVE_SAMPLES = 200
+COVERAGE_TOL = 0.003  # meters from the model within which a truth sample is covered
 
 
 @dataclass
@@ -87,3 +89,15 @@ def curve_error(curve: BSplineCurve, truth: GroundTruthCable) -> tuple[float, fl
     samples = sample_curve(curve, CURVE_SAMPLES)
     d = truth.distance_to_centerline(samples)
     return float(d.mean()), float(d.max())
+
+
+def truth_side_error(
+    truth: GroundTruthCable, model: np.ndarray, model_ends: np.ndarray
+) -> tuple[float, float, list[float] | None]:
+    """The model seen from the truth: the share of the centerline's dense samples
+    within COVERAGE_TOL of a `model` point, the largest such distance, and each
+    true end's distance to the nearest of `model_ends` (None if there is none)."""
+    gaps = cKDTree(model).query(truth.dense_samples)[0]
+    true_ends = truth.dense_samples[[0, -1]]
+    ends = cKDTree(model_ends).query(true_ends)[0].tolist() if len(model_ends) else None
+    return float(np.mean(gaps <= COVERAGE_TOL)), float(gaps.max()), ends

@@ -5,13 +5,14 @@ cable direction, descends until the pad touches, and classifies the contact
 with a curvature indicator built from per-taxel Hessian norms. The probe
 only reports pressures (`probe_fn(pose) -> pressures`): the walk decides
 the touch (a taxel above EPS_CONTACT) and the contact point. A descent
-keeps its delta_z height lattice from HOVER_HEIGHT but probes only from one
-delta_z above the tallest surface the pad can meet (2r of the thickest
-cable): higher up a probe reads no pressure, so it is not made. Cable
-contacts extend the walk and re-aim the frame; flat contacts rotate the
-frame about the plane normal to try another direction. A walk closes when
-it comes within d_min of another endpoint or exhausts a full turn of
-360 / theta_deg rotations (a true cable end).
+keeps its delta_z height lattice from HOVER_HEIGHT but probes only at or
+below `top`, the tallest surface the pad can meet (2r of the thickest
+cable) plus the fitted plane's fit error: higher up a probe reads no
+pressure, so it is not made. Cable contacts extend the walk and re-aim the
+frame; flat contacts rotate the frame about the plane normal to try
+another direction. A walk closes when it comes within d_min of another
+endpoint or exhausts a full turn of 360 / theta_deg rotations (a true
+cable end).
 
 Every probe logs exactly one trace row, so the trace is the probe count:
 a result's `probes_used` is its row count, and a descent stops with
@@ -121,16 +122,16 @@ def _descend(
     above EPS_CONTACT; return that pose and its pressures.
 
     The steps start HOVER_HEIGHT above the target, but the pad face is
-    only probed (logging a trace row) once it is at most `top` + delta_z
-    above the fitted plane. Nothing is taller than `top`, so a higher probe
-    reads exactly 0 pressure without noise (with noise it could only be a
-    false touch); the delta_z margin covers the offset of the fitted plane
-    from the true one. The touching probe is logged by the caller.
+    only probed (logging a trace row) once it is at most `top` above the
+    fitted plane. `top` already holds the fitted plane's own error, so no
+    surface is higher and a higher probe reads exactly 0 pressure without
+    noise (with noise it could only be a false touch). The touching probe
+    is logged by the caller.
     """
     normal = plane.normal
     pos = target_on_plane + HOVER_HEIGHT * normal
     height = float(plane.signed_distance(pos)[0])
-    while height > top + params.delta_z:
+    while height > top:
         pos = pos - params.delta_z * normal
         height -= params.delta_z
     while True:
@@ -159,8 +160,9 @@ def explore_from_endpoints(
     """Run the per-endpoint exploration walks and collect tactile points.
 
     `probe_fn(pose) -> pressures` is the only way the loop sees
-    the world; `top` is the height above the plane of the tallest surface
-    the pad can meet, and no descent probes higher than `top` + delta_z.
+    the world; `top` is the height above the fitted plane of the tallest
+    surface the pad can meet, the plane's fit error included, and no
+    descent probes higher.
     A walk's own starting endpoint is excluded from the d_min stop check:
     the first advance lands delta_y < d_min away from it, so including it
     would stop every walk immediately. Every other endpoint,

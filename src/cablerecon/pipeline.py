@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cloudproc, explore, fitting, imgproc, scenarios, topology, worldsim
 from .errors import EmptyInputError, ProbeBudgetError
-from .evaluation import curve_error, icp
+from .evaluation import curve_error, icp, truth_side_error
 from .geom import ReconParams, checked, read
 from .yamlio import load_yaml, save_yaml
 
@@ -133,14 +133,21 @@ def run_pipeline(
         if not clusters.clusters:
             raise EmptyInputError("no pixel cluster reaches min_cluster_size pixels")
 
-        truth_colors = np.array([c.color for c in scene.cables])
+        # the render stamps each cable pixel at its centerline's depth, one
+        # radius above the plane: a cable's radius is its cloud's median height
+        dense_clouds, radii = [], []
         for ci, cluster in enumerate(clusters.clusters):
+            current = f"cable_{ci:02d}"
+            dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
+            dense_clouds.append(dense)
+            radii.append(round(float(np.median(plane.signed_distance(dense))), 6))  # to 1 um
+        # nothing is taller than the thickest cable, seen from a plane fitted within fit_error
+        top = 2 * max(radii) + plane.fit_error
+
+        for ci, (cluster, dense, radius) in enumerate(zip(clusters.clusters, dense_clouds, radii)):
             cable_dir = out / f"cable_{ci:02d}"
             current = cable_dir.name
             cable_dir.mkdir(exist_ok=True)
-            radius = scene.cables[_nearest(truth_colors, cluster.mean_color)].radius
-
-            dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
             cloudproc.save_ply(cable_dir / "P_dense.ply", dense)
 
             skeleton = imgproc.skeletonize(cluster.as_mask(scene.height, scene.width))
@@ -165,7 +172,7 @@ def run_pipeline(
 
             probe_fn = functools.partial(worldsim.probe, scene)
             result = explore.explore_from_endpoints(
-                poly, plane, probe_fn, params, top=2 * max(c.radius for c in scene.cables),
+                poly, plane, probe_fn, params, top=top,
             ) if tactile else explore.ExplorationResult(np.zeros((0, 3)))
             result.save_trace_csv(cable_dir / "trace.csv")
             p_tactile = result.tactile_cloud
@@ -303,13 +310,15 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
         reg = icp(recon, references[_nearest(ref_colors, color)][1])
 
         truth = scene.cables[_nearest(truth_colors, color)]
-        means, maxes = [], []
+        means, maxes, ends = [], [], []
         prefix = f"{cable['directory']}/spline_seg"  # the certified splines, not a glob
         for rel in sorted(r for r in manifest["artifacts"] if r.startswith(prefix)):
             curve = fitting.load_spline(run / rel)
             mean_d, max_d = curve_error(curve, truth)
             means.append(mean_d)
             maxes.append(max_d)
+            ends.extend(fitting.sample_curve(curve, 2))
+        coverage, gap_max, end_errors = truth_side_error(truth, recon, np.reshape(ends, (-1, 3)))
         rows.append(
             {
                 "cable": cable["directory"],
@@ -318,6 +327,9 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
                 "icp_iterations": int(reg.iterations),
                 "curve_mean_error": float(np.mean(means)) if means else None,
                 "curve_max_error": float(np.max(maxes)) if maxes else None,
+                "coverage": coverage,
+                "gap_max_mm": 1e3 * gap_max,
+                "end_error_mm": None if end_errors is None else [1e3 * e for e in end_errors],
                 "segment_count": cable["final_segments"],
                 "endpoint_count": cable["final_endpoints"],
                 "probe_count": cable["probes_used"],

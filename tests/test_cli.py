@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cablerecon import cli, fitting, pipeline, scenarios
+from cablerecon import cli, fitting, pipeline, scenarios, yamlio
 from cablerecon.cloudproc import load_ply
 from cablerecon.geom import ReconParams
 
@@ -638,6 +638,16 @@ class TestEval:
         # source is the interpolated model, target the dense visual cloud,
         # so the self-comparison is small but not exactly zero
         assert report["cables"][0]["icp_rmse"] < 1.5e-3
+
+    def test_report_scores_the_truth_side(self, template_runs, scenario_files, tmp_path):
+        report = pipeline.evaluate_run(
+            template_runs["cs2_occluded"].out_dir, scenario_files["cs2_plain"], tmp_path / "r.yaml"
+        )
+        assert yamlio.load_yaml(tmp_path / "r.yaml") == report
+        for row in report["cables"]:
+            assert 0.9 < row["coverage"] <= 1.0
+            assert 0.0 < row["gap_max_mm"] < 20.0
+            assert len(row["end_error_mm"]) == 2 and min(row["end_error_mm"]) >= 0.0
 
     def test_cli_eval_against_reference_run(self, template_runs, tmp_path, capsys):
         code = cli.main(

@@ -68,6 +68,23 @@ class TestRansacPlane:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert a.inlier_count == b.inlier_count
 
+    def test_fit_error_vanishes_on_exact_plane_points(self, rng):
+        plane = ransac_plane(_exact_plane(rng), CAMERA, seed=3)
+        assert plane.fit_error <= 1e-12
+        assert PlaneModel(plane.coefficients).fit_error == 0.0  # not fitted
+
+    def test_fit_error_is_the_largest_inlier_residual(self, rng):
+        # 0.5 mm of noise on the plane; outliers at least 5 cm off it are no inliers
+        on_plane = _tilted_plane_points(rng, 300)
+        tilted = PlaneModel(np.array([0.26, -0.1, 0.96, -0.3]))
+        noisy = on_plane + rng.uniform(-5e-4, 5e-4, (300, 1)) * tilted.normal
+        away = rng.choice([-1.0, 1.0], (60, 1)) * rng.uniform(0.05, 0.2, (60, 1))
+        outliers = _tilted_plane_points(rng, 60) + away * tilted.normal
+        plane = ransac_plane(np.vstack([noisy, outliers]), CAMERA, seed=5)
+        assert plane.inlier_count == 300
+        residual = np.abs(plane.signed_distance(noisy)).max()
+        assert 1e-4 < plane.fit_error == residual
+
     def test_normal_points_toward_reference(self, rng):
         pts = np.column_stack(
             [rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), np.zeros(50)]

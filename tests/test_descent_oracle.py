@@ -1,24 +1,28 @@
 """The descent that skips in-air steps against a copy of the one that probed them.
 
 `explore._descend` keeps the delta_z height lattice that starts
-HOVER_HEIGHT above the plane but probes only from `top` + delta_z down,
-where `top` is the tallest surface in the scene (2r of the thickest
-cable). At sigma = 0 a probe above `top` reads exactly 0 pressure, so every
-run artifact must equal, bit for bit, a run with the descent that probed
-every step (copied here as the oracle), except `trace.csv`, which loses
-only its untouched rows above the clearance.
+HOVER_HEIGHT above the plane but probes only from `top` down, where `top`
+is the tallest surface in the scene (2r of the thickest cable) plus the
+fitted plane's `fit_error`. At sigma = 0 a probe above it reads exactly 0
+pressure, so every run artifact must equal, bit for bit, a run with the
+descent that probed every step (copied here as the oracle), except
+`trace.csv`, which loses only its untouched rows above the clearance.
 """
 
 import csv
 import io
+from functools import partial
 
 import numpy as np
 import pytest
 
-from cablerecon import explore, pipeline, scenarios
-from cablerecon.cloudproc import PlaneModel
+from cablerecon import cloudproc, explore, pipeline, scenarios
+from cablerecon.cloudproc import PlaneModel, project_to_plane
 from cablerecon.errors import DescentOverrunError, ProbeBudgetError
-from cablerecon.geom import Pose, ReconParams
+from cablerecon.geom import Pose, ReconParams, frame_from_y_z
+from cablerecon.worldsim import PAD_PITCH, probe
+
+from test_worldsim import make_scene, straight_cable
 
 SEED = 1
 TRACE = "trace.csv"
@@ -75,14 +79,25 @@ def height(plane, rows):
 
 @pytest.fixture(scope="module", params=CASES, ids=[f"{t}_{w}" for t, w in CASES])
 def run_pair(request, tmp_path_factory):
-    """(new run, oracle run, top) of one template at one resolution."""
+    """(new run, oracle run, clearance) of one template at one resolution; the
+    clearance is the scene's `top` plus the fit error of the run's plane."""
     tmp = tmp_path_factory.mktemp("descent")
     path, top = scenario(tmp, *request.param)
-    new = pipeline.run_pipeline(path, tmp / "new")
+    planes = []
+    ransac_plane = cloudproc.ransac_plane
+
+    def recording_ransac_plane(*args, **kwargs):
+        planes.append(ransac_plane(*args, **kwargs))
+        return planes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cloudproc, "ransac_plane", recording_ransac_plane)
+        new = pipeline.run_pipeline(path, tmp / "new")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(explore, "_descend", descend_every_step)
         old = pipeline.run_pipeline(path, tmp / "old")
-    return new, old, top
+    [plane] = planes
+    return new, old, top + plane.fit_error
 
 
 def test_every_artifact_but_the_trace_is_unchanged(run_pair):
@@ -97,10 +112,9 @@ def test_every_artifact_but_the_trace_is_unchanged(run_pair):
 
 
 def test_the_trace_loses_only_untouched_rows_above_the_clearance(run_pair):
-    new, old, top = run_pair
+    new, old, clearance = run_pair
     plane = PlaneModel(np.asarray(new.manifest["plane"]))
     assert old.manifest["plane"] == new.manifest["plane"]
-    clearance = top + ReconParams().delta_z
     skipped = 0
     for cable, old_cable in zip(new.manifest["cables"], old.manifest["cables"], strict=True):
         new_rows = read_trace(new.out_dir / cable["directory"] / TRACE)
@@ -116,3 +130,47 @@ def test_the_trace_loses_only_untouched_rows_above_the_clearance(run_pair):
         assert cable["probes_used"] == len(new_rows) < old_cable["probes_used"] == len(old_rows)
         skipped += len(old_rows) - len(new_rows)
     assert skipped > 0
+
+
+RADIUS = 0.003
+
+
+def first_touches(offset, fit_error, top):
+    """(descent, oracle) first touches on a straight cable on z = 0, seen from a
+    fitted plane `offset` above the true one that claims `fit_error`; each is
+    (pose, pressures, trace rows). The target is half a pitch off the
+    centreline, so one taxel row lies over the cable's top at 2r."""
+    scene = make_scene([straight_cable(radius=RADIUS)])
+    fitted = PlaneModel(np.array([0.0, 0.0, 1.0, -offset]), fit_error=fit_error)
+    target = project_to_plane(np.array([0.01, PAD_PITCH / 2, 0.0]), fitted)[0]
+    rotation = frame_from_y_z(np.array([1.0, 0.0, 0.0]), fitted.normal)
+    touches = []
+    for descend in (explore._descend, descend_every_step):
+        trace = []
+        pose, pressures = descend(
+            partial(probe, scene), rotation, target, fitted, ReconParams(), trace, 0, top,
+        )
+        touches.append((pose, pressures, trace))
+    return touches
+
+
+@pytest.mark.parametrize("offset", [-1.4e-3, -0.7e-3, -0.3e-3, 0.0, 0.3e-3, 0.7e-3, 1.4e-3])
+def test_the_first_touch_is_the_oracles_within_the_fit_error(offset):
+    (pose, pressures, rows), (want_pose, want_pressures, want_rows) = first_touches(
+        offset, abs(offset), 2 * RADIUS + abs(offset)
+    )
+    assert pose.translation.tobytes() == want_pose.translation.tobytes()
+    assert pose.rotation.tobytes() == want_pose.rotation.tobytes()
+    assert pressures.tobytes() == want_pressures.tobytes()
+    # the descent logs the oracle's last in-air rows, renumbered from 0
+    skipped = len(want_rows) - len(rows)
+    assert skipped > 0
+    assert rows == [{**row, "step": i} for i, row in enumerate(want_rows[skipped:])]
+
+
+def test_without_the_fit_error_a_low_fitted_plane_skips_the_first_touch():
+    # the lattice step 6.5 mm above a plane fitted 0.7 mm low is 5.8 mm above
+    # the true one, under the 6 mm cable top: it touches, but it is above 2r
+    (pose, _, _), (want_pose, _, _) = first_touches(-0.7e-3, 0.7e-3, 2 * RADIUS)
+    lowered = want_pose.translation - ReconParams().delta_z * np.array([0.0, 0.0, 1.0])
+    assert pose.translation == pytest.approx(lowered, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cablerecon.errors import DegenerateGeometryError
-from cablerecon.evaluation import curve_error, icp
+from cablerecon.evaluation import COVERAGE_TOL, curve_error, icp, truth_side_error
 from cablerecon.fitting import bspline_from_control_points, fit_bspline
 from cablerecon.geom import rotation_about_axis
 from cablerecon.worldsim import GroundTruthCable
@@ -115,3 +115,36 @@ class TestCurveError:
         moved = curve_error(curve_m, truth_m)
         assert moved[0] == pytest.approx(base[0], abs=1e-9)
         assert moved[1] == pytest.approx(base[1], abs=1e-9)
+
+
+class TestTruthSideError:
+    def test_the_centerline_itself_covers_everything_and_ends_at_the_ends(self):
+        truth = straight_truth()
+        samples = truth.dense_samples
+        coverage, gap_max, ends = truth_side_error(truth, samples, samples[[-1, 0]])
+        assert (coverage, gap_max, ends) == (1.0, 0.0, [0.0, 0.0])
+
+    def test_a_lateral_offset_is_covered_only_within_the_tolerance(self):
+        truth = straight_truth()
+        for offset, covered in ((0.002, 1.0), (0.004, 0.0)):
+            model = truth.dense_samples + [0.0, offset, 0.0]
+            coverage, gap_max, _ = truth_side_error(truth, model, model[[0, -1]])
+            assert coverage == covered
+            assert gap_max == pytest.approx(offset, abs=1e-12)
+
+    def test_a_model_short_of_one_end_leaves_it_uncovered(self):
+        # the model stops 10 cm short of the far end of the 40 cm cable
+        truth = straight_truth()
+        model = truth.dense_samples[truth.dense_samples[:, 0] <= 0.3]
+        coverage, gap_max, ends = truth_side_error(truth, model, model[[0, -1]])
+        reach = np.mean(truth.dense_samples[:, 0] <= model[-1, 0] + COVERAGE_TOL)
+        assert 0.5 < coverage < 1.0
+        assert coverage == pytest.approx(reach, abs=1 / len(truth.dense_samples))
+        assert gap_max == pytest.approx(0.4 - model[-1, 0], abs=1e-12)
+        assert ends[0] == 0.0
+        assert ends[1] == pytest.approx(0.4 - model[-1, 0], abs=1e-12)
+
+    def test_no_model_end_gives_no_end_error(self):
+        truth = straight_truth()
+        _, _, ends = truth_side_error(truth, truth.dense_samples, np.zeros((0, 3)))
+        assert ends is None

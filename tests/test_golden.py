@@ -18,15 +18,15 @@ from cablerecon import pipeline, scenarios, worldsim
 
 # cs1_occluded, seed 1, intrinsics scaled by 0.5 to 320x240
 GOLDEN_ARTIFACTS_SHA256 = (
-    "9447ffb9d4f18a86188543beead09d6eba73737c9dcb898cc34d19efe2b73b3d"
+    "57341a776d218782b5aa07c916ce9337f3540f177f71b251db1f6afd5f5351ce"
 )
 # cs2_plain, seed 1, the template camera (640x480)
 GOLDEN_VGA_ARTIFACTS_SHA256 = (
-    "0a0fed4e38474e4ebb8c5eb7315f3dbcc2eb3aff0e7265f06b4d9d59379f04f8"
+    "2a6dc7d4a43162c0f5b548b0bd2de63241a170fe37d5f57e8ec4dcffdacf74af"
 )
 # cs2_occluded, seed 1, the template camera (640x480)
 GOLDEN_VGA_OCCLUDED_ARTIFACTS_SHA256 = (
-    "9d0528746b568bde9be30e8075a49440fcf3583cb1750fc690ab9a370406ea49"
+    "76d764e15c5387dc69ae180a59e79b05b066e10b29184890b63c2c28492dfe61"
 )
 MESSAGE = (
     "run artifacts changed. If the output change is intended, update the "

@@ -1,11 +1,13 @@
 """End-to-end properties over randomized scenes, beyond the fixed templates."""
 
+import json
 from functools import partial
 
 import numpy as np
 import pytest
 
-from cablerecon import pipeline, scenarios
+from cablerecon import pipeline, scenarios, worldsim
+from cablerecon.errors import InsufficientDepthError
 from cablerecon.explore import explore_from_endpoints
 from cablerecon.geom import Pose, ReconParams, frame_from_y_z
 from cablerecon.topology import SortedPolyline
@@ -80,6 +82,42 @@ def test_randomized_occluded_loops_reconstruct(tmp_path, seed):
     row = report["cables"][0]
     assert row["curve_mean_error"] <= 0.003
     assert row["segment_count"] == 1
+
+
+@pytest.mark.parametrize("radius", [0.002, 0.005])
+def test_each_cable_radius_is_measured_from_the_depth(tmp_path, radius):
+    doc = scenarios.make_template("cs2_plain", seed=1)
+    doc["cables"][1]["radius"] = radius
+    path = tmp_path / "thin_and_thick.yaml"
+    scenarios.save_scenario(path, doc)
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    truth = {tuple(c["color"]): c["radius"] for c in doc["cables"]}
+    for cable in result.manifest["cables"]:
+        nearest = min(truth, key=lambda c: np.linalg.norm(np.subtract(c, cable["color"])))
+        assert cable["radius"] == truth[nearest]
+
+
+def test_a_failure_in_the_radius_pass_names_its_cable(tmp_path, monkeypatch):
+    # the second cable's pixels carry no depth, so its cluster, cable_01, has no cloud
+    render = worldsim.render
+
+    def render_without_depth_on_cable_1(scene):
+        out = render(scene)
+        out.depth.data[out.cable_masks[1].data] = 0.0
+        return out
+
+    monkeypatch.setattr(worldsim, "render", render_without_depth_on_cable_1)
+    path = tmp_path / "cs2_plain.yaml"
+    scenarios.save_scenario(path, scenarios.make_template("cs2_plain", seed=1))
+    with pytest.raises(InsufficientDepthError):
+        pipeline.run_pipeline(path, tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["failure"]["error"] == "InsufficientDepthError"
+    assert manifest["failure"]["cable"] == "cable_01"
+    # the pass ends before the first cable's directory is written
+    assert manifest["cables"] == []
+    assert not any(rel.startswith("cable_") for rel in manifest["artifacts"])
 
 
 def test_unoccluded_scene_completes_without_tactile(tmp_path, scenario_files):
