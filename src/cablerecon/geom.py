@@ -192,7 +192,7 @@ class ReconParams:
     delta_y: float = 0.0100     # advance step along the cable
     delta_z: float = 0.0015     # descent step toward the surface
     theta_deg: float = 15.0     # retry rotation about the plane normal
-    probe_budget: int = 10000   # hard cap on probe calls per run
+    probe_budget: int = 10000   # hard cap on probe calls per cable
     min_cluster_size: int = 30  # smaller pixel clusters are noise
     cut_threshold: float = 60.0  # MST edge length above which clusters separate
 

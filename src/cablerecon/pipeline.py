@@ -1,11 +1,11 @@
 """End-to-end orchestration: run a scenario, evaluate a run, plot a run.
 
-A run directory is self-describing: it holds a copy of its scenario, every
-intermediate cloud under the stage names P_skeleton, P_down, P_proj,
-P_sorted, P_tactile, P_merged, P_interpolated, the dense per-cable
-reference cloud, the exploration trace, and a manifest with sha256
-checksums of every artifact. The same scenario and seed reproduce every
-artifact byte for byte.
+`run_pipeline` is the simulated bench: it renders the scene, writes the
+images and passes them, the camera and a probe of the scene's pad to
+`reconstruct`, which reads only those sensors, never the scene. A run
+directory holds its scenario, the images, every stage's cloud, the trace
+and a manifest with the sha256 of every artifact; the same scenario and
+seed reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def run_pipeline(
     seed: int | None = None,
     tactile: bool = True,
 ) -> RunResult:
-    """Execute the reconstruction pipeline and write the run directory."""
+    """Run a scenario on the simulated bench: render it, write `images/`, and
+    `reconstruct` from the images and the scene's tactile pad."""
     t_start = time.perf_counter()
     doc, scene = scenarios.load_scenario(scenario_path, seed)
     params = _load_params(doc, params_file)
@@ -102,7 +103,6 @@ def run_pipeline(
         "plane": None,
         "cables": [],
     }
-    current = None
     try:
         scenarios.save_scenario(out / "scenario.yaml", doc)
         rendered = worldsim.render(scene)
@@ -115,21 +115,46 @@ def run_pipeline(
         imgproc.save_pgm(images / "shelf.pgm", rendered.shelf_mask)
         for i, mask in enumerate(rendered.cable_masks):
             imgproc.save_pgm(images / f"mask_cable_{i:02d}.pgm", mask)
+        # looked up here, per run, so a wrapper installed on worldsim.probe sees every probe
+        probe_fn = functools.partial(worldsim.probe, scene) if tactile else None
+        exit_status = reconstruct(rendered.color, rendered.depth, union_mask, rendered.shelf_mask,
+                                  scene.camera, probe_fn, params, scene.seed, out, manifest)
+    except Exception as exc:
+        # a failed run still certifies what it wrote and says what failed
+        manifest.setdefault("failure", _failure(None, exc))
+        failed = EXIT_BUDGET if isinstance(exc, ProbeBudgetError) else EXIT_ERROR
+        _write_manifest(out, manifest, failed, t_start)
+        raise
 
-        # support plane from the shelf pixels, exactly as a real scene would
-        shelf_flat = np.flatnonzero(rendered.shelf_mask.data)
+    _write_manifest(out, manifest, exit_status, t_start)
+    return RunResult(out_dir=out, exit_status=exit_status, manifest=manifest)
+
+
+def _failure(cable: str | None, exc: Exception) -> dict:
+    return {"cable": cable, "error": type(exc).__name__, "message": str(exc)}
+
+
+def reconstruct(color, depth, cable_mask, shelf_mask, camera, probe_fn,
+                params: ReconParams, seed: int, out: Path, manifest: dict) -> int:
+    """Reconstruct every cable from the sensors alone; return the exit status.
+
+    Reads the color and depth images, the union cable mask, the shelf mask
+    and the camera (pose included), and touches the world only through
+    `probe_fn` (pad pose -> (6, 2) pressures; None skips exploration). Fills
+    `out` and the manifest's plane and cables; a failure names its cable.
+    """
+    current = None
+    try:
+        # support plane from the shelf pixels, exactly as on a real bench
+        shelf_flat = np.flatnonzero(shelf_mask.data)
         stride = max(1, len(shelf_flat) // MAX_PLANE_PIXELS)
-        shelf_pixels = np.column_stack(np.divmod(shelf_flat[::stride], scene.width))
-        shelf_cloud = imgproc.pixels_to_cloud(shelf_pixels, rendered.depth, scene.camera)
-        plane = cloudproc.ransac_plane(
-            shelf_cloud,
-            seed=scene.seed,
-            orient_toward=scene.camera.pose.translation,
-        )
+        shelf_pixels = np.column_stack(np.divmod(shelf_flat[::stride], depth.width))
+        shelf_cloud = imgproc.pixels_to_cloud(shelf_pixels, depth, camera)
+        plane = cloudproc.ransac_plane(shelf_cloud, seed=seed, orient_toward=camera.pose.translation)
         manifest["plane"] = [float(c) for c in plane.coefficients]
 
-        cleaned = imgproc.blur_and_clean(union_mask)
-        clusters = imgproc.cluster_pixels(cleaned, rendered.color, params)
+        cleaned = imgproc.blur_and_clean(cable_mask)
+        clusters = imgproc.cluster_pixels(cleaned, color, params)
         if not clusters.clusters:
             raise EmptyInputError("no pixel cluster reaches min_cluster_size pixels")
 
@@ -138,7 +163,7 @@ def run_pipeline(
         dense_clouds, radii = [], []
         for ci, cluster in enumerate(clusters.clusters):
             current = f"cable_{ci:02d}"
-            dense = imgproc.pixels_to_cloud(cluster.pixels, rendered.depth, scene.camera)
+            dense = imgproc.pixels_to_cloud(cluster.pixels, depth, camera)
             dense_clouds.append(dense)
             radii.append(round(float(np.median(plane.signed_distance(dense))), 6))  # to 1 um
         # nothing is taller than the thickest cable, seen from a plane fitted within fit_error
@@ -150,12 +175,10 @@ def run_pipeline(
             cable_dir.mkdir(exist_ok=True)
             cloudproc.save_ply(cable_dir / "P_dense.ply", dense)
 
-            skeleton = imgproc.skeletonize(cluster.as_mask(scene.height, scene.width))
+            skeleton = imgproc.skeletonize(cluster.as_mask(depth.height, depth.width))
             # thinning keeps a subset of the cluster, whose pixels are in row-major order
             skeleton_pixels = cluster.pixels[skeleton.data[tuple(cluster.pixels.T)]]
-            p_skeleton = imgproc.pixels_to_cloud(
-                skeleton_pixels, rendered.depth, scene.camera
-            )
+            p_skeleton = imgproc.pixels_to_cloud(skeleton_pixels, depth, camera)
             cloudproc.save_ply(cable_dir / "P_skeleton.ply", p_skeleton)
 
             p_down = cloudproc.merge_close_points(
@@ -170,10 +193,8 @@ def run_pipeline(
             poly = topology.sort_and_find_endpoints(p_proj, plane, params.r_search)
             topology.save_sorted_csv(cable_dir / "P_sorted.csv", poly)
 
-            probe_fn = functools.partial(worldsim.probe, scene)
-            result = explore.explore_from_endpoints(
-                poly, plane, probe_fn, params, top=top,
-            ) if tactile else explore.ExplorationResult(np.zeros((0, 3)))
+            result = (explore.explore_from_endpoints(poly, plane, probe_fn, params, top=top)
+                      if probe_fn is not None else explore.ExplorationResult(np.zeros((0, 3))))
             result.save_trace_csv(cable_dir / "trace.csv")
             p_tactile = result.tactile_cloud
             cloudproc.save_ply(cable_dir / "P_tactile.ply", p_tactile)
@@ -189,14 +210,12 @@ def run_pipeline(
             # run one radius above it, so exported models are lifted back up
             lift = radius * plane.normal
             samples = []
-            fitted = 0
             for sid, seg in enumerate(final.segments):
                 if len(seg) < 2:
                     continue
                 curve = fitting.fit_bspline(final.points[seg]).translated(lift)
                 fitting.save_spline(cable_dir / f"spline_seg{sid:02d}.yaml", curve)
                 samples.append(fitting.sample_curve(curve, curve.sampling_count))
-                fitted += 1
             p_interp = np.vstack(samples) if samples else np.zeros((0, 3))
             cloudproc.save_ply(cable_dir / "P_interpolated.ply", p_interp)
 
@@ -210,18 +229,12 @@ def run_pipeline(
                 "tactile_points": len(p_tactile),
                 "probes_used": result.probes_used,
                 "dead_ends": result.dead_ends,
-                "complete": len(final.segments) == 1 and fitted == 1,
+                "complete": len(final.segments) == 1 and len(samples) == 1,
             })
     except Exception as exc:
-        # a failed run still certifies what it wrote and says what failed
-        manifest["failure"] = {"cable": current, "error": type(exc).__name__, "message": str(exc)}
-        failed = EXIT_BUDGET if isinstance(exc, ProbeBudgetError) else EXIT_ERROR
-        _write_manifest(out, manifest, failed, t_start)
+        manifest["failure"] = _failure(current, exc)
         raise
-
-    exit_status = EXIT_COMPLETE if all(c["complete"] for c in manifest["cables"]) else EXIT_PARTIAL
-    _write_manifest(out, manifest, exit_status, t_start)
-    return RunResult(out_dir=out, exit_status=exit_status, manifest=manifest)
+    return EXIT_COMPLETE if all(c["complete"] for c in manifest["cables"]) else EXIT_PARTIAL
 
 
 def _write_manifest(out: Path, manifest: dict, exit_status: int, t_start: float) -> None:

@@ -306,29 +306,16 @@ def probe(scene: WorldScene, pad_pose: Pose) -> np.ndarray:
     penetration. Identical poses give bit-identical maps: optional noise is
     seeded from the scene seed and the pose bytes. Whether the pad touches
     is the caller's reading of the pressures.
-
-    A tube top is never above 2r, so taxels whose face is higher than that
-    (with 1e-9 relative slack for the rounding of r + sqrt(r^2)) skip the
-    cable distance query: their penetration is negative from the plane and
-    the cable alike, and their pressure is exactly 0.0 either way.
     """
     plane = scene.support_plane
     centers = pad_pose.transform(TAXELS)
     face_height = plane.signed_distance(centers)
     penetration = -face_height
-
-    uv = None
+    uv = plane.to_plane_coords(centers)
     for cable, (plan, tree) in zip(scene.cables, scene._plans):
-        near = np.flatnonzero(face_height <= 2 * cable.radius * (1 + 1e-9))
-        if near.size == 0:
-            continue
-        if uv is None:
-            # over all 12 centers: a product over fewer rows can round differently
-            uv = plane.to_plane_coords(centers)
-        rho = _point_to_polyline(uv[near], plan, tree)
-        inside = rho <= cable.radius
-        under = near[inside]
-        surf = cable.radius + np.sqrt(np.maximum(cable.radius**2 - rho[inside] ** 2, 0.0))
+        rho = _point_to_polyline(uv, plan, tree)
+        under = rho <= cable.radius
+        surf = cable.radius + np.sqrt(np.maximum(cable.radius**2 - rho[under] ** 2, 0.0))
         penetration[under] = np.maximum(penetration[under], surf - face_height[under])
 
     pressures = PRESSURE_GAIN * np.maximum(penetration, 0.0)

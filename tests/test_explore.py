@@ -354,6 +354,24 @@ class TestProbeBudgetBoundary:
         assert manifest["failure"]["error"] == "ProbeBudgetError"
         assert manifest["failure"]["cable"] == cable["directory"]
 
+    def test_the_budget_caps_each_cable_not_the_run(self, tmp_path):
+        # each cable's walk starts its own trace: 8 + 9 probes fit a budget of 9
+        path = tmp_path / "cs2_occluded.yaml"
+        scenarios.save_scenario(path, scenarios.make_template("cs2_occluded", seed=1))
+        default = pipeline.run_pipeline(path, tmp_path / "default")
+        assert [c["probes_used"] for c in default.manifest["cables"]] == [8, 9]
+        assert default.exit_status == pipeline.EXIT_COMPLETE
+        nine = self._run_with_budget(path, tmp_path / "nine", 9)
+        assert nine.exit_status == pipeline.EXIT_COMPLETE
+        assert nine.manifest["artifacts"] == default.manifest["artifacts"]
+        out = tmp_path / "eight"
+        with pytest.raises(ProbeBudgetError):
+            self._run_with_budget(path, out, 8)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_status"] == pipeline.EXIT_BUDGET
+        assert manifest["failure"]["cable"] == "cable_01"
+        assert [c["directory"] for c in manifest["cables"]] == ["cable_00"]
+
     @pytest.mark.parametrize("seed", [0, 1, 23])
     def test_probes_used_is_the_trace_row_count_under_noise(self, tmp_path, seed):
         doc = scenarios.make_template("cs1_occluded", seed=seed)
