@@ -50,7 +50,9 @@ class ImageGrid:
 
 @dataclass
 class CameraIntrinsics:
-    """Pinhole parameters plus the camera-to-base pose."""
+    """Pinhole parameters plus the camera-to-base pose. Rows run along camera
+    y through `fy` and `cy`, columns along camera x through `fx` and `cx`, and
+    depth is camera z; `project` and `ray` are the two halves of this model."""
 
     fx: float
     fy: float
@@ -61,6 +63,21 @@ class CameraIntrinsics:
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+
+    def project(self, points: np.ndarray):
+        """Row, column and camera z of each base-frame point (n, 3); where z <= 0
+        row and column mean nothing, and no warning is raised."""
+        x, y, z = ((points - self.pose.translation) @ self.pose.rotation).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.fy * y / z + self.cy, self.fx * x / z + self.cx, z
+
+    def ray(self, rows, cols) -> np.ndarray:
+        """Camera-frame direction (x, y, 1) of each pixel; x is computed once per
+        column and y once per row, then broadcast: (h, 1) rows by (w,) cols is (h, w, 3)."""
+        dirs = np.ones(np.broadcast_shapes(np.shape(rows), np.shape(cols)) + (3,))
+        dirs[..., 0] = (cols - self.cx) / self.fx
+        dirs[..., 1] = (rows - self.cy) / self.fy
+        return dirs
 
 
 @dataclass
@@ -323,13 +340,7 @@ def pixels_to_cloud(
         raise InsufficientDepthError(
             f"only {int(np.count_nonzero(valid))} of {len(pix)} pixels have depth"
         )
-    rows = pix[valid, 0].astype(float)
-    cols = pix[valid, 1].astype(float)
-    z = depth[valid]
-    cam = np.column_stack(
-        [(cols - intr.cx) / intr.fx * z, (rows - intr.cy) / intr.fy * z, z]
-    )
-    return intr.pose.transform(cam)
+    return intr.pose.transform(intr.ray(pix[valid, 0], pix[valid, 1]) * depth[valid, None])
 
 
 def save_pgm(path, mask_img: ImageGrid) -> None:

@@ -138,12 +138,7 @@ class RenderResult:
 def _ray_grid(scene: WorldScene, rows: slice):
     """Camera origin and the world-frame ray direction of each pixel in `rows`."""
     intr = scene.camera
-    dirs_cam = np.empty((rows.stop - rows.start, scene.width, 3))
-    dirs_cam[..., 0] = (np.arange(scene.width, dtype=float) - intr.cx) / intr.fx
-    v = (np.arange(rows.start, rows.stop, dtype=float) - intr.cy) / intr.fy
-    dirs_cam[..., 1] = v[:, None]
-    dirs_cam[..., 2] = 1.0
-    return intr.pose.translation, dirs_cam @ intr.pose.rotation.T
+    return intr.pose.translation, intr.ray(*np.ogrid[rows, : scene.width]) @ intr.pose.rotation.T
 
 
 def _box_entry_depth(origin, dirs, lo, hi):
@@ -171,12 +166,9 @@ def _footprint(lo, hi, intr: CameraIntrinsics, h: int, w: int) -> tuple[slice, s
     a corner at or behind the camera plane, the whole frame.
     """
     corners = np.where((np.arange(8)[:, None] >> np.arange(3)) & 1, hi, lo)
-    cam = (corners - intr.pose.translation) @ intr.pose.rotation
-    z = cam[:, 2]
+    row, col, z = intr.project(corners)
     if (z <= 0).any():
         return slice(0, h), slice(0, w)
-    row = intr.fy * cam[:, 1] / z + intr.cy
-    col = intr.fx * cam[:, 0] / z + intr.cx
     r0, c0 = np.clip(np.floor([row.min(), col.min()]) - 1, 0, [h, w]).astype(int)
     r1, c1 = np.clip(np.ceil([row.max(), col.max()]) + 2, 0, [h, w]).astype(int)
     return slice(r0, r1), slice(c0, c1)
@@ -185,14 +177,10 @@ def _footprint(lo, hi, intr: CameraIntrinsics, h: int, w: int) -> tuple[slice, s
 def _project(cable: GroundTruthCable, intr: CameraIntrinsics):
     """Row, column, camera z and projected disk radius of each centerline
     sample in front of the camera."""
-    cam = (cable.dense_samples - intr.pose.translation) @ intr.pose.rotation
-    z = cam[:, 2]
+    row, col, z = intr.project(cable.dense_samples)
     front = z > 1e-6
-    zf = z[front]
-    col = intr.fx * cam[front, 0] / zf + intr.cx
-    row = intr.fy * cam[front, 1] / zf + intr.cy
-    radii = np.round(0.5 * (intr.fx + intr.fy) * cable.radius / zf).astype(int)
-    return row, col, zf, radii
+    radii = np.round(0.5 * (intr.fx + intr.fy) * cable.radius / z[front]).astype(int)
+    return row[front], col[front], z[front], radii
 
 
 def _stamp(buf: np.ndarray, r0: int, c0: int, row, col, z, radii) -> None:
@@ -268,22 +256,22 @@ def render(scene: WorldScene) -> RenderResult:
             box_z[foot] = np.minimum(box_z[foot], _box_entry_depth(origin, dirs[foot], lo, hi))
 
         surface = np.where(box_z < plane_z, 2, plane_hit)
-        shelf[b0:b1] = plane_hit & (plane_z < box_z)
         band_depth = np.minimum(plane_z, box_z)
         # the window's rows in the band, and the band's rows in the window
         win = (_clip(r0, r1, b0, b1), slice(c0, c1))
         z = cable_z[:, _clip(b0, b1, r0, r1)]
         if z.size:
-            winner = z.argmin(axis=0)
-            covered = np.zeros(z.shape[1:], dtype=bool)
-            for ci, buf in enumerate(z):
-                visible = np.isfinite(buf) & (winner == ci) & (buf < box_z[win])
-                covered |= visible
-                surface[win][visible] = 3 + ci
-                masks[ci][b0:b1][win] = visible
-            shelf[b0:b1][win] &= ~covered
-            band_depth[win] = np.where(covered, z.min(axis=0), band_depth[win])
-            del winner, covered, visible
+            # the first cable at the least depth shows where it lies in front of the occluders
+            near = z.min(axis=0)
+            front = near < box_z[win]
+            band_depth[win] = np.where(front, near, band_depth[win])
+            del near  # freed before the winner index is built: the two never coexist
+            surface[win] = np.where(front, 3 + z.argmin(axis=0), surface[win])
+            for ci, mask in enumerate(masks):
+                mask[b0:b1][win] = surface[win] == 3 + ci
+            del front
+        # a box standing on the shelf (plane_z == box_z) is colored shelf, but is no shelf pixel
+        shelf[b0:b1] = (surface == 1) & (plane_z < box_z)
         depth[b0:b1] = np.where(np.isfinite(band_depth), band_depth, 0.0)
         color[b0:b1] = palette.take(surface, axis=0)
         # free this band's arrays before the next band's are built beside them
@@ -325,6 +313,6 @@ def probe(scene: WorldScene, pad_pose: Pose) -> np.ndarray:
             + np.ascontiguousarray(pad_pose.translation).tobytes()
         )
         rng = np.random.default_rng(np.random.SeedSequence([scene.seed, tag]))
-        noise = rng.normal(0.0, scene.pressure_noise_sigma, 12)
+        noise = rng.normal(0.0, scene.pressure_noise_sigma, len(TAXELS))
         pressures = np.maximum(pressures + noise, 0.0)
     return pressures.reshape(PAD_SHAPE)

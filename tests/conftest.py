@@ -6,6 +6,17 @@ from cablerecon import pipeline, scenarios
 SEED = 7
 
 
+def qvga_template(name, seed):
+    """The template's scenario at 320x240: its 640x480 camera with fx, fy,
+    cx and cy halved."""
+    doc = scenarios.make_template(name, seed=seed)
+    cam = doc["camera"]
+    for key in ("fx", "fy", "cx", "cy"):
+        cam[key] = float(cam[key]) * 0.5
+    cam["width"], cam["height"] = 320, 240
+    return doc
+
+
 @pytest.fixture(scope="session")
 def work_root(tmp_path_factory):
     return tmp_path_factory.mktemp("runs")

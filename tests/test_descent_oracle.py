@@ -22,6 +22,7 @@ from cablerecon.errors import DescentOverrunError, ProbeBudgetError
 from cablerecon.geom import Pose, ReconParams, frame_from_y_z
 from cablerecon.worldsim import PAD_PITCH, probe
 
+from conftest import qvga_template
 from test_worldsim import make_scene, straight_cable
 
 SEED = 1
@@ -56,12 +57,7 @@ CASES = [(tpl, width) for tpl in scenarios.TEMPLATES for width in (640, 320)]
 
 
 def scenario(tmp_path, tpl, width):
-    doc = scenarios.make_template(tpl, seed=SEED)
-    if width != 640:
-        cam = doc["camera"]
-        for key in ("fx", "fy", "cx", "cy"):
-            cam[key] = float(cam[key]) * width / 640
-        cam["width"], cam["height"] = width, width * 3 // 4
+    doc = qvga_template(tpl, SEED) if width == 320 else scenarios.make_template(tpl, seed=SEED)
     path = tmp_path / f"{tpl}_{width}.yaml"
     scenarios.save_scenario(path, doc)
     return path, 2 * max(c["radius"] for c in doc["cables"])

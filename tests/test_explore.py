@@ -23,6 +23,7 @@ from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
 from cablerecon.worldsim import PAD_PITCH, probe
 
+from conftest import qvga_template
 from test_worldsim import PLANE, make_scene, straight_cable
 
 
@@ -374,11 +375,7 @@ class TestProbeBudgetBoundary:
 
     @pytest.mark.parametrize("seed", [0, 1, 23])
     def test_probes_used_is_the_trace_row_count_under_noise(self, tmp_path, seed):
-        doc = scenarios.make_template("cs1_occluded", seed=seed)
-        cam = doc["camera"]
-        for key in ("fx", "fy", "cx", "cy"):
-            cam[key] = float(cam[key]) * 0.5
-        cam["width"], cam["height"] = 320, 240
+        doc = qvga_template("cs1_occluded", seed)
         doc["pressure_noise_sigma"] = 0.01
         path = tmp_path / "noisy.yaml"
         scenarios.save_scenario(path, doc)

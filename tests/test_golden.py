@@ -15,6 +15,7 @@ import json
 import tracemalloc
 
 from cablerecon import pipeline, scenarios, worldsim
+from conftest import qvga_template
 
 # cs1_occluded, seed 1, intrinsics scaled by 0.5 to 320x240
 GOLDEN_ARTIFACTS_SHA256 = (
@@ -41,13 +42,8 @@ def artifacts_digest(result) -> str:
 
 
 def test_cs1_occluded_qvga_artifacts_match_the_golden_digest(tmp_path):
-    doc = scenarios.make_template("cs1_occluded", seed=1)
-    cam = doc["camera"]
-    for key in ("fx", "fy", "cx", "cy"):
-        cam[key] = float(cam[key]) * 0.5
-    cam["width"], cam["height"] = 320, 240
     path = tmp_path / "cs1_occluded_qvga.yaml"
-    scenarios.save_scenario(path, doc)
+    scenarios.save_scenario(path, qvga_template("cs1_occluded", 1))
 
     result = pipeline.run_pipeline(path, tmp_path / "run")
 

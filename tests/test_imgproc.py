@@ -1,12 +1,13 @@
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from cablerecon.errors import EmptyInputError, InsufficientDepthError
-from cablerecon.geom import Pose, ReconParams
+from cablerecon.geom import Pose, ReconParams, rotation_about_axis
 from cablerecon.imgproc import (
     CameraIntrinsics,
     ImageGrid,
@@ -378,6 +379,42 @@ class TestPixelsToCloud:
             ]
         )
         assert np.abs(back - pixels).max() < 0.5
+
+
+@pytest.fixture
+def tilted_camera():
+    """Looks 20 degrees off straight down; its x axis is base x, so a point
+    offset from it along base x lies on the camera plane exactly."""
+    pose = Pose(rotation_about_axis(np.array([1.0, 0, 0]), 160.0), np.array([0.1, -0.2, 0.7]))
+    return CameraIntrinsics(fx=610.0, fy=590.0, cx=322.5, cy=238.25, pose=pose)
+
+
+class TestCameraModel:
+    def test_project_inverts_the_ray_scaled_by_depth(self, tilted_camera, rng):
+        rows, cols = rng.integers(1, 480, 200), rng.integers(1, 640, 200)
+        z = rng.uniform(0.2, 3.0, 200)
+        points = tilted_camera.pose.transform(tilted_camera.ray(rows, cols) * z[:, None])
+        for got, want in zip(tilted_camera.project(points), (rows, cols, z)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_points_behind_and_on_the_camera_plane_project_without_a_warning(
+        self, tilted_camera
+    ):
+        pose = tilted_camera.pose
+        behind = pose.transform(np.array([0.05, -0.1, -0.4]))
+        on_plane = pose.translation + [[0.3, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, z = tilted_camera.project(np.vstack([behind, on_plane]))
+        assert z[0] < 0
+        assert (z[1:] == 0).all()
+
+    def test_ray_over_a_grid_equals_per_pixel_calls(self, tilted_camera):
+        rows, cols = np.arange(7, 19), np.arange(300, 331)
+        grid = tilted_camera.ray(rows[:, None], cols)
+        assert grid.shape == (len(rows), len(cols), 3)
+        for (i, r), (j, c) in itertools.product(enumerate(rows), enumerate(cols)):
+            assert np.array_equal(grid[i, j], tilted_camera.ray(r, c))
 
 
 class TestColorConversion:

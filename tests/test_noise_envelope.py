@@ -11,6 +11,7 @@ the one in README.md; a change that moves any seed must say why.
 """
 
 from cablerecon import cli, pipeline, scenarios
+from conftest import qvga_template
 
 SIGMA = 0.01
 SEEDS = range(60)
@@ -21,11 +22,7 @@ BUDGET = {34}
 def test_cs1_occluded_qvga_noise_envelope(tmp_path, capsys):
     codes = {}
     for seed in SEEDS:
-        doc = scenarios.make_template("cs1_occluded", seed=seed)
-        cam = doc["camera"]
-        for key in ("fx", "fy", "cx", "cy"):
-            cam[key] = float(cam[key]) * 0.5
-        cam["width"], cam["height"] = 320, 240
+        doc = qvga_template("cs1_occluded", seed)
         doc["pressure_noise_sigma"] = SIGMA
         path = tmp_path / f"seed{seed}.yaml"
         scenarios.save_scenario(path, doc)

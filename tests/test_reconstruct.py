@@ -9,6 +9,7 @@ import textwrap
 import pytest
 
 from cablerecon import pipeline, scenarios, worldsim
+from conftest import qvga_template
 
 
 def _pose_key(pose):
@@ -25,13 +26,8 @@ def _digests(out):
 
 @pytest.fixture(scope="module")
 def qvga_scenario(tmp_path_factory):
-    doc = scenarios.make_template("cs2_occluded", seed=1)
-    cam = doc["camera"]
-    for key in ("fx", "fy", "cx", "cy"):
-        cam[key] = float(cam[key]) * 0.5
-    cam["width"], cam["height"] = 320, 240
     path = tmp_path_factory.mktemp("qvga") / "cs2_occluded.yaml"
-    scenarios.save_scenario(path, doc)
+    scenarios.save_scenario(path, qvga_template("cs2_occluded", 1))
     return path
 
 
