@@ -145,8 +145,6 @@ def voxel_downsample(cloud: np.ndarray, d_m: float) -> np.ndarray:
     if d_m <= 0:
         raise ValueError("voxel size must be positive")
     pts = as_cloud(cloud)
-    if len(pts) == 0:
-        return pts
     bins = np.floor(pts / d_m).astype(np.int64)
     uniq, inverse = np.unique(bins, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
@@ -182,8 +180,6 @@ def merge_close_points(cloud: np.ndarray, t_p: float) -> np.ndarray:
 def project_to_plane(cloud: np.ndarray, plane: PlaneModel) -> np.ndarray:
     """Orthogonal projection of every point onto the plane."""
     pts = as_cloud(cloud)
-    if len(pts) == 0:
-        return pts
     dist = plane.signed_distance(pts)
     return pts - dist[:, None] * plane.normal
 

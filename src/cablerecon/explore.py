@@ -12,7 +12,8 @@ pressure, so it is not made. Cable contacts extend the walk and re-aim the
 frame; flat contacts rotate the frame about the plane normal to try
 another direction. A walk closes when it comes within d_min of another
 endpoint or exhausts a full turn of 360 / theta_deg rotations (a true
-cable end).
+cable end). The pad's geometry (PAD_SHAPE, PAD_PITCH, TAXELS) lives here,
+with the walk that reads it; the simulated probe imports it.
 
 Every probe logs exactly one trace row, so the trace is the probe count:
 a result's `probes_used` is its row count, and a descent stops with
@@ -30,8 +31,9 @@ from .cloudproc import PlaneModel, project_to_plane
 from .errors import DescentOverrunError, ProbeBudgetError
 from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
 from .topology import SortedPolyline
-from .worldsim import PAD_PITCH, PAD_SHAPE, TAXELS
 
+PAD_SHAPE = (6, 2)  # taxel rows along end-effector x, columns along y
+PAD_PITCH = 0.005  # meters between neighbouring taxel centers
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
 HOVER_HEIGHT = 0.0200  # meters above the plane where a descent's steps start
 EPS_CONTACT = 0.05  # a taxel pressure above this is a touch
@@ -40,6 +42,21 @@ TRACE_COLUMNS = (
     "step", "endpoint_id", *POSE_COLUMNS, "touched", "indicator", "accepted", "px", "py", "pz"
 )
 _POSE_FORMAT = ",".join(["%.9g"] * len(POSE_COLUMNS))
+
+
+def _taxel_centers() -> np.ndarray:
+    rows, cols = PAD_SHAPE
+    xs = (np.arange(rows) - (rows - 1) / 2.0) * PAD_PITCH
+    ys = (np.arange(cols) - (cols - 1) / 2.0) * PAD_PITCH
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    centers = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    centers.flags.writeable = False
+    return centers
+
+
+# (12, 3) read-only taxel centers in the pad frame, row-major over PAD_SHAPE, face at z = 0;
+# the long side lies along end-effector x
+TAXELS = _taxel_centers()
 
 
 def indicator(pressures: np.ndarray) -> float:
@@ -137,7 +154,7 @@ def _descend(
     while True:
         pose = Pose(rotation, pos)
         if len(trace) >= params.probe_budget:
-            raise ProbeBudgetError("probe budget exhausted during exploration")
+            raise ProbeBudgetError(f"all {params.probe_budget} probes used")
         pressures = probe_fn(pose)
         if (pressures > EPS_CONTACT).any():
             return pose, pressures

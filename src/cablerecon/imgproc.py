@@ -28,8 +28,8 @@ SPATIAL_WEIGHT = 0.5  # pixel coordinates weighted against CIELAB units in clust
 class ImageGrid:
     """Row-major raster; (h, w) for masks/depth, (h, w, 3) for color.
 
-    Mask data is {0, 1} float or bool, color is [0, 255], depth is meters
-    with 0 marking invalid pixels.
+    Mask data is {0, 1} float or bool, color is uint8 RGB (the 8-bit image
+    the camera writes), depth is meters with 0 marking invalid pixels.
     """
 
     data: np.ndarray
@@ -258,7 +258,8 @@ def cluster_pixels(
     rows, cols = np.nonzero(mask)
     if len(rows) == 0:
         raise EmptyInputError("mask has no foreground pixels")
-    colors = np.asarray(color_img.data, dtype=float)[rows, cols]
+    # cast after the gather: a float copy of a 640x480 frame would be 7.4 MB
+    colors = np.asarray(color_img.data)[rows, cols].astype(float)
     lab = rgb_to_lab(colors)
     features = np.column_stack([SPATIAL_WEIGHT * rows, SPATIAL_WEIGHT * cols, lab]).astype(float)
 
@@ -332,8 +333,6 @@ def pixels_to_cloud(
     cloud is too unreliable to use and InsufficientDepthError is raised.
     """
     pix = np.asarray(pixels, dtype=int).reshape(-1, 2)
-    if len(pix) == 0:
-        return np.zeros((0, 3))
     depth = np.asarray(depth_img.data, dtype=float)[pix[:, 0], pix[:, 1]]
     valid = depth > 0
     if np.count_nonzero(valid) < 0.5 * len(pix):
@@ -351,12 +350,9 @@ def save_pgm(path, mask_img: ImageGrid) -> None:
 
 
 def save_ppm(path, color_img: ImageGrid) -> None:
-    """Binary PPM (P6) color image, clipped and converted 64 rows at a time."""
-    data = np.asarray(color_img.data)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
-        for r in range(0, data.shape[0], 64):
-            f.write(np.clip(data[r : r + 64], 0, 255).astype(np.uint8).tobytes())
+    """Binary PPM (P6) of the 8-bit color image, its bytes as they are."""
+    data = np.asarray(color_img.data, dtype=np.uint8)
+    Path(path).write_bytes(f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode() + data.tobytes())
 
 
 def save_depth(path, depth_img: ImageGrid) -> None:

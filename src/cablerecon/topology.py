@@ -193,8 +193,7 @@ def sort_and_find_endpoints(
         order.reverse()
         raw.append(order)
 
-    if len(raw) > 1:
-        raw = _stitch_crossings(uv, raw, r_search)
+    raw = _stitch_crossings(uv, raw, r_search)
     return SortedPolyline(points=pts, segments=[np.array(s, dtype=int) for s in raw])
 
 

@@ -16,33 +16,17 @@ from scipy.spatial import cKDTree
 
 from .cloudproc import PlaneModel
 from .errors import InvalidViewError
+from .explore import PAD_SHAPE, TAXELS
 from .fitting import BSplineCurve, sample_curve
 from .geom import Pose
 from .imgproc import CameraIntrinsics, ImageGrid
 
 PRESSURE_GAIN = 1000.0   # pressure units per meter of penetration
 DENSE_SAMPLES = 4096     # centerline discretization for distance queries
-PAD_SHAPE = (6, 2)       # taxel rows along end-effector x, columns along y
-PAD_PITCH = 0.005        # meters between neighbouring taxel centers
 BAND_PIXELS = 1 << 16    # render works on bands of whole rows holding about this many pixels
 
 SHELF_COLOR = np.array([185.0, 170.0, 150.0])
 OCCLUDER_COLOR = np.array([90.0, 90.0, 95.0])
-
-
-def _taxel_centers() -> np.ndarray:
-    rows, cols = PAD_SHAPE
-    xs = (np.arange(rows) - (rows - 1) / 2.0) * PAD_PITCH
-    ys = (np.arange(cols) - (cols - 1) / 2.0) * PAD_PITCH
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    centers = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    centers.flags.writeable = False
-    return centers
-
-
-# (12, 3) read-only taxel centers in the pad frame, row-major over PAD_SHAPE, face at z = 0;
-# the long side lies along end-effector x
-TAXELS = _taxel_centers()
 
 
 def _point_to_polyline(queries: np.ndarray, samples: np.ndarray, tree: cKDTree) -> np.ndarray:
@@ -218,8 +202,9 @@ def render(scene: WorldScene) -> RenderResult:
     project; each box's slab test runs only on its footprint (see
     `_footprint`), and every ray outside it misses the box. Rays, hits and
     colors are computed in bands of whole rows of about BAND_PIXELS pixels,
-    written straight into the outputs. Depth is camera-frame z in meters,
-    0 where no surface is hit.
+    written straight into the outputs. Color is the 8-bit image a camera
+    writes: each palette color clipped to [0, 255] and truncated, once.
+    Depth is camera-frame z in meters, 0 where no surface is hit.
     """
     h, w = scene.height, scene.width
     intr, plane = scene.camera, scene.support_plane
@@ -234,12 +219,13 @@ def render(scene: WorldScene) -> RenderResult:
     for buf, s in zip(cable_z, samples):
         _stamp(buf, r0, c0, *s)
 
-    # background 0, shelf 1, occluder 2, cable ci 3 + ci: one palette gather colors it
+    # background 0, shelf 1, occluder 2, cable ci 3 + ci: one 8-bit palette gather colors it
     palette = np.vstack([[0, 0, 0], SHELF_COLOR, OCCLUDER_COLOR, *(c.color for c in scene.cables)])
+    palette = np.clip(palette, 0, 255).astype(np.uint8)
     num = -(float(plane.signed_distance(intr.pose.translation)[0]))
     feet = [_footprint(lo, hi, intr, h, w) for lo, hi in scene.occluders]
     masks = [np.zeros((h, w), dtype=bool) for _ in samples]
-    color, depth, shelf = np.empty((h, w, 3)), np.empty((h, w)), np.empty((h, w), dtype=bool)
+    color, depth, shelf = np.empty((h, w, 3), np.uint8), np.empty((h, w)), np.empty((h, w), bool)
     step = max(1, BAND_PIXELS // w)
     for b0 in range(0, h, step):
         b1 = min(b0 + step, h)

@@ -599,7 +599,7 @@ class TestFailureManifest:
         code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
         assert code == pipeline.EXIT_BUDGET
         err = capsys.readouterr().err
-        assert err.startswith("error: probe budget exhausted:") and err.count("\n") == 1
+        assert err == "error: probe budget exhausted: all 20 probes used\n"
         manifest = certified_files(out)
         assert manifest["exit_status"] == pipeline.EXIT_BUDGET
         assert manifest["failure"]["cable"] == "cable_00"

@@ -14,6 +14,8 @@ from cablerecon.cloudproc import (
     voxel_downsample,
 )
 from cablerecon.errors import DegenerateGeometryError
+from cablerecon.geom import Pose
+from cablerecon.imgproc import CameraIntrinsics, ImageGrid, pixels_to_cloud
 
 clouds = st.lists(
     st.tuples(
@@ -400,3 +402,19 @@ class TestCloudIO:
         path.write_text(head + "end_header\n" + "\n".join(body) + "\n")
         with pytest.raises(ValueError, match=f"bad.ply: body is not the {declared} rows"):
             load_ply(path)
+
+
+# each stage of a cable's cloud, given no point, takes its general path to no point
+EMPTY_INPUT_CALLS = {
+    "pixels_to_cloud": lambda: pixels_to_cloud(
+        [], ImageGrid(np.ones((4, 4))), CameraIntrinsics(2, 2, 2, 2, Pose(np.eye(3), CAMERA))
+    ),
+    "project_to_plane": lambda: project_to_plane([], PlaneModel(np.array([0.0, 0.0, 1.0, -0.5]))),
+    "voxel_downsample": lambda: voxel_downsample([], 0.01),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_INPUT_CALLS)
+def test_an_empty_input_gives_an_empty_float_cloud(name):
+    out = EMPTY_INPUT_CALLS[name]()
+    assert out.shape == (0, 3) and out.dtype == np.float64

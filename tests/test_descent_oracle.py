@@ -19,8 +19,9 @@ import pytest
 from cablerecon import cloudproc, explore, pipeline, scenarios
 from cablerecon.cloudproc import PlaneModel, project_to_plane
 from cablerecon.errors import DescentOverrunError, ProbeBudgetError
+from cablerecon.explore import PAD_PITCH
 from cablerecon.geom import Pose, ReconParams, frame_from_y_z
-from cablerecon.worldsim import PAD_PITCH, probe
+from cablerecon.worldsim import probe
 
 from conftest import qvga_template
 from test_worldsim import make_scene, straight_cable

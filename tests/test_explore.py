@@ -9,6 +9,7 @@ from cablerecon import pipeline, scenarios
 from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
     EPS_CONTACT,
+    PAD_PITCH,
     POSE_COLUMNS,
     ExplorationResult,
     _centroid,
@@ -21,7 +22,7 @@ from cablerecon.explore import (
 )
 from cablerecon.geom import ReconParams
 from cablerecon.topology import sort_and_find_endpoints
-from cablerecon.worldsim import PAD_PITCH, probe
+from cablerecon.worldsim import probe
 
 from conftest import qvga_template
 from test_worldsim import PLANE, make_scene, straight_cable

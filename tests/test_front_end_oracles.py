@@ -120,7 +120,8 @@ def full_frame_render(scene):
     color[np.isfinite(box_z) & (box_z < plane_z)] = worldsim.OCCLUDER_COLOR
     for ci, m in enumerate(masks):
         color[m] = scene.cables[ci].color
-    return masks, color, depth, shelf
+    # the 8-bit image a camera writes: each channel clipped to [0, 255] and truncated
+    return masks, np.clip(color, 0, 255).astype(np.uint8), depth, shelf
 
 
 def coo_reach_components(features, k, threshold):

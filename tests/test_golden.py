@@ -73,10 +73,12 @@ def test_cs2_occluded_vga_artifacts_match_the_golden_digest(tmp_path):
     assert artifacts_digest(result) == GOLDEN_VGA_OCCLUDED_ARTIFACTS_SHA256, MESSAGE
 
 
-# Above its outputs, render holds the cable window (about 1.5 MB here) and
-# the rays, hits and colors of one band of about 64k pixels, freed before
-# the next band is built: about 8.3 MB in all on this scene (CPython 3.11,
-# NumPy 2.4). The margin leaves the rest for allocator and version differences.
+# The outputs are about 4.3 MB: the 8-bit color image, the depth image and
+# the masks. Above them, render holds the cable window (about 1.5 MB here)
+# and the rays, hits and colors of one band of about 64k pixels, freed
+# before the next band is built: about 7.9 MB in all on this scene, a peak
+# of about 12.2 MB (CPython 3.11, NumPy 2.4). The margin leaves the rest for
+# allocator and version differences.
 RENDER_PEAK_MARGIN = 14e6  # bytes
 
 
@@ -95,5 +97,5 @@ def test_cs2_occluded_vga_render_peak_stays_near_its_outputs(tmp_path):
 
     images = [out.color, out.depth, out.shelf_mask, *out.cable_masks]
     outputs = sum(image.data.nbytes for image in images)
-    assert 10e6 < outputs < 11e6
+    assert 4e6 < outputs < 5e6
     assert peak <= outputs + RENDER_PEAK_MARGIN, (peak, outputs)

@@ -4,10 +4,16 @@ the tactile pad behind `probe_fn`, never the simulated scene."""
 import ast
 import hashlib
 import inspect
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cablerecon
 from cablerecon import pipeline, scenarios, worldsim
 from conftest import qvga_template
 
@@ -95,3 +101,40 @@ def test_the_body_of_reconstruct_names_no_part_of_the_simulator():
     names |= {arg.arg for arg in func.args.args}
     assert names.isdisjoint({"scene", "worldsim", "scenarios"})
     assert "probe_fn" in names
+
+
+def test_the_reconstruction_modules_import_no_part_of_the_simulator():
+    code = (
+        "import sys\n"
+        "import cablerecon.imgproc, cablerecon.cloudproc, cablerecon.topology\n"
+        "import cablerecon.explore, cablerecon.fitting\n"
+        "print(sorted({'cablerecon.worldsim', 'cablerecon.scenarios'} & set(sys.modules)))\n"
+    )
+    src = str(Path(cablerecon.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"
+
+
+# sha256 of images/color.ppm of cs2_plain at 320x240, seed 1, with cable 1 colored
+# [40.5, 80.9, 300]: the palette clipped to [0, 255] and truncated to 8 bits
+ODD_COLOR_PPM_SHA256 = "e63b5e87cde389458b9ae12e5961cf1a8098dac061a0ae6fcbb7326818e0cf97"
+
+
+def test_the_color_reconstruct_clusters_is_the_color_on_disk(tmp_path):
+    doc = qvga_template("cs2_plain", 1)
+    doc["cables"][1]["color"] = [40.5, 80.9, 300.0]
+    path = tmp_path / "odd_color.yaml"
+    scenarios.save_scenario(path, doc)
+
+    run = pipeline.run_pipeline(path, tmp_path / "run")
+
+    assert run.exit_status == pipeline.EXIT_COMPLETE
+    _, scene = scenarios.load_scenario(path)
+    assert worldsim.render(scene).color.data.dtype == np.uint8
+    cable = next(c for c in run.manifest["cables"] if c["directory"] == "cable_01")
+    assert cable["color"] == [40.0, 80.0, 255.0]
+    ppm = (tmp_path / "run" / "images" / "color.ppm").read_bytes()
+    assert hashlib.sha256(ppm).hexdigest() == ODD_COLOR_PPM_SHA256

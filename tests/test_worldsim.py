@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 from cablerecon import yamlio
 from cablerecon.cloudproc import PlaneModel
 from cablerecon.errors import InvalidViewError
-from cablerecon.explore import EPS_CONTACT as EPS, _centroid
+from cablerecon.explore import EPS_CONTACT as EPS, PAD_PITCH, TAXELS, _centroid
 from cablerecon.fitting import bspline_from_control_points
 from cablerecon.geom import Pose, frame_from_y_z, rotation_about_axis
 from cablerecon.imgproc import CameraIntrinsics, pixels_to_cloud
@@ -22,9 +22,7 @@ from cablerecon.scenarios import (
     save_scenario,
 )
 from cablerecon.worldsim import (
-    PAD_PITCH,
     PRESSURE_GAIN,
-    TAXELS,
     GroundTruthCable,
     WorldScene,
     _box_entry_depth,
