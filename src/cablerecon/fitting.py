@@ -105,12 +105,13 @@ class BSplineCurve:
 
 
 def refine_merged(cloud: np.ndarray, params: ReconParams) -> np.ndarray:
-    """Re-run voxel downsampling and midpoint merging on a fused cloud.
+    """Voxel downsampling then midpoint merging: the conditioning of the
+    skeleton cloud, run again on the fused cloud.
 
     After tactile exploration the merged cloud can be locally dense enough
-    to confuse the direction-following sorter; this pass restores the
-    spacing guarantees of the first-pass conditioning. Already-sparse
-    clouds pass through with the same point set.
+    to confuse the direction-following sorter; the second pass restores the
+    spacing guarantees of the first. Already-sparse clouds pass through
+    with the same point set.
     """
     out = voxel_downsample(cloud, params.d_m)
     return merge_close_points(out, params.t_p)

@@ -141,6 +141,8 @@ RULES = {
     "a finite number >= 0": (lambda v: _finite(v) and v >= 0, float),
     "a finite number": (_finite, float),
     "3 finite numbers": (_triple, _floats),
+    # an RGB color: the camera holds only [0, 255] per channel
+    "3 numbers in [0, 255]": (_list_of(lambda x: _finite(x) and 0 <= x <= 255, 3), _floats),
     # a normal, which normalize() takes if its norm reaches UNIT_TOL
     "3 finite numbers, not all 0": (lambda v: _triple(v) and math.hypot(*v) >= UNIT_TOL, _floats),
     "4 finite numbers": (_list_of(_finite, 4), _floats),

@@ -181,10 +181,7 @@ def reconstruct(color, depth, cable_mask, shelf_mask, camera, probe_fn,
             p_skeleton = imgproc.pixels_to_cloud(skeleton_pixels, depth, camera)
             cloudproc.save_ply(cable_dir / "P_skeleton.ply", p_skeleton)
 
-            p_down = cloudproc.merge_close_points(
-                cloudproc.voxel_downsample(p_skeleton, params.d_m),
-                params.t_p,
-            )
+            p_down = fitting.refine_merged(p_skeleton, params)
             cloudproc.save_ply(cable_dir / "P_down.ply", p_down)
 
             p_proj = cloudproc.project_to_plane(p_down, plane)
@@ -361,32 +358,15 @@ def evaluate_run(run_dir, reference, out_file=None) -> dict:
     return report
 
 
-def _svg_scatter(
-    path: Path,
-    points_uv: np.ndarray,
-    endpoints_uv: np.ndarray | None = None,
-    polyline_uv: np.ndarray | None = None,
-    title: str = "",
-) -> None:
-    """Minimal deterministic SVG scatter in plane coordinates."""
-    size = 640
-    margin = 40
-    all_pts = [p for p in (points_uv, endpoints_uv, polyline_uv) if p is not None and len(p)]
-    if all_pts:
-        stack = np.vstack(all_pts)
-        lo = stack.min(axis=0)
-        hi = stack.max(axis=0)
-    else:
-        lo = np.array([-1.0, -1.0])
-        hi = np.array([1.0, 1.0])
-    span = np.maximum(hi - lo, 1e-6).max()
-    scale = (size - 2 * margin) / span
-
-    def to_px(p):
-        x = margin + (p[0] - lo[0]) * scale
-        y = size - margin - (p[1] - lo[1]) * scale
-        return x, y
-
+def _svg(path: Path, title: str, uv: np.ndarray, ends: np.ndarray, line: bool) -> None:
+    """Minimal deterministic SVG scatter in plane coordinates: the points `uv`,
+    a red ring at each of `ends` (rows of `uv`) and, if `line`, the polyline
+    through the points. The frame spans the points, or [-1, 1] if there are none."""
+    size, margin = 640, 40
+    lo, hi = (uv.min(axis=0), uv.max(axis=0)) if len(uv) else (np.full(2, -1.0), np.full(2, 1.0))
+    scale = (size - 2 * margin) / np.maximum(hi - lo, 1e-6).max()
+    # pixel x grows with u and pixel y falls with v, from the frame's lower left corner
+    xy, ends_xy = ([margin, size - margin] + (p - lo) * scale * [1, -1] for p in (uv, ends))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -396,29 +376,20 @@ def _svg_scatter(
         f'y2="{size - margin}" stroke="#888"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{size - margin}" stroke="#888"/>',
     ]
-    if polyline_uv is not None and len(polyline_uv) >= 2:
-        coords = " ".join(
-            f"{to_px(p)[0]:.2f},{to_px(p)[1]:.2f}" for p in polyline_uv
-        )
+    if line and len(xy) >= 2:
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in xy)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="#2060c0" stroke-width="1.5"/>'
         )
-    for p in points_uv:
-        x, y = to_px(p)
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#303030"/>')
-    if endpoints_uv is not None:
-        for p in endpoints_uv:
-            x, y = to_px(p)
-            parts.append(
-                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="none" '
-                f'stroke="red" stroke-width="2"/>'
-            )
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#303030"/>' for x, y in xy]
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="none" stroke="red" stroke-width="2"/>'
+              for x, y in ends_xy]
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
 
 
 def plot_run(run_dir) -> list[Path]:
-    """One SVG per canonical intermediate cloud for every cable."""
+    """One SVG per canonical cloud of every cable; P_sorted rings its endpoints."""
     run = Path(run_dir)
     manifest = _read_manifest(run)
     plane = cloudproc.PlaneModel(np.asarray(manifest["plane"], dtype=float))
@@ -426,24 +397,14 @@ def plot_run(run_dir) -> list[Path]:
     for cable in manifest["cables"]:
         cable_dir = run / cable["directory"]
         for name in CANONICAL_CLOUDS:
-            endpoints_uv = None
-            polyline_uv = None
+            ends = np.zeros((0, 3))
             if name == "P_sorted":
                 poly = topology.load_sorted_csv(cable_dir / "P_sorted.csv")
-                cloud = poly.ordered_points()
-                endpoints_uv = plane.to_plane_coords(poly.endpoints)
+                cloud, ends = poly.ordered_points(), poly.endpoints
             else:
                 cloud = cloudproc.load_ply(cable_dir / f"{name}.ply")
-            if name == "P_interpolated" and len(cloud) >= 2:
-                polyline_uv = plane.to_plane_coords(cloud)
-            uv = plane.to_plane_coords(cloud) if len(cloud) else np.zeros((0, 2))
             out_path = cable_dir / f"{name}.svg"
-            _svg_scatter(
-                out_path,
-                uv,
-                endpoints_uv=endpoints_uv,
-                polyline_uv=polyline_uv,
-                title=f"{cable['directory']} {name}",
-            )
+            _svg(out_path, f"{cable['directory']} {name}", plane.to_plane_coords(cloud),
+                 plane.to_plane_coords(ends), line=name == "P_interpolated")
             written.append(out_path)
     return written

@@ -90,7 +90,7 @@ def build_scene(doc: dict, where: str) -> WorldScene:
             GroundTruthCable(
                 centerline=bspline_from_control_points(on_plane + radius * plane.normal),
                 radius=radius,
-                color=read(cable_doc, "color", at, "3 finite numbers"),
+                color=read(cable_doc, "color", at, "3 numbers in [0, 255]"),
             )
         )
 

@@ -169,19 +169,23 @@ def _project(cable: GroundTruthCable, intr: CameraIntrinsics):
 
 def _stamp(buf: np.ndarray, r0: int, c0: int, row, col, z, radii) -> None:
     """Stamp each sample's disk into `buf`, the depth buffer whose corner is
-    pixel (r0, c0), keeping the nearest z; one batch per radius, and pixels
+    pixel (r0, c0), keeping the nearest z; one batch per radius, cut into
+    chunks of samples whose disks hold about BAND_PIXELS pixels, and pixels
     outside the buffer are dropped."""
     flat = buf.reshape(-1)
     for ri in np.unique(radii):
         dd = np.arange(-ri, ri + 1)
         gr, gc = np.meshgrid(dd, dd, indexing="ij")
         keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
-        sel = radii == ri
-        rr = np.round(row[sel, None] + gr[keep]).astype(int) - r0
-        cc = np.round(col[sel, None] + gc[keep]).astype(int) - c0
-        ok = (rr >= 0) & (rr < buf.shape[0]) & (cc >= 0) & (cc < buf.shape[1])
-        z_ok = np.broadcast_to(z[sel, None], ok.shape)[ok]
-        np.minimum.at(flat, (rr * buf.shape[1] + cc)[ok], z_ok)
+        disk_r, disk_c = gr[keep], gc[keep]
+        sel = np.flatnonzero(radii == ri)
+        step = max(1, BAND_PIXELS // len(disk_r))
+        for chunk in (sel[i : i + step] for i in range(0, len(sel), step)):
+            rr = np.round(row[chunk, None] + disk_r).astype(int) - r0
+            cc = np.round(col[chunk, None] + disk_c).astype(int) - c0
+            ok = (rr >= 0) & (rr < buf.shape[0]) & (cc >= 0) & (cc < buf.shape[1])
+            z_ok = np.broadcast_to(z[chunk, None], ok.shape)[ok]
+            np.minimum.at(flat, (rr * buf.shape[1] + cc)[ok], z_ok)
 
 
 def _clip(lo: int, hi: int, b0: int, b1: int) -> slice:
@@ -193,17 +197,18 @@ def render(scene: WorldScene) -> RenderResult:
     """Rasterize the scene into per-cable masks, color, depth, shelf mask.
 
     Cable centerlines are stamped with their projected width and carry the
-    depth of the generating centerline sample; samples are stamped in one
-    batch per projected disk radius, and a minimum does not depend on the
-    order of its inputs, so the result equals a per-sample stamp. The
-    per-cable depth buffers span one window: every sample centre plus or
-    minus its disk radius, clipped to the frame. Occluder boxes remove
-    cable pixels whose ray they block and cover the shelf where they
-    project; each box's slab test runs only on its footprint (see
-    `_footprint`), and every ray outside it misses the box. Rays, hits and
-    colors are computed in bands of whole rows of about BAND_PIXELS pixels,
-    written straight into the outputs. Color is the 8-bit image a camera
-    writes: each palette color clipped to [0, 255] and truncated, once.
+    depth of the generating centerline sample; samples are stamped in
+    chunks of one projected disk radius and about BAND_PIXELS pixels, and a
+    minimum does not depend on the order of its inputs, so the result equals
+    a per-sample stamp. The per-cable depth buffers span one window: every
+    sample centre plus or minus its disk radius, clipped to the frame.
+    Occluder boxes remove cable pixels whose ray they block and cover the
+    shelf where they project; each box's slab test runs only on its
+    footprint (see `_footprint`), and every ray outside it misses the box.
+    Rays, hits and colors are computed in bands of whole rows of about
+    BAND_PIXELS pixels, written straight into the outputs. Color is the
+    8-bit image a camera writes: each palette color clipped to [0, 255] and
+    truncated, once.
     Depth is camera-frame z in meters, 0 where no surface is hit.
     """
     h, w = scene.height, scene.width

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cablerecon import cli, fitting, pipeline, scenarios, yamlio
+from cablerecon import cli, fitting, pipeline, scenarios, worldsim, yamlio
 from cablerecon.cloudproc import load_ply
 from cablerecon.geom import ReconParams
 
@@ -323,6 +323,8 @@ class TestCleanErrors:
             (lambda d: d.update(cables={"a": 1}), "cables must be a list"),
             (lambda d: d["cables"][0].update(color=[1, 2]), "cable 0 color"),
             (lambda d: d["cables"][0].update(color="red"), "cable 0 color"),
+            (lambda d: d["cables"][0].update(color=[40, 80, 300]), "cable 0 color"),
+            (lambda d: d["cables"][0].update(color=[-1, 0, 0]), "cable 0 color"),
             (lambda d: d["cables"][0].update(control_points=d["cables"][0]["control_points"][:3]),
              "cable 0 control_points"),
             (lambda d: d["cables"][0]["control_points"][1].pop(), "cable 0 control_points"),
@@ -346,7 +348,8 @@ class TestCleanErrors:
             "short_min", "text_max", "inf_max", "no_max", "occluders_mapping", "list_radius",
             "zero_radius", "nan_radius", "negative_sigma", "text_sigma", "fractional_width",
             "negative_width", "bool_height", "zero_height", "int_cables", "mapping_cables",
-            "short_color", "text_color", "three_control_points", "short_control_point",
+            "short_color", "text_color", "color_above_255", "negative_color",
+            "three_control_points", "short_control_point",
             "int_control_points", "zero_fx", "negative_fy", "text_seed", "fractional_seed",
             "negative_seed", "zero_normal", "short_plane_point", "look_at_position", "text_cx",
             "nan_cy", "short_up_hint", "up_hint_along_view",
@@ -608,6 +611,25 @@ class TestFailureManifest:
         assert manifest["cables"] == []
         assert any(rel.startswith("cable_00/") for rel in manifest["artifacts"])
 
+    def test_memory_error_is_one_error_line_and_leaves_a_manifest(
+        self, tmp_path, scenario_files, capsys, monkeypatch
+    ):
+        # what np.zeros raises for a 10^6 x 10^6 frame, without allocating it
+        message = ("Unable to allocate 931. GiB for an array with shape (1000000, 1000000) "
+                   "and data type bool")
+
+        def render(scene):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(worldsim, "render", render)
+        out = tmp_path / "out"
+        code = cli.main(["run", str(scenario_files["cs1_plain"]), "--out", str(out)])
+        assert code == pipeline.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = certified_files(out)
+        assert manifest["exit_status"] == pipeline.EXIT_ERROR
+        assert manifest["failure"] == {"cable": None, "error": "MemoryError", "message": message}
+
     def test_no_kept_cluster_leaves_a_manifest(self, tmp_path, scenario_files, capsys):
         # every pixel cluster is smaller than min_cluster_size, so no cable is left
         params = tmp_path / "params.yaml"
@@ -688,7 +710,20 @@ class TestEval:
             pipeline.evaluate_run(tmp_path / "nope", tmp_path / "nope2")
 
 
+# sha256 of the {path: sha256} map of the SVGs plot_run writes for cs1_occluded, seed 7
+PLOT_SVGS_SHA256 = "22c9d367039144e32920d2ba4da83d3d2768982d67ba48e70ba31604bdbfa781"
+
+
 class TestPlot:
+    def test_svg_bytes_match_the_pinned_digest(self, template_runs):
+        run_dir = template_runs["cs1_occluded"].out_dir
+        written = pipeline.plot_run(run_dir)
+        digests = {str(p.relative_to(run_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in written}
+        assert len(digests) == 7
+        digest = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+        assert digest == PLOT_SVGS_SHA256
+
     def test_seven_svgs_per_cable_with_endpoint_markers(self, template_runs):
         run_dir = template_runs["cs1_occluded"].out_dir
         written = pipeline.plot_run(run_dir)

@@ -303,6 +303,12 @@ SCENES = {
         ],
         [BOX],
     ),
+    # disks of radius 7, 177 pixels: more than a 1-row band's BAND_PIXELS, so the
+    # stamp cuts the thick cable's 4096 samples into chunks of 1, 6 and 108
+    "thick_cable": _scene([
+        _cable((-0.2, -0.05), (0.2, 0.05), radius=0.02),
+        _cable((-0.2, 0.05), (0.2, -0.05), color=(40, 80, 200)),
+    ]),
     "low_camera_off_frame": _scene(
         [_cable((-0.2, 0.0), (0.2, 0.0)), _cable((-0.2, 0.08), (0.2, 0.08), radius=0.006)],
         camera=LOW_CAMERA,
@@ -334,7 +340,8 @@ SCENES = {
 @pytest.mark.parametrize("name", list(SCENES))
 def test_render_equals_the_full_frame_render(name, monkeypatch):
     # bands of 1 and 7 rows put seams through the occluder footprints, the
-    # stamp window and the frame's edges; a whole-frame band has none
+    # stamp window and the frame's edges; a whole-frame band has none. The
+    # same BAND_PIXELS sets the stamp's chunks of samples of one disk radius
     scene = SCENES[name]
     masks, color, depth, shelf = full_frame_render(scene)
     for rows in (1, 7, scene.height):
@@ -358,6 +365,8 @@ def test_render_scenes_cover_the_window_edges():
     assert not worldsim.render(SCENES["wholly_off_frame"]).cable_masks[0].data.any()
     low = worldsim.render(SCENES["low_camera_off_frame"]).cable_masks
     assert any(m.data[-1].any() for m in low)
+    thick = SCENES["thick_cable"]
+    assert (worldsim._project(thick.cables[0], thick.camera)[3] == 7).all()
     crossing = worldsim.render(SCENES["crossing_equal_radii"]).cable_masks
     assert all(m.data.any() for m in crossing)
     masks, _, _, _ = full_frame_render(SCENES["crossing_occluded"])

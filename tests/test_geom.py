@@ -184,6 +184,7 @@ class TestRules:
             (np.int64(3), "an integer > 0", 3),
             (7, "a finite number >= 0", 7.0),
             ([1, 2, 3], "3 finite numbers", np.array([1.0, 2.0, 3.0])),
+            ([0, 255, 40.5], "3 numbers in [0, 255]", np.array([0.0, 255.0, 40.5])),
             ([[0, 0, 1]] * 4, "a list of at least 4 points of 3 finite numbers",
              np.array([[0.0, 0.0, 1.0]] * 4)),
         ],
@@ -191,6 +192,13 @@ class TestRules:
     def test_a_value_that_passes_is_cast(self, value, rule, cast):
         out = checked(value, rule, "x")
         assert type(out) is type(cast) and np.array_equal(out, cast)
+
+    @pytest.mark.parametrize(
+        "color", [[0, 0, 255.5], [-1e-9, 0, 0], [0, float("nan"), 0], [0, True, 0], [0, 0]]
+    )
+    def test_a_color_outside_0_to_255_fails(self, color):
+        with pytest.raises(ValueError, match=r"^x must be 3 numbers in \[0, 255\], not "):
+            checked(color, "3 numbers in [0, 255]", "x")
 
     @pytest.mark.parametrize("path", ["cable_00", "images/color.ppm", "cable_00/spline_seg..x"])
     def test_relative_paths_pass(self, path):

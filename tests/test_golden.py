@@ -82,9 +82,10 @@ def test_cs2_occluded_vga_artifacts_match_the_golden_digest(tmp_path):
 RENDER_PEAK_MARGIN = 14e6  # bytes
 
 
-def test_cs2_occluded_vga_render_peak_stays_near_its_outputs(tmp_path):
-    path = tmp_path / "cs2_occluded.yaml"
-    scenarios.save_scenario(path, scenarios.make_template("cs2_occluded", seed=1))
+def traced_render(doc, tmp_path):
+    """(traced peak, bytes of the outputs) of the render of scenario `doc`."""
+    path = tmp_path / "scene.yaml"
+    scenarios.save_scenario(path, doc)
     _, scene = scenarios.load_scenario(path)
     worldsim.render(scene)  # nothing allocated once per process is counted
 
@@ -96,6 +97,21 @@ def test_cs2_occluded_vga_render_peak_stays_near_its_outputs(tmp_path):
         tracemalloc.stop()
 
     images = [out.color, out.depth, out.shelf_mask, *out.cable_masks]
-    outputs = sum(image.data.nbytes for image in images)
+    return peak, sum(image.data.nbytes for image in images)
+
+
+def test_cs2_occluded_vga_render_peak_stays_near_its_outputs(tmp_path):
+    peak, outputs = traced_render(scenarios.make_template("cs2_occluded", seed=1), tmp_path)
+    assert 4e6 < outputs < 5e6
+    assert peak <= outputs + RENDER_PEAK_MARGIN, (peak, outputs)
+
+
+def test_a_5_cm_cable_at_vga_renders_within_the_same_margin(tmp_path):
+    # the stamp holds the disks of one chunk of samples, about BAND_PIXELS
+    # pixels, at a time: about 14 MB here. Stamping all the samples of one
+    # disk radius at once peaked at 1350 MB
+    doc = scenarios.make_template("cs2_plain", seed=1)
+    doc["cables"][0]["radius"] = 0.05
+    peak, outputs = traced_render(doc, tmp_path)
     assert 4e6 < outputs < 5e6
     assert peak <= outputs + RENDER_PEAK_MARGIN, (peak, outputs)

@@ -119,13 +119,14 @@ def test_the_reconstruction_modules_import_no_part_of_the_simulator():
 
 
 # sha256 of images/color.ppm of cs2_plain at 320x240, seed 1, with cable 1 colored
-# [40.5, 80.9, 300]: the palette clipped to [0, 255] and truncated to 8 bits
-ODD_COLOR_PPM_SHA256 = "e63b5e87cde389458b9ae12e5961cf1a8098dac061a0ae6fcbb7326818e0cf97"
+# [40.5, 80.9, 200.7]: the palette truncated to 8 bits, [40, 80, 200], which is
+# the template's own color, so the image equals the template's
+ODD_COLOR_PPM_SHA256 = "da0f74066087a54a539f72bcfff5f7d2ef4cfd6b381122b29068e282ba4e1521"
 
 
 def test_the_color_reconstruct_clusters_is_the_color_on_disk(tmp_path):
     doc = qvga_template("cs2_plain", 1)
-    doc["cables"][1]["color"] = [40.5, 80.9, 300.0]
+    doc["cables"][1]["color"] = [40.5, 80.9, 200.7]
     path = tmp_path / "odd_color.yaml"
     scenarios.save_scenario(path, doc)
 
@@ -135,6 +136,6 @@ def test_the_color_reconstruct_clusters_is_the_color_on_disk(tmp_path):
     _, scene = scenarios.load_scenario(path)
     assert worldsim.render(scene).color.data.dtype == np.uint8
     cable = next(c for c in run.manifest["cables"] if c["directory"] == "cable_01")
-    assert cable["color"] == [40.0, 80.0, 255.0]
+    assert cable["color"] == [40.0, 80.0, 200.0]
     ppm = (tmp_path / "run" / "images" / "color.ppm").read_bytes()
     assert hashlib.sha256(ppm).hexdigest() == ODD_COLOR_PPM_SHA256
