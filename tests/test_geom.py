@@ -184,9 +184,9 @@ class TestRules:
             (np.int64(3), "an integer > 0", 3),
             (7, "a finite number >= 0", 7.0),
             ([1, 2, 3], "3 finite numbers", np.array([1.0, 2.0, 3.0])),
-            ([0, 255, 40.5], "3 numbers in [0, 255]", np.array([0.0, 255.0, 40.5])),
             ([[0, 0, 1]] * 4, "a list of at least 4 points of 3 finite numbers",
              np.array([[0.0, 0.0, 1.0]] * 4)),
+            ([0, 255, 40.5], "3 numbers in [0, 255]", np.array([0.0, 255.0, 40.5])),
         ],
     )
     def test_a_value_that_passes_is_cast(self, value, rule, cast):
