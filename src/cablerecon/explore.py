@@ -182,8 +182,8 @@ def explore_from_endpoints(
     descent probes higher.
     A walk's own starting endpoint is excluded from the d_min stop check:
     the first advance lands delta_y < d_min away from it, so including it
-    would stop every walk immediately. Every other endpoint,
-    visited or not, terminates the walk and is marked visited. A contact
+    would stop every walk immediately. Every other endpoint, visited or
+    not, ends the walk, and those it reaches are marked visited. A contact
     that is flat, or whose centroid does not advance, turns the frame;
     max_rotation_attempts turns in a row close the walk as a dead end.
     """
@@ -197,7 +197,6 @@ def explore_from_endpoints(
     for eid, (last, heading) in enumerate(zip(ends, ends - poly.neighbors)):
         if eid in visited:
             continue
-        visited.add(eid)
         if np.linalg.norm(heading) < 1e-12:  # a singleton segment has no direction
             continue
         rotation = frame_from_y_z(heading, plane.normal)
@@ -234,12 +233,9 @@ def explore_from_endpoints(
 
 
 def merge_clouds(visual: np.ndarray, tactile: np.ndarray) -> np.ndarray:
-    """Union of the two clouds, each point within 1e-9 of an earlier one dropped.
+    """The fused cloud: the visual points in walk order, then the tactile ones.
 
-    This equals a scan against the points kept so far, except for a chain:
-    a point within 1e-9 of a dropped point but of no kept one is dropped
-    here, where the scan keeps it.
+    This is the named fusion stage; close points are merged by the
+    conditioning that follows it (`fitting.refine_merged`).
     """
-    points = np.vstack([np.reshape(visual, (-1, 3)), np.reshape(tactile, (-1, 3))]).astype(float)
-    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
-    return points[~np.tril(dist < 1e-9, -1).any(axis=1)]
+    return np.vstack([visual, tactile])

@@ -272,39 +272,13 @@ class TestTraceRows:
         assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
 
 
-def merge_by_list_scan(visual, tactile):
-    """The merge as it was first written: each point against those kept so far."""
-    out = []
-    for p in np.vstack([np.reshape(visual, (-1, 3)), np.reshape(tactile, (-1, 3))]):
-        if out and np.linalg.norm(np.array(out) - p, axis=1).min() < 1e-9:
-            continue
-        out.append(p)
-    return np.array(out, dtype=float).reshape(-1, 3)
-
-
 class TestMergeClouds:
-    def test_a_chain_keeps_only_its_first_point(self):
-        # the middle point is within 1e-9 of both others, the ends are not:
-        # the list scan kept the third point, as no kept point is near it
-        chain = np.array([[0.0, 0, 0], [6e-10, 0, 0], [1.2e-9, 0, 0]])
-        assert merge_clouds(chain, np.zeros((0, 3))).tobytes() == chain[:1].tobytes()
-        assert merge_by_list_scan(chain, np.zeros((0, 3))).tobytes() == chain[[0, 2]].tobytes()
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_equals_the_list_scan_without_chains(self, seed):
-        rng = np.random.default_rng(seed)
-        visual = rng.normal(size=(int(rng.integers(0, 40)), 3)) * 0.05
-        tactile = rng.normal(size=(int(rng.integers(0, 15)), 3)) * 0.05
-        # exact duplicates, and offsets below 1e-9, within and across the clouds
-        pool = np.vstack([visual, tactile, np.zeros((1, 3))])
-        picks = pool[rng.integers(0, len(pool), size=10)]
-        offsets = rng.uniform(-1, 1, size=(10, 3)) * 5e-10 / np.sqrt(3)
-        extra = np.where(rng.random(10)[:, None] < 0.5, picks, picks + offsets)
-        visual = np.vstack([visual, extra[:5]])[rng.permutation(len(visual) + 5)]
-        tactile = np.vstack([tactile, extra[5:]])
-        got = merge_clouds(visual, tactile)
-        assert got.tobytes() == merge_by_list_scan(visual, tactile).tobytes()
-        assert len(got) < len(visual) + len(tactile)
+    def test_is_the_stack_of_visual_then_tactile(self, rng):
+        visual = rng.normal(size=(12, 3))
+        tactile = rng.normal(size=(5, 3))
+        out = merge_clouds(visual, tactile)
+        assert out.shape == (17, 3)
+        assert out.tobytes() == np.vstack([visual, tactile]).tobytes()
 
     def test_empty_tactile_is_identity(self, rng):
         visual = rng.normal(size=(10, 3))
@@ -316,10 +290,11 @@ class TestMergeClouds:
         b = a + 5.0
         assert len(merge_clouds(a, b[:4])) == 14
 
-    def test_exact_duplicate_collapses(self, rng):
+    def test_exact_duplicate_is_kept(self, rng):
+        # close points are merged by refine_merged, not here
         a = rng.normal(size=(10, 3))
         out = merge_clouds(a, a[3:4])
-        assert len(out) == 10
+        assert len(out) == 11
 
 
 def trace_rows(run_dir, cable):

@@ -7,12 +7,17 @@ scene, and the two-cable plain and occluded scenes at the full 640x480.
 The VGA scenes reach what the first does not: two pixel clusters, the
 winner between two cables' depth buffers, a render window spanning two
 cables and, on the occluded one, occluder footprints and a window cut by
-the seams between render bands.
+the seams between render bands. The remaining three bench scene
+configurations are pinned too, so all six are checked byte for byte; among
+them `cs1_occluded` at 640x480 runs the self-crossing and a 24-probe walk
+at full size.
 """
 
 import hashlib
 import json
 import tracemalloc
+
+import pytest
 
 from cablerecon import pipeline, scenarios, worldsim
 from conftest import qvga_template
@@ -29,6 +34,21 @@ GOLDEN_VGA_ARTIFACTS_SHA256 = (
 GOLDEN_VGA_OCCLUDED_ARTIFACTS_SHA256 = (
     "76d764e15c5387dc69ae180a59e79b05b066e10b29184890b63c2c28492dfe61"
 )
+# the other bench scene configurations, seed 1: (template, 320x240?, digest)
+GOLDEN_BENCH_SCENES = {
+    "cs1_plain_vga": (
+        "cs1_plain", False,
+        "3a30864b4026c1d655a220368340ff139dfb563aaa812046a4bbb3b0f486f792",
+    ),
+    "cs1_occluded_vga": (
+        "cs1_occluded", False,
+        "e83bc018d1f474566050683a1ecf75b19abe56159582b67f92ef2b551cdfef1b",
+    ),
+    "cs2_occluded_qvga": (
+        "cs2_occluded", True,
+        "25d96503ce817cadc2afcb3c68c22f82c903b1b3e43f77ac9a3518e5001ae6f1",
+    ),
+}
 MESSAGE = (
     "run artifacts changed. If the output change is intended, update the "
     "golden digest and explain the change and its new accuracy numbers in "
@@ -71,6 +91,19 @@ def test_cs2_occluded_vga_artifacts_match_the_golden_digest(tmp_path):
     assert result.exit_status == pipeline.EXIT_COMPLETE
     assert len(result.manifest["cables"]) == 2
     assert artifacts_digest(result) == GOLDEN_VGA_OCCLUDED_ARTIFACTS_SHA256, MESSAGE
+
+
+@pytest.mark.parametrize("case", GOLDEN_BENCH_SCENES)
+def test_bench_scene_artifacts_match_the_golden_digest(case, tmp_path):
+    template, qvga, digest = GOLDEN_BENCH_SCENES[case]
+    doc = qvga_template(template, 1) if qvga else scenarios.make_template(template, seed=1)
+    path = tmp_path / f"{case}.yaml"
+    scenarios.save_scenario(path, doc)
+
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    assert artifacts_digest(result) == digest, MESSAGE
 
 
 # The outputs are about 4.3 MB: the 8-bit color image, the depth image and

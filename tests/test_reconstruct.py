@@ -5,6 +5,7 @@ import ast
 import hashlib
 import inspect
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import cablerecon
-from cablerecon import pipeline, scenarios, worldsim
+from cablerecon import imgproc, pipeline, scenarios, worldsim
 from conftest import qvga_template
 
 
@@ -37,15 +38,17 @@ def qvga_scenario(tmp_path_factory):
     return path
 
 
-def _reconstruct(scenario, out, probe_fn):
-    """`reconstruct` on the scenario's render, as the bench hands it over."""
+def _reconstruct(scenario, out, probe_fn, images=None):
+    """`reconstruct` on `images` (color, depth, union mask, shelf mask): by
+    default the scenario's render, as the bench hands it over."""
     doc, scene = scenarios.load_scenario(scenario)
-    rendered = worldsim.render(scene)
+    if images is None:
+        rendered = worldsim.render(scene)
+        images = (rendered.color, rendered.depth, rendered.union_cable_mask(), rendered.shelf_mask)
     out.mkdir()
     manifest = {"plane": None, "cables": []}
     status = pipeline.reconstruct(
-        rendered.color, rendered.depth, rendered.union_cable_mask(), rendered.shelf_mask,
-        scene.camera, probe_fn, pipeline._load_params(doc), scene.seed, out, manifest,
+        *images, scene.camera, probe_fn, pipeline._load_params(doc), scene.seed, out, manifest,
     )
     return status, manifest
 
@@ -90,6 +93,52 @@ def test_no_probe_fn_is_the_no_tactile_run(qvga_scenario, tmp_path):
     status, manifest = _reconstruct(qvga_scenario, tmp_path / "untouched", None)
     _assert_same_run(run, status, manifest, tmp_path / "untouched")
     assert all(c["probes_used"] == 0 for c in manifest["cables"])
+
+
+def _read_pnm(path):
+    """The pixels of a binary PGM (P5) or PPM (P6) as the run writes them."""
+    magic, size, _, data = path.read_bytes().split(b"\n", 3)
+    width, height = map(int, size.split())
+    shape = (height, width, 3) if magic == b"P6" else (height, width)
+    return np.frombuffer(data, np.uint8).reshape(shape)
+
+
+def _read_depth(path):
+    raw = path.read_bytes()
+    assert raw[:8] == imgproc.DEPTH_MAGIC
+    width, height = struct.unpack("<II", raw[8:16])
+    return np.frombuffer(raw[16:], "<f4").reshape(height, width)
+
+
+def _read_images(run_dir):
+    """(color, depth, union mask, shelf mask) read back from `images/`."""
+    images = run_dir / "images"
+    return (imgproc.ImageGrid(_read_pnm(images / "color.ppm")),
+            imgproc.ImageGrid(_read_depth(images / "depth.f32")),
+            imgproc.ImageGrid(_read_pnm(images / "mask_union.pgm") == 255),
+            imgproc.ImageGrid(_read_pnm(images / "shelf.pgm") == 255))
+
+
+def test_the_color_and_masks_on_disk_are_the_render(qvga_scenario, tmp_path):
+    run = pipeline.run_pipeline(qvga_scenario, tmp_path / "run", tactile=False)
+    _, scene = scenarios.load_scenario(qvga_scenario)
+    rendered = worldsim.render(scene)
+    color, depth, union, shelf = _read_images(run.out_dir)
+    assert np.array_equal(color.data, rendered.color.data)
+    assert np.array_equal(union.data, rendered.union_cable_mask().data)
+    assert np.array_equal(shelf.data, rendered.shelf_mask.data)
+    # the depth on disk is the render's, rounded to float32
+    assert np.array_equal(depth.data, rendered.depth.data.astype(np.float32))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="run_pipeline hands reconstruct the float64 depth, "
+                          "but images/depth.f32 holds float32")
+def test_reconstruct_on_the_images_on_disk_is_the_no_tactile_run(qvga_scenario, tmp_path):
+    run = pipeline.run_pipeline(qvga_scenario, tmp_path / "run", tactile=False)
+    images = _read_images(run.out_dir)
+    status, manifest = _reconstruct(qvga_scenario, tmp_path / "read_back", None, images)
+    _assert_same_run(run, status, manifest, tmp_path / "read_back")
 
 
 def test_the_body_of_reconstruct_names_no_part_of_the_simulator():
