@@ -145,7 +145,11 @@ def voxel_downsample(cloud: np.ndarray, d_m: float) -> np.ndarray:
     if d_m <= 0:
         raise ValueError("voxel size must be positive")
     pts = as_cloud(cloud)
-    bins = np.floor(pts / d_m).astype(np.int64)
+    with np.errstate(over="ignore"):
+        bins = np.floor(pts / d_m)
+    if not ((bins >= -(2.0**63)) & (bins < 2.0**63)).all():  # the range of int64
+        raise ValueError(f"voxel size {d_m:g} is too small: its bin indices overflow int64")
+    bins = bins.astype(np.int64)
     uniq, inverse = np.unique(bins, axis=0, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, pts)

@@ -143,8 +143,17 @@ def _descend(
     fitted plane. `top` already holds the fitted plane's own error, so no
     surface is higher and a higher probe reads exactly 0 pressure without
     noise (with noise it could only be a false touch). The touching probe
-    is logged by the caller.
+    is logged by the caller. The unprobed steps cost no budget, so a small
+    budget still counts probes alone; a step so fine that they outnumber
+    the larger of `probe_budget` and its default is ProbeBudgetError
+    before any step, since nothing else bounds them.
     """
+    most = max(params.probe_budget, ReconParams.probe_budget)
+    if (HOVER_HEIGHT - top) / params.delta_z > most:
+        raise ProbeBudgetError(
+            f"delta_z {params.delta_z:g} m takes more than {most} unprobed steps "
+            f"from {HOVER_HEIGHT:g} m down to {top:.6g} m"
+        )
     normal = plane.normal
     pos = target_on_plane + HOVER_HEIGHT * normal
     height = float(plane.signed_distance(pos)[0])

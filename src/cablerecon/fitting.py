@@ -157,8 +157,6 @@ def fit_bspline(points: np.ndarray) -> BSplineCurve:
         raise ValueError("need at least 2 distinct points to fit a curve")
     k = min(DEGREE, len(pts) - 1)
     params = chord_length_params(pts)
-    if k == 1:
-        return _polyline_curve(pts, params)
     knots = _averaged_knots(params, k)
     # the collocation matrix in LAPACK band storage: ab[2k + row - col, col]
     ell, h = _basis(knots, k, params)

@@ -165,21 +165,6 @@ def _components(arg: tuple, n: int) -> np.ndarray:
     return connected_components(csr_matrix(arg, shape=(n, n)), directed=False)[1]
 
 
-def _links(features, points, dist, nbr, threshold: float) -> np.ndarray:
-    """Which kNN pairs (points[i], nbr[i, j]) lie within `threshold`, by their row-wise norm.
-
-    Row i of the query is point points[i]. The kd-tree distance dist[i, j]
-    is the root of the same five squares summed in another order, a few
-    ulps off, so it decides every pair farther than 1e-9 (relative) from
-    the threshold, and the norm the rest.
-    """
-    link = dist <= threshold
-    rows, cols = np.nonzero(np.abs(dist - threshold) <= 1e-9 * threshold)
-    diff = features[points[rows]] - features[nbr[rows, cols]]
-    link[rows, cols] = np.linalg.norm(diff, axis=1) <= threshold
-    return link
-
-
 def _reach_components(features, rows, cols, k: int, threshold: float) -> np.ndarray:
     """Component labels of the mutual-reachability graph at `threshold`.
 
@@ -195,8 +180,9 @@ def _reach_components(features, rows, cols, k: int, threshold: float) -> np.ndar
     with room for rounding). Only the points this cannot prove are queried.
     Fragments come from the queried points' kNN links and each core point's
     link to a core seed within the threshold; two fragments join when any
-    pair across them is within it. The kd-tree only nominates pairs: at the
-    threshold the row-wise norm decides, so a pair exactly at it links.
+    pair across them is within it. The kd-tree only nominates pairs; the
+    row-wise norm of each pair's feature difference decides it, so a pair
+    exactly at the threshold links.
     """
     n = len(features)
     k_eff = min(k, n - 1)
@@ -217,9 +203,10 @@ def _reach_components(features, rows, cols, k: int, threshold: float) -> np.ndar
     rest_dist, rest_nbr = tree.query(features[rest], k=n_query)
     core[rest] = rest_dist[:, k_eff] <= threshold
     asked = np.concatenate([seeds, rest])
-    dist, nbr = np.vstack([dist, rest_dist]), np.vstack([nbr, rest_nbr])
-    keep = _links(features, asked, dist, nbr, threshold) & core[asked, None] & core[nbr]
-    qi, qj = np.nonzero(keep)
+    nbr = np.vstack([nbr, rest_nbr])
+    qi, qj = np.nonzero(core[asked, None] & core[nbr])
+    near = np.linalg.norm(features[asked[qi]] - features[nbr[qi, qj]], axis=1) <= threshold
+    qi, qj = qi[near], qj[near]
     to_seed = np.flatnonzero(core & core[seed] & (gap <= threshold))
     src = np.concatenate([asked[qi], to_seed])
     dst = np.concatenate([nbr[qi, qj], seed[to_seed]])
@@ -261,7 +248,7 @@ def cluster_pixels(
     # cast after the gather: a float copy of a 640x480 frame would be 7.4 MB
     colors = np.asarray(color_img.data)[rows, cols].astype(float)
     lab = rgb_to_lab(colors)
-    features = np.column_stack([SPATIAL_WEIGHT * rows, SPATIAL_WEIGHT * cols, lab]).astype(float)
+    features = np.column_stack([SPATIAL_WEIGHT * rows, SPATIAL_WEIGHT * cols, lab])
 
     labels = _reach_components(features, rows, cols, params.min_cluster_size, params.cut_threshold)
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)

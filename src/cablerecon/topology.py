@@ -56,7 +56,6 @@ class SortedPolyline:
 def _grow(
     order: list[int],
     uv: np.ndarray,
-    keys: list[tuple],
     free: np.ndarray,
     r_search: float,
     cos_min: float,
@@ -66,7 +65,7 @@ def _grow(
     Each step scores all free points at once; `np.vecdot` runs the BLAS dot
     of a one-point `np.linalg.norm`/`np.dot` per row, so the values match
     bit for bit. The pick is least deviation, then least distance (both to
-    1e-9, so ties resolve the same for any input order), then coords.
+    1e-9), then the first index.
     """
     while True:
         idx = np.flatnonzero(free)
@@ -97,7 +96,7 @@ def _grow(
         idx, dist, dev = idx[keep], dist[keep], dev[keep]
         keep = dev <= dev.min() + TIE_TOL
         idx, dist = idx[keep], dist[keep]
-        chosen = min(idx[dist <= dist.min() + TIE_TOL].tolist(), key=keys.__getitem__)
+        chosen = int(idx[dist <= dist.min() + TIE_TOL][0])
         order.append(chosen)
         free[chosen] = False
 
@@ -162,39 +161,40 @@ def sort_and_find_endpoints(
     (rejecting anything past ALPHA_MAX_DEG). When the walk stalls, the
     segment is extended once from its seed end in the reverse direction,
     then closed. Loop orphans left at self-intersections are spliced back
-    into their host walk. Tie-breaks depend only on geometry, so any
-    permutation of the input produces the same segments.
+    into their host walk.
+
+    The walk runs over the cloud in canonical order, the stable lexicographic
+    order of its coordinates rounded to 1e-12, and every tie goes to the first
+    index there, so any permutation of the input produces the same segments.
+    They index the input cloud.
     """
     pts = as_cloud(cloud)
     if len(pts) == 0:
         raise EmptyInputError("cannot sort an empty cloud")
-    uv = plane.to_plane_coords(pts)
+    canon = np.lexsort(np.round(pts, 12).T[::-1])
+    uv = plane.to_plane_coords(pts)[canon]
     cos_min = float(np.cos(np.radians(ALPHA_MAX_DEG)))
 
-    keys = [tuple(k) for k in np.round(pts, 12)]
     free = np.ones(len(pts), dtype=bool)
     raw: list[list[int]] = []
     while free.any():
-        # canonical order makes the centroid sum permutation-independent
-        rem = sorted(np.flatnonzero(free).tolist(), key=keys.__getitem__)
+        rem = np.flatnonzero(free)
         centroid = uv[rem].mean(axis=0)
         dists = np.linalg.norm(uv[rem] - centroid, axis=1)
-        dmax = float(dists.max())
-        pool = [i for i, d in zip(rem, dists) if d >= dmax - TIE_TOL]
-        seed = min(pool, key=keys.__getitem__)
+        seed = int(rem[dists >= dists.max() - TIE_TOL][0])
         free[seed] = False
 
         order = [seed]
-        _grow(order, uv, keys, free, r_search, cos_min)
+        _grow(order, uv, free, r_search, cos_min)
         # the farthest-from-centroid seed is not guaranteed to be a true
         # extreme; try the other direction from the seed end once
         order.reverse()
-        _grow(order, uv, keys, free, r_search, cos_min)
+        _grow(order, uv, free, r_search, cos_min)
         order.reverse()
         raw.append(order)
 
     raw = _stitch_crossings(uv, raw, r_search)
-    return SortedPolyline(points=pts, segments=[np.array(s, dtype=int) for s in raw])
+    return SortedPolyline(points=pts, segments=[canon[s] for s in raw])
 
 
 def save_sorted_csv(path, poly: SortedPolyline) -> None:

@@ -3,8 +3,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cablerecon import cli, fitting, pipeline, scenarios, worldsim, yamlio
 from cablerecon.cloudproc import load_ply
 from cablerecon.geom import ReconParams
+from conftest import qvga_template
 
 # scenario keys that may be left out: each has a default
 OPTIONAL = {"seed", "pressure_noise_sigma", "occluders", "up_hint"}
@@ -610,6 +616,48 @@ class TestFailureManifest:
         assert manifest["params"]["probe_budget"] == 20
         assert manifest["cables"] == []
         assert any(rel.startswith("cable_00/") for rel in manifest["artifacts"])
+
+    def test_a_fine_delta_z_exhausts_the_budget_before_descending(self, tmp_path):
+        # the unprobed steps above `top` cost no budget, so at 1e-300 m a
+        # step that leaves the height as it is would descend forever
+        scenario, params, out = tmp_path / "plain.yaml", tmp_path / "params.yaml", tmp_path / "out"
+        scenarios.save_scenario(scenario, qvga_template("cs1_plain", 1))
+        params.write_text("delta_z: 1.0e-300\n")
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "cablerecon.cli", "run", str(scenario), "--out", str(out),
+             "--params", str(params)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 10
+        assert done.returncode == pipeline.EXIT_BUDGET
+        assert done.stderr.startswith("error: probe budget exhausted: delta_z 1e-300 m takes")
+        assert done.stderr.count("\n") == 1
+        manifest = certified_files(out)
+        assert manifest["exit_status"] == pipeline.EXIT_BUDGET
+        assert manifest["failure"]["cable"] == "cable_00"
+        assert manifest["failure"]["error"] == "ProbeBudgetError"
+
+    def test_a_tiny_voxel_size_is_one_error_line_and_leaves_a_manifest(
+        self, tmp_path, capsys
+    ):
+        # bin indices past int64 once warned, put every point in one voxel and exited 2
+        scenario, params, out = tmp_path / "plain.yaml", tmp_path / "params.yaml", tmp_path / "out"
+        scenarios.save_scenario(scenario, qvga_template("cs1_plain", 1))
+        params.write_text("d_m: 1.0e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", str(scenario), "--out", str(out), "--params", str(params)])
+        assert code == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: voxel size 1e-300 is too small: its bin indices overflow int64\n"
+        manifest = certified_files(out)
+        assert manifest["exit_status"] == pipeline.EXIT_ERROR
+        assert manifest["failure"]["cable"] == "cable_00"
+        assert manifest["failure"]["error"] == "ValueError"
 
     def test_memory_error_is_one_error_line_and_leaves_a_manifest(
         self, tmp_path, scenario_files, capsys, monkeypatch

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +249,21 @@ class TestVoxelDownsample:
         bins = np.floor(out / d)
         assert np.all(out >= bins * d - 1e-12)
         assert np.all(out <= (bins + 1) * d + 1e-12)
+
+    @pytest.mark.parametrize("d_m", [1.0e-300, 2.0**-63, 5e-324])
+    def test_a_voxel_whose_bin_indices_overflow_int64_is_a_value_error(self, d_m):
+        # bin 2**63 is one past int64's largest; without the check the cast
+        # warns and every point lands in one voxel
+        cloud = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow int64"):
+                voxel_downsample(cloud, d_m)
+
+    def test_bin_indices_at_the_ends_of_int64_are_kept(self):
+        # bins -2**63 and 2**62 both fit
+        cloud = np.array([[-1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        assert np.array_equal(voxel_downsample(cloud, 2.0**-63), cloud)
 
 
 class TestMergeClosePoints:

@@ -9,6 +9,7 @@ from cablerecon import pipeline, scenarios
 from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
     EPS_CONTACT,
+    HOVER_HEIGHT,
     PAD_PITCH,
     POSE_COLUMNS,
     ExplorationResult,
@@ -231,6 +232,22 @@ class TestTouch:
         # each probe is one delta_z lower than the one before
         heights = [PLANE.signed_distance(pose.translation)[0] for pose in calls]
         assert np.allclose(np.diff(heights), -params.delta_z)
+
+    @pytest.mark.parametrize(
+        "budget, steps, refused",
+        [(20, 9999.5, False), (20, 10000.5, True), (20000, 10000.5, False), (20000, 20000.5, True)],
+    )
+    def test_in_air_steps_past_the_larger_budget_are_refused(self, budget, steps, refused):
+        # down to top = 0 the in-air steps number HOVER_HEIGHT / delta_z; they
+        # cost no budget, and the larger of the budget and its default bounds them
+        params = ReconParams(probe_budget=budget, delta_z=HOVER_HEIGHT / steps)
+        touch = np.ones((6, 2))
+        if refused:
+            with pytest.raises(ProbeBudgetError, match="unprobed steps"):
+                self.descend([touch], params)
+        else:
+            _, rows, calls = self.descend([touch], params)
+            assert len(calls) == 1 and rows == []
 
     def test_a_taxel_just_above_eps_contact_touches_at_once(self):
         params = ReconParams()

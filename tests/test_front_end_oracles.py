@@ -5,9 +5,8 @@
 on a window that holds every stamped disk, tests each occluder only on
 the part of its footprint in the band and colors each band with one
 palette gather, and `_reach_components` proves most core points
-from one kd-tree query per 4x4 pixel block and decides most pairs by their
-kd-tree distance. Each must equal, bit for bit, the full-frame code it
-replaced, copied here as the oracle.
+from one kd-tree query per 4x4 pixel block. Each must equal, bit for bit,
+the full-frame code it replaced, copied here as the oracle.
 """
 
 import itertools
@@ -587,22 +586,27 @@ def test_fragment_join_queries_one_tree_per_fragment_but_the_last(monkeypatch):
     assert fragments["noisy_strokes_10.0_1_12.0"] > 2  # where F - 1 < F(F - 1)/2
 
 
-def test_links_hand_pairs_at_the_threshold_to_the_row_norm():
+def test_reach_components_decide_a_pair_at_the_threshold_by_its_row_norm():
     # From 8 dimensions on, numpy sums the squares pairwise and the kd-tree
     # in order, so the two distances of many pairs differ in the last ulp
     # (the 5-dimensional clustering features are summed in order by both).
-    # With the cut at one of the two, the kd-tree distance alone would
-    # decide that pair the other way.
+    # With the cut at the lesser of the two, the kd-tree distance alone
+    # would decide that pair the other way; at some of these cuts that
+    # pair alone joins two components.
     rng = np.random.default_rng(4)
     features = rng.normal(size=(300, 9)) * rng.uniform(0.5, 200.0, 9)
+    rows, cols = np.divmod(np.arange(300), 20)
     dist, nbr = cKDTree(features).query(features, k=9)
     src = np.repeat(np.arange(300), 9)
     norm = np.linalg.norm(features[src] - features[nbr.ravel()], axis=1).reshape(dist.shape)
-    for r, c, cut in [
-        *((r, c, norm[r, c]) for r, c in zip(*np.nonzero(dist > norm))),
-        *((r, c, dist[r, c]) for r, c in zip(*np.nonzero(dist < norm))),
-    ][::25]:
-        links = imgproc._links(features, np.arange(300), dist, nbr, float(cut))
-        assert links[r, c] == (norm[r, c] <= cut) != (dist[r, c] <= cut)
-        assert np.array_equal(links, norm <= cut)
     assert (dist > norm).sum() > 100 and (dist < norm).sum() > 100
+    decisive = 0
+    for r, c in list(zip(*np.nonzero(dist != norm)))[::25]:
+        cut = float(min(dist[r, c], norm[r, c]))
+        got = imgproc._reach_components(features, rows, cols, 2, cut)
+        expected = coo_reach_components(features, 2, cut)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        # the cut at which the row norm decides the pair as its kd-tree distance does
+        flipped = np.nextafter(cut, 0.0) if norm[r, c] < dist[r, c] else float(norm[r, c])
+        decisive += not np.array_equal(coo_reach_components(features, 2, flipped), expected)
+    assert decisive > 0
