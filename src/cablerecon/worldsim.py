@@ -119,10 +119,11 @@ class RenderResult:
         return ImageGrid(grid)
 
 
-def _ray_grid(scene: WorldScene, rows: slice):
-    """Camera origin and the world-frame ray direction of each pixel in `rows`."""
-    intr = scene.camera
-    return intr.pose.translation, intr.ray(*np.ogrid[rows, : scene.width]) @ intr.pose.rotation.T
+def _ray_grid(scene: WorldScene, rows: slice, cols: slice = slice(None)):
+    """Camera origin and the world-frame ray direction of each pixel in `rows`
+    and `cols` (by default every column)."""
+    intr, cols = scene.camera, slice(*cols.indices(scene.width))
+    return intr.pose.translation, intr.ray(*np.ogrid[rows, cols]) @ intr.pose.rotation.T
 
 
 def _box_entry_depth(origin, dirs, lo, hi):
@@ -169,23 +170,42 @@ def _project(cable: GroundTruthCable, intr: CameraIntrinsics):
 
 def _stamp(buf: np.ndarray, r0: int, c0: int, row, col, z, radii) -> None:
     """Stamp each sample's disk into `buf`, the depth buffer whose corner is
-    pixel (r0, c0), keeping the nearest z; one batch per radius, cut into
-    chunks of samples whose disks hold about BAND_PIXELS pixels, and pixels
-    outside the buffer are dropped."""
+    pixel (r0, c0), keeping the nearest z.
+
+    The disk of radius ri holds the pixels (round(row + dr), round(col + dc))
+    with dr^2 + dc^2 <= ri^2 + ri. Where both fractional parts lie more than
+    1e-6 px from .5 and |row|, |col| < 2**20, round(row + dr) is
+    round(row) + dr, so such samples are stamped once per distinct integer
+    centre, with its least z. Each disk is expanded only on the rows and
+    columns that can round into the buffer, so none costs more than the
+    buffer's size, and chunks of disks stamp about BAND_PIXELS pixels at a
+    time.
+    """
+    h, w = buf.shape
     flat = buf.reshape(-1)
+    rc = np.stack([row, col])
+    exact = ((np.abs(rc - np.floor(rc) - 0.5) > 1e-6) & (np.abs(rc) < 2**20)).all(axis=0)
     for ri in np.unique(radii):
-        dd = np.arange(-ri, ri + 1)
-        gr, gc = np.meshgrid(dd, dd, indexing="ij")
-        keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
-        disk_r, disk_c = gr[keep], gc[keep]
-        sel = np.flatnonzero(radii == ri)
-        step = max(1, BAND_PIXELS // len(disk_r))
-        for chunk in (sel[i : i + step] for i in range(0, len(sel), step)):
-            rr = np.round(row[chunk, None] + disk_r).astype(int) - r0
-            cc = np.round(col[chunk, None] + disk_c).astype(int) - c0
-            ok = (rr >= 0) & (rr < buf.shape[0]) & (cc >= 0) & (cc < buf.shape[1])
-            z_ok = np.broadcast_to(z[chunk, None], ok.shape)[ok]
-            np.minimum.at(flat, (rr * buf.shape[1] + cc)[ok], z_ok)
+        # a disk's bounding box, cut to the buffer's rows and columns and a pixel beyond
+        nr, nc = min(2 * ri + 1, h + 3), min(2 * ri + 1, w + 3)
+        step = max(1, BAND_PIXELS // (nr * nc))
+        # one entry per distinct integer centre, row + 1j * column, with its least z
+        sel = (radii == ri) & exact
+        centres, inv = np.unique(np.round(row[sel]) + 1j * np.round(col[sel]), return_inverse=True)
+        cz = np.full(centres.size, np.inf)
+        np.minimum.at(cz, inv, z[sel])
+        rest = (radii == ri) & ~exact
+        cr, cc = np.r_[centres.real, row[rest]], np.r_[centres.imag, col[rest]]
+        cz = np.r_[cz, z[rest]]
+        for i in range(0, cr.size, step):
+            r, c, zz = cr[i : i + step, None], cc[i : i + step, None], cz[i : i + step]
+            dr = np.clip(np.floor(r0 - r) - 1, -ri, ri + 1).astype(int) + np.arange(nr)
+            dc = np.clip(np.floor(c0 - c) - 1, -ri, ri + 1).astype(int) + np.arange(nc)
+            rows, cols = np.round(r + dr).astype(int) - r0, np.round(c + dc).astype(int) - c0
+            keep = dr[:, :, None] ** 2 + dc[:, None] ** 2 <= ri * ri + ri
+            keep &= ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None]
+            pixels = rows[:, :, None] * w + cols[:, None]
+            np.minimum.at(flat, pixels[keep], np.broadcast_to(zz[:, None, None], keep.shape)[keep])
 
 
 def _clip(lo: int, hi: int, b0: int, b1: int) -> slice:
@@ -197,18 +217,19 @@ def render(scene: WorldScene) -> RenderResult:
     """Rasterize the scene into per-cable masks, color, depth, shelf mask.
 
     Cable centerlines are stamped with their projected width and carry the
-    depth of the generating centerline sample; samples are stamped in
-    chunks of one projected disk radius and about BAND_PIXELS pixels, and a
-    minimum does not depend on the order of its inputs, so the result equals
-    a per-sample stamp. The per-cable depth buffers span one window: every
-    sample centre plus or minus its disk radius, clipped to the frame.
-    Occluder boxes remove cable pixels whose ray they block and cover the
-    shelf where they project; each box's slab test runs only on its
+    depth of the generating centerline sample (see `_stamp`); a minimum does
+    not depend on the order of its inputs, so the result equals a per-sample
+    stamp. The per-cable depth buffers span one window: every sample centre
+    plus or minus its disk radius, clipped to the frame. The plane's depth
+    at pixel (row, col) is num / (den_r[row] + den_c[col]): the plane's
+    normal, turned into camera coordinates once, dotted with the ray
+    (x, y, 1). Occluder boxes remove cable pixels whose ray they block and
+    cover the shelf where they project; rays are cast only on each box's
     footprint (see `_footprint`), and every ray outside it misses the box.
-    Rays, hits and colors are computed in bands of whole rows of about
-    BAND_PIXELS pixels, written straight into the outputs. Color is the
-    8-bit image a camera writes: each palette color clipped to [0, 255] and
-    truncated, once.
+    The outputs are filled in bands of whole rows of about BAND_PIXELS
+    pixels: from the plane, then patched on the footprints and the cable
+    window. Color is the 8-bit image a camera writes: each palette color
+    clipped to [0, 255] and truncated, once.
     Depth is camera-frame z in meters, 0 where no surface is hit.
     """
     h, w = scene.height, scene.width
@@ -228,45 +249,57 @@ def render(scene: WorldScene) -> RenderResult:
     palette = np.vstack([[0, 0, 0], SHELF_COLOR, OCCLUDER_COLOR, *(c.color for c in scene.cables)])
     palette = np.clip(palette, 0, 255).astype(np.uint8)
     num = -(float(plane.signed_distance(intr.pose.translation)[0]))
+    # the ray (x, y, 1) meets the plane at camera z num / (n . (x, y, 1)), n the
+    # plane's normal in camera coordinates: a row term plus a column term
+    a, b, c = intr.pose.rotation.T @ plane.normal
+    den_r = b * ((np.arange(h) - intr.cy) / intr.fy) + c
+    den_c = a * ((np.arange(w) - intr.cx) / intr.fx)
     feet = [_footprint(lo, hi, intr, h, w) for lo, hi in scene.occluders]
     masks = [np.zeros((h, w), dtype=bool) for _ in samples]
     color, depth, shelf = np.empty((h, w, 3), np.uint8), np.empty((h, w)), np.empty((h, w), bool)
     step = max(1, BAND_PIXELS // w)
     for b0 in range(0, h, step):
         b1 = min(b0 + step, h)
-        origin, dirs = _ray_grid(scene, slice(b0, b1))
-        denom = dirs @ plane.normal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_plane = num / denom
-        plane_hit = (denom < 0) & (t_plane > 0)
-        plane_z = np.where(plane_hit, t_plane, np.inf)
+        denom = den_r[b0:b1, None] + den_c
+        with np.errstate(divide="ignore"):
+            plane_z = num / denom  # num < 0: the camera is above the plane
+        plane_z[denom >= 0] = np.inf
+        surface = (plane_z < np.inf).astype(np.uint8)
 
-        box_z = np.full((b1 - b0, w), np.inf)
+        # occluder rays only on each footprint's pixels in the band; box_z is
+        # an array once a footprint crosses the band
+        box_z = np.inf
         for (lo, hi), (rows, cols) in zip(scene.occluders, feet):
-            foot = (_clip(rows.start, rows.stop, b0, b1), cols)
-            box_z[foot] = np.minimum(box_z[foot], _box_entry_depth(origin, dirs[foot], lo, hi))
+            rows = slice(max(rows.start, b0), min(rows.stop, b1))
+            if rows.start < rows.stop and cols.start < cols.stop:
+                if np.ndim(box_z) == 0:
+                    box_z = np.full((b1 - b0, w), np.inf)
+                entry = _box_entry_depth(*_ray_grid(scene, rows, cols), lo, hi)
+                foot = box_z[rows.start - b0 : rows.stop - b0, cols]
+                np.minimum(foot, entry, out=foot)
+        # a box standing on the shelf (plane_z == box_z) is colored shelf, but is no shelf pixel
+        shelf[b0:b1] = plane_z < box_z
+        band_depth = np.minimum(plane_z, box_z, out=depth[b0:b1])
+        surface[box_z < plane_z] = 2
 
-        surface = np.where(box_z < plane_z, 2, plane_hit)
-        band_depth = np.minimum(plane_z, box_z)
         # the window's rows in the band, and the band's rows in the window
         win = (_clip(r0, r1, b0, b1), slice(c0, c1))
         z = cable_z[:, _clip(b0, b1, r0, r1)]
         if z.size:
             # the first cable at the least depth shows where it lies in front of the occluders
             near = z.min(axis=0)
-            front = near < box_z[win]
-            band_depth[win] = np.where(front, near, band_depth[win])
+            front = near < np.broadcast_to(box_z, surface.shape)[win]
+            np.copyto(band_depth[win], near, where=front)
             del near  # freed before the winner index is built: the two never coexist
-            surface[win] = np.where(front, 3 + z.argmin(axis=0), surface[win])
+            np.copyto(surface[win], z.argmin(axis=0) + 3, where=front, casting="unsafe")
+            shelf[b0:b1][win] &= ~front
             for ci, mask in enumerate(masks):
                 mask[b0:b1][win] = surface[win] == 3 + ci
             del front
-        # a box standing on the shelf (plane_z == box_z) is colored shelf, but is no shelf pixel
-        shelf[b0:b1] = (surface == 1) & (plane_z < box_z)
-        depth[b0:b1] = np.where(np.isfinite(band_depth), band_depth, 0.0)
+        band_depth[band_depth == np.inf] = 0.0
         color[b0:b1] = palette.take(surface, axis=0)
         # free this band's arrays before the next band's are built beside them
-        del origin, dirs, denom, t_plane, plane_hit, plane_z, box_z, surface, band_depth
+        del denom, plane_z, box_z, surface, band_depth
 
     return RenderResult(
         cable_masks=[ImageGrid(mask) for mask in masks],

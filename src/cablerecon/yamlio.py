@@ -1,11 +1,24 @@
 """YAML through libyaml when PyYAML has it: the same documents and bytes as
-the pure-Python SafeLoader and SafeDumper, which serve otherwise."""
+the pure-Python SafeLoader and SafeDumper, which serve otherwise, but for a
+number with an exponent and no dot or no exponent sign: a float here, a
+string in YAML 1.1."""
 
+import re
 from pathlib import Path
 
 import yaml
 
-LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, with its own resolver table that reads `1e-3`, `1e3`
+    and `1.0e300` as floats too."""
+
+
+LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 

@@ -641,6 +641,18 @@ class TestFailureManifest:
         assert manifest["failure"]["cable"] == "cable_00"
         assert manifest["failure"]["error"] == "ProbeBudgetError"
 
+    @pytest.mark.parametrize(
+        "value, status", [("1e-3", pipeline.EXIT_COMPLETE), ("1e-300", pipeline.EXIT_BUDGET)]
+    )
+    def test_a_float_with_no_dot_and_no_exponent_sign_is_a_float(self, tmp_path, value, status):
+        # YAML 1.1 reads 1e-3 as a string, which the params check refuses (exit 1)
+        scenario, params, out = tmp_path / "plain.yaml", tmp_path / "params.yaml", tmp_path / "out"
+        scenarios.save_scenario(scenario, qvga_template("cs1_plain", 1))
+        params.write_text(f"delta_z: {value}\n")
+        code = cli.main(["run", str(scenario), "--out", str(out), "--params", str(params)])
+        assert code == status
+        assert certified_files(out)["params"]["delta_z"] == float(value)
+
     def test_a_tiny_voxel_size_is_one_error_line_and_leaves_a_manifest(
         self, tmp_path, capsys
     ):

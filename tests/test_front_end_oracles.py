@@ -1,12 +1,15 @@
 """The windowed vision front end against copies of its full-frame form.
 
 `blur_and_clean` and `skeletonize` work on the foreground's bounding box,
-`render` works in bands of whole rows, keeps its per-cable depth buffers
-on a window that holds every stamped disk, tests each occluder only on
-the part of its footprint in the band and colors each band with one
-palette gather, and `_reach_components` proves most core points
-from one kd-tree query per 4x4 pixel block. Each must equal, bit for bit,
-the full-frame code it replaced, copied here as the oracle.
+`render` works in bands of whole rows, sums a row term and a column term
+for the plane's depth, keeps its per-cable depth buffers on a window that
+holds every stamped disk, casts rays for each occluder only on the part of
+its footprint in the band and colors each band with one palette gather,
+and `_reach_components` proves most core points from one kd-tree query
+per 4x4 pixel block. Each must equal, bit for bit, the full-frame code it
+replaced, copied here as the oracle. The oracle's plane depth takes the
+same rational form as the render's, and is itself checked against the
+intersection of each pixel's world-frame ray with the plane.
 """
 
 import itertools
@@ -53,23 +56,41 @@ def full_frame_skeletonize(data):
             return img.astype(bool)
 
 
+def full_frame_rays(scene):
+    """Camera origin and the world-frame ray (x, y, 1) of every pixel, and
+    the camera-frame x and y of each pixel."""
+    intr = scene.camera
+    cols, rows = np.meshgrid(np.arange(scene.width, dtype=float),
+                             np.arange(scene.height, dtype=float))
+    x, y = (cols - intr.cx) / intr.fx, (rows - intr.cy) / intr.fy
+    dirs = np.stack([x, y, np.ones_like(cols)], axis=-1) @ intr.pose.rotation.T
+    return intr.pose.translation, dirs, x, y
+
+
+def plane_depths(scene):
+    """(rational, ray-based) camera z where each pixel's ray meets the plane,
+    inf where it does not. The rational form takes the plane's normal into
+    camera coordinates once, (a, b, c), so the denominator of a ray (x, y, 1)
+    is (b * y + c) + a * x; the ray-based form dots the world-frame ray with
+    the normal."""
+    origin, dirs, x, y = full_frame_rays(scene)
+    plane = scene.support_plane
+    a, b, c = scene.camera.pose.rotation.T @ plane.normal
+    num = -(float(plane.signed_distance(origin)[0]))
+    depths = []
+    for denom in ((b * y + c) + a * x, dirs @ plane.normal):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_plane = num / denom
+        depths.append(np.where((denom < 0) & (t_plane > 0), t_plane, np.inf))
+    return depths
+
+
 def full_frame_render(scene):
     intr = scene.camera
     h, w = scene.height, scene.width
-    cols, rows = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    dirs_cam = np.stack(
-        [(cols - intr.cx) / intr.fx, (rows - intr.cy) / intr.fy, np.ones_like(cols)], axis=-1
-    )
-    dirs = dirs_cam @ intr.pose.rotation.T
-    origin = intr.pose.translation
-    plane = scene.support_plane
-
-    denom = dirs @ plane.normal
-    num = -(float(plane.signed_distance(origin)[0]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_plane = num / denom
-    plane_hit = (denom < 0) & (t_plane > 0)
-    plane_z = np.where(plane_hit, t_plane, np.inf)
+    origin, dirs, _, _ = full_frame_rays(scene)
+    plane_z, _ = plane_depths(scene)
+    plane_hit = np.isfinite(plane_z)
     box_z = np.full((h, w), np.inf)
     for lo, hi in scene.occluders:
         box_z = np.minimum(box_z, worldsim._box_entry_depth(origin, dirs, lo, hi))
@@ -263,18 +284,23 @@ def _camera(position=(0.0, 0.0, 0.6), look=(0.0, 0.0, -1.0), up=(0.0, -1.0, 0.0)
     return CameraIntrinsics(fx=f, fy=f, cx=80.0, cy=60.0, pose=Pose(rotation, np.array(position)))
 
 
-def _cable(start, end, radius=0.003, color=(30, 30, 30)):
+def _cable(start, end, radius=0.003, color=(30, 30, 30), plane=None):
+    """A straight cable from `start` to `end`, (x, y) on PLANE or, given
+    `plane`, (u, v) in its coordinates; one radius above the plane."""
     xy = np.linspace(start, end, 6)
-    ctrl = np.column_stack([xy, np.full(6, radius)])
+    if plane is None:
+        ctrl = np.column_stack([xy, np.full(6, radius)])
+    else:
+        ctrl = plane.from_plane_coords(xy) + radius * plane.normal
     return worldsim.GroundTruthCable(
         centerline=bspline_from_control_points(ctrl), radius=radius,
         color=np.array(color, dtype=float),
     )
 
 
-def _scene(cables, occluders=(), camera=None):
+def _scene(cables, occluders=(), camera=None, plane=PLANE):
     return worldsim.WorldScene(
-        support_plane=PLANE, cables=list(cables), occluders=list(occluders),
+        support_plane=plane, cables=list(cables), occluders=list(occluders),
         camera=camera or _camera(), width=160, height=120,
     )
 
@@ -284,6 +310,10 @@ def _box(lo, hi):
 
 
 BOX = _box((-0.04, -0.03, 0.0), (0.03, 0.04, 0.05))
+# cs1's plane, inclined by 15 degrees, seen by a camera that looks down at it
+# obliquely: the plane's normal has three nonzero camera coordinates
+TILT = np.radians(15.0)
+TILTED = PlaneModel(np.array([np.sin(TILT), 0.0, np.cos(TILT), 0.0]))
 LOW_CAMERA = _camera((-0.3, 0.0, 0.1), (0.35, 0.0, -0.12), (0.0, 0.0, -1.0), f=150.0)
 SCENES = {
     "no_cables": _scene([]),
@@ -302,8 +332,9 @@ SCENES = {
         ],
         [BOX],
     ),
-    # disks of radius 7, 177 pixels: more than a 1-row band's BAND_PIXELS, so the
-    # stamp cuts the thick cable's 4096 samples into chunks of 1, 6 and 108
+    # disks of radius 7, within 15 x 15 pixels: more than a 1-row band's
+    # BAND_PIXELS, so the stamp cuts the thick cable's centres into chunks of
+    # 1, 4 and 85
     "thick_cable": _scene([
         _cable((-0.2, -0.05), (0.2, 0.05), radius=0.02),
         _cable((-0.2, 0.05), (0.2, -0.05), color=(40, 80, 200)),
@@ -327,6 +358,15 @@ SCENES = {
     ),
     "occluder_behind_camera": _scene(
         [_cable((-0.2, 0.0), (0.2, 0.0))], [BOX, _box((-0.05, -0.05, 0.7), (0.05, 0.05, 0.9))]
+    ),
+    "tilted_plane_occluded": _scene(
+        [
+            _cable((-0.2, -0.02), (0.2, 0.03), plane=TILTED),
+            _cable((0.02, -0.15), (-0.03, 0.15), radius=0.006, color=(40, 80, 200), plane=TILTED),
+        ],
+        [_box((-0.03, -0.04, -0.03), (0.04, 0.03, 0.05))],
+        camera=_camera((0.05, 0.02, 0.6), (-0.1, -0.05, -1.0)),
+        plane=TILTED,
     ),
     "tilted_camera_occluded": _scene(
         [_cable((-0.2, 0.0), (0.2, 0.0)), _cable((-0.2, 0.08), (0.2, 0.08), radius=0.006)],
@@ -372,6 +412,23 @@ def test_render_scenes_cover_the_window_edges():
     plain = SCENES["crossing_occluded"]
     bare, _, _, _ = full_frame_render(_scene(plain.cables))
     assert sum(m.sum() for m in masks) < sum(m.sum() for m in bare)
+    tilted = SCENES["tilted_plane_occluded"]
+    masks, _, _, _ = full_frame_render(tilted)
+    bare, _, _, _ = full_frame_render(_scene(tilted.cables, camera=tilted.camera, plane=TILTED))
+    assert all(m.any() for m in masks)
+    assert sum(m.sum() for m in masks) < sum(m.sum() for m in bare)
+
+
+@pytest.mark.parametrize("name", list(SCENES))
+def test_plane_depth_is_the_ray_plane_intersection(name):
+    # the rational depth rounds apart from the ray's intersection with the
+    # plane by at most 2 ulp; on the tilted plane it does round apart
+    rational, ray = plane_depths(SCENES[name])
+    hit = np.isfinite(ray)
+    assert np.array_equal(np.isfinite(rational), hit)
+    assert (np.abs(rational[hit] - ray[hit]) <= 2 * np.spacing(ray[hit])).all()
+    if SCENES[name].support_plane is TILTED:
+        assert (rational != ray).any()
 
 
 def _hits_and_footprints(name):

@@ -42,7 +42,7 @@ GOLDEN_BENCH_SCENES = {
     ),
     "cs1_occluded_vga": (
         "cs1_occluded", False,
-        "e83bc018d1f474566050683a1ecf75b19abe56159582b67f92ef2b551cdfef1b",
+        "25a1c5472ab8879610dff26264296ec23b1a1488ba4a2d59e4fae3df2c24e080",
     ),
     "cs2_occluded_qvga": (
         "cs2_occluded", True,
@@ -108,10 +108,10 @@ def test_bench_scene_artifacts_match_the_golden_digest(case, tmp_path):
 
 # The outputs are about 4.3 MB: the 8-bit color image, the depth image and
 # the masks. Above them, render holds the cable window (about 1.5 MB here)
-# and the rays, hits and colors of one band of about 64k pixels, freed
-# before the next band is built: about 7.9 MB in all on this scene, a peak
-# of about 12.2 MB (CPython 3.11, NumPy 2.4). The margin leaves the rest for
-# allocator and version differences.
+# and the plane and occluder depths, surface index and colors of one band
+# of about 64k pixels, freed before the next band is built: about 4.9 MB in
+# all on this scene, a peak of about 9.2 MB (CPython 3.11, NumPy 2.4). The
+# margin leaves the rest for allocator and version differences.
 RENDER_PEAK_MARGIN = 14e6  # bytes
 
 
@@ -141,7 +141,7 @@ def test_cs2_occluded_vga_render_peak_stays_near_its_outputs(tmp_path):
 
 def test_a_5_cm_cable_at_vga_renders_within_the_same_margin(tmp_path):
     # the stamp holds the disks of one chunk of samples, about BAND_PIXELS
-    # pixels, at a time: about 14 MB here. Stamping all the samples of one
+    # pixels, at a time: about 9.9 MB here. Stamping all the samples of one
     # disk radius at once peaked at 1350 MB
     doc = scenarios.make_template("cs2_plain", seed=1)
     doc["cables"][0]["radius"] = 0.05
