@@ -33,11 +33,7 @@ def _seed_from(args) -> int | None:
 
 def cmd_gen_scene(args) -> int:
     seed = 0 if args.seed is None else checked(args.seed, "an integer >= 0", "--seed")
-    try:
-        doc = scenarios.make_template(args.template, seed=seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
+    doc = scenarios.make_template(args.template, seed=seed)
     out = Path(args.out or f"{args.template}.yaml")
     scenarios.save_scenario(out, doc)
     print(out)

@@ -226,6 +226,6 @@ TEMPLATES = tuple(_TEMPLATES)
 
 def make_template(name: str, seed: int = 0) -> dict:
     if name not in _TEMPLATES:
-        raise KeyError(f"unknown template {name!r}; valid templates: {', '.join(TEMPLATES)}")
+        raise ValueError(f"unknown template {name!r}; valid templates: {', '.join(TEMPLATES)}")
     build, occluded = _TEMPLATES[name]
     return build(seed=seed, occluded=occluded)

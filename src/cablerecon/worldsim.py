@@ -172,36 +172,32 @@ def _stamp(buf: np.ndarray, r0: int, c0: int, row, col, z, radii) -> None:
     """Stamp each sample's disk into `buf`, the depth buffer whose corner is
     pixel (r0, c0), keeping the nearest z.
 
-    The disk of radius ri holds the pixels (round(row + dr), round(col + dc))
-    with dr^2 + dc^2 <= ri^2 + ri. Where both fractional parts lie more than
-    1e-6 px from .5 and |row|, |col| < 2**20, round(row + dr) is
-    round(row) + dr, so such samples are stamped once per distinct integer
-    centre, with its least z. Each disk is expanded only on the rows and
-    columns that can round into the buffer, so none costs more than the
-    buffer's size, and chunks of disks stamp about BAND_PIXELS pixels at a
-    time.
+    The disk of radius ri is centred on the sample's nearest pixel: it holds
+    the pixels (round(row) + dr, round(col) + dc) with dr^2 + dc^2 <= ri^2 + ri.
+    It is stamped once per distinct centre, with that centre's least z. Each
+    disk is expanded only on the rows and columns that lie in the buffer, so
+    none costs more than the buffer's size, and chunks of disks stamp about
+    BAND_PIXELS pixels at a time.
     """
     h, w = buf.shape
     flat = buf.reshape(-1)
-    rc = np.stack([row, col])
-    exact = ((np.abs(rc - np.floor(rc) - 0.5) > 1e-6) & (np.abs(rc) < 2**20)).all(axis=0)
+    if not buf.size:
+        return  # every disk lies off the frame
     for ri in np.unique(radii):
-        # a disk's bounding box, cut to the buffer's rows and columns and a pixel beyond
-        nr, nc = min(2 * ri + 1, h + 3), min(2 * ri + 1, w + 3)
+        # a disk's bounding box, cut to the buffer's rows and columns
+        nr, nc = min(2 * ri + 1, h), min(2 * ri + 1, w)
         step = max(1, BAND_PIXELS // (nr * nc))
-        # one entry per distinct integer centre, row + 1j * column, with its least z
-        sel = (radii == ri) & exact
+        # one entry per distinct centre, row + 1j * column, with its least z
+        sel = radii == ri
         centres, inv = np.unique(np.round(row[sel]) + 1j * np.round(col[sel]), return_inverse=True)
         cz = np.full(centres.size, np.inf)
         np.minimum.at(cz, inv, z[sel])
-        rest = (radii == ri) & ~exact
-        cr, cc = np.r_[centres.real, row[rest]], np.r_[centres.imag, col[rest]]
-        cz = np.r_[cz, z[rest]]
+        cr, cc = centres.real.astype(int) - r0, centres.imag.astype(int) - c0
         for i in range(0, cr.size, step):
             r, c, zz = cr[i : i + step, None], cc[i : i + step, None], cz[i : i + step]
-            dr = np.clip(np.floor(r0 - r) - 1, -ri, ri + 1).astype(int) + np.arange(nr)
-            dc = np.clip(np.floor(c0 - c) - 1, -ri, ri + 1).astype(int) + np.arange(nc)
-            rows, cols = np.round(r + dr).astype(int) - r0, np.round(c + dc).astype(int) - c0
+            dr = np.clip(-r, -ri, ri + 1 - nr) + np.arange(nr)
+            dc = np.clip(-c, -ri, ri + 1 - nc) + np.arange(nc)
+            rows, cols = r + dr, c + dc
             keep = dr[:, :, None] ** 2 + dc[:, None] ** 2 <= ri * ri + ri
             keep &= ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None]
             pixels = rows[:, :, None] * w + cols[:, None]
@@ -216,20 +212,20 @@ def _clip(lo: int, hi: int, b0: int, b1: int) -> slice:
 def render(scene: WorldScene) -> RenderResult:
     """Rasterize the scene into per-cable masks, color, depth, shelf mask.
 
-    Cable centerlines are stamped with their projected width and carry the
-    depth of the generating centerline sample (see `_stamp`); a minimum does
-    not depend on the order of its inputs, so the result equals a per-sample
-    stamp. The per-cable depth buffers span one window: every sample centre
-    plus or minus its disk radius, clipped to the frame. The plane's depth
-    at pixel (row, col) is num / (den_r[row] + den_c[col]): the plane's
-    normal, turned into camera coordinates once, dotted with the ray
-    (x, y, 1). Occluder boxes remove cable pixels whose ray they block and
-    cover the shelf where they project; rays are cast only on each box's
-    footprint (see `_footprint`), and every ray outside it misses the box.
-    The outputs are filled in bands of whole rows of about BAND_PIXELS
-    pixels: from the plane, then patched on the footprints and the cable
-    window. Color is the 8-bit image a camera writes: each palette color
-    clipped to [0, 255] and truncated, once.
+    Cable centerlines are stamped as disks of their projected width, each
+    centred on its sample's nearest pixel and carrying the least depth of
+    the samples there (see `_stamp`). The per-cable depth buffers span one
+    window: every sample centre plus or minus its disk radius, clipped to
+    the frame. The plane's depth at pixel (row, col) is
+    num / (den_r[row] + den_c[col]): the plane's normal, turned into camera
+    coordinates once, dotted with the ray (x, y, 1). Occluder boxes remove
+    cable pixels whose ray they block and cover the shelf where they
+    project; rays are cast only on each box's footprint (see `_footprint`),
+    and every ray outside it misses the box. The outputs are filled in bands
+    of whole rows of about BAND_PIXELS pixels: from the plane, then patched
+    on the footprints and the cable window; each band holds one array of
+    occluder depths. Color is the 8-bit image a camera writes: each palette
+    color clipped to [0, 255] and truncated, once.
     Depth is camera-frame z in meters, 0 where no surface is hit.
     """
     h, w = scene.height, scene.width
@@ -266,14 +262,11 @@ def render(scene: WorldScene) -> RenderResult:
         plane_z[denom >= 0] = np.inf
         surface = (plane_z < np.inf).astype(np.uint8)
 
-        # occluder rays only on each footprint's pixels in the band; box_z is
-        # an array once a footprint crosses the band
-        box_z = np.inf
+        # occluder rays only on each footprint's pixels in the band
+        box_z = np.full((b1 - b0, w), np.inf)
         for (lo, hi), (rows, cols) in zip(scene.occluders, feet):
             rows = slice(max(rows.start, b0), min(rows.stop, b1))
             if rows.start < rows.stop and cols.start < cols.stop:
-                if np.ndim(box_z) == 0:
-                    box_z = np.full((b1 - b0, w), np.inf)
                 entry = _box_entry_depth(*_ray_grid(scene, rows, cols), lo, hi)
                 foot = box_z[rows.start - b0 : rows.stop - b0, cols]
                 np.minimum(foot, entry, out=foot)
@@ -288,7 +281,7 @@ def render(scene: WorldScene) -> RenderResult:
         if z.size:
             # the first cable at the least depth shows where it lies in front of the occluders
             near = z.min(axis=0)
-            front = near < np.broadcast_to(box_z, surface.shape)[win]
+            front = near < box_z[win]
             np.copyto(band_depth[win], near, where=front)
             del near  # freed before the winner index is built: the two never coexist
             np.copyto(surface[win], z.argmin(axis=0) + 3, where=front, casting="unsafe")

@@ -3,13 +3,16 @@
 `blur_and_clean` and `skeletonize` work on the foreground's bounding box,
 `render` works in bands of whole rows, sums a row term and a column term
 for the plane's depth, keeps its per-cable depth buffers on a window that
-holds every stamped disk, casts rays for each occluder only on the part of
-its footprint in the band and colors each band with one palette gather,
-and `_reach_components` proves most core points from one kd-tree query
-per 4x4 pixel block. Each must equal, bit for bit, the full-frame code it
-replaced, copied here as the oracle. The oracle's plane depth takes the
-same rational form as the render's, and is itself checked against the
-intersection of each pixel's world-frame ray with the plane.
+holds every stamped disk, stamps each distinct disk centre once, cut to
+that window, casts rays for each occluder only on the part of its
+footprint in the band and colors each band with one palette gather, and
+`_reach_components` proves most core points from one kd-tree query per
+4x4 pixel block. Each must equal, bit for bit, the full-frame code it
+replaced, copied here as the oracle. The render's oracle, the suite's
+only one, stamps every sample's whole disk, centred on the sample's
+nearest pixel, into a buffer the size of the frame. Its plane depth takes
+the same rational form as the render's, and is itself checked against
+the intersection of each pixel's world-frame ray with the plane.
 """
 
 import itertools
@@ -85,16 +88,11 @@ def plane_depths(scene):
     return depths
 
 
-def full_frame_render(scene):
+def full_frame_cable_z(scene):
+    """Each cable's depth over the whole frame: every sample's disk, centred
+    on the sample's nearest pixel, keeping the least depth."""
     intr = scene.camera
     h, w = scene.height, scene.width
-    origin, dirs, _, _ = full_frame_rays(scene)
-    plane_z, _ = plane_depths(scene)
-    plane_hit = np.isfinite(plane_z)
-    box_z = np.full((h, w), np.inf)
-    for lo, hi in scene.occluders:
-        box_z = np.minimum(box_z, worldsim._box_entry_depth(origin, dirs, lo, hi))
-
     cable_z = np.full((len(scene.cables), h, w), np.inf)
     for ci, cable in enumerate(scene.cables):
         cam = (cable.dense_samples - intr.pose.translation) @ intr.pose.rotation
@@ -110,12 +108,24 @@ def full_frame_render(scene):
             gr, gc = np.meshgrid(dd, dd, indexing="ij")
             keep = gr * gr + gc * gc <= (ri + 0.5) ** 2
             sel = radii == ri
-            rr = np.round(row[sel, None] + gr[keep]).astype(int)
-            cc = np.round(col[sel, None] + gc[keep]).astype(int)
+            rr = (np.round(row[sel, None]) + gr[keep]).astype(int)
+            cc = (np.round(col[sel, None]) + gc[keep]).astype(int)
             ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
             z0 = np.broadcast_to(zf[sel, None], ok.shape)
             np.minimum.at(buf, rr[ok] * w + cc[ok], z0[ok])
+    return cable_z
 
+
+def full_frame_render(scene):
+    h, w = scene.height, scene.width
+    origin, dirs, _, _ = full_frame_rays(scene)
+    plane_z, _ = plane_depths(scene)
+    plane_hit = np.isfinite(plane_z)
+    box_z = np.full((h, w), np.inf)
+    for lo, hi in scene.occluders:
+        box_z = np.minimum(box_z, worldsim._box_entry_depth(origin, dirs, lo, hi))
+
+    cable_z = full_frame_cable_z(scene)
     if scene.cables:
         nearest_cable = cable_z.min(axis=0)
         winner = cable_z.argmin(axis=0)
@@ -315,6 +325,8 @@ BOX = _box((-0.04, -0.03, 0.0), (0.03, 0.04, 0.05))
 TILT = np.radians(15.0)
 TILTED = PlaneModel(np.array([np.sin(TILT), 0.0, np.cos(TILT), 0.0]))
 LOW_CAMERA = _camera((-0.3, 0.0, 0.1), (0.35, 0.0, -0.12), (0.0, 0.0, -1.0), f=150.0)
+# straight down with its principal point on a half pixel, (80.5, 60.5)
+HALF_PIXEL_CAMERA = CameraIntrinsics(fx=150.0, fy=150.0, cx=80.5, cy=60.5, pose=_camera().pose)
 SCENES = {
     "no_cables": _scene([]),
     "no_cables_occluded": _scene([], [BOX]),
@@ -342,6 +354,17 @@ SCENES = {
     "low_camera_off_frame": _scene(
         [_cable((-0.2, 0.0), (0.2, 0.0)), _cable((-0.2, 0.08), (0.2, 0.08), radius=0.006)],
         camera=LOW_CAMERA,
+    ),
+    # every centre of the first cable sits on row 60.5 and of the second on
+    # column 80.5, where round(row + dr) is not round(row) + dr for every dr;
+    # the third cable starts in the frame and runs 5 km off it, past column 2**20
+    "half_pixel_and_far_off_centres": _scene(
+        [
+            _cable((-0.2, 0.0), (0.2, 0.0)),
+            _cable((0.0, -0.2), (0.0, 0.2), radius=0.006),
+            _cable((0.1, 0.05), (5000.0, 0.05)),
+        ],
+        camera=HALF_PIXEL_CAMERA,
     ),
     # occluders against the frame and the camera plane (z = 0.6 here)
     "occluder_partly_off_frame": _scene(
@@ -402,8 +425,18 @@ def test_render_scenes_cover_the_window_edges():
     partly = worldsim.render(SCENES["partly_off_frame"]).cable_masks[0].data
     assert partly[:, -1].any() and not partly[:, 0].any()
     assert not worldsim.render(SCENES["wholly_off_frame"]).cable_masks[0].data.any()
-    low = worldsim.render(SCENES["low_camera_off_frame"]).cable_masks
-    assert any(m.data[-1].any() for m in low)
+    # the low camera looks along the cables: each one's disk radius varies
+    low = SCENES["low_camera_off_frame"]
+    assert all(len(np.unique(worldsim._project(c, low.camera)[3])) > 1 for c in low.cables)
+    assert all(m.data[-1].any() for m in worldsim.render(low).cable_masks)
+    half = SCENES["half_pixel_and_far_off_centres"]
+    centres = [worldsim._project(c, half.camera)[:2] for c in half.cables]
+    assert (centres[0][0] == 60.5).all() and (centres[1][1] == 80.5).all()
+    assert (centres[2][1] < 160).sum() == 1 and centres[2][1].max() > 2**20
+    # a cable along a half-pixel row or column covers whole rows and columns
+    along_row, along_col, _ = worldsim.render(half).cable_masks
+    assert np.array_equal(np.flatnonzero(along_row.data.any(axis=1)), [59, 60, 61])
+    assert np.array_equal(np.flatnonzero(along_col.data.any(axis=0)), [78, 79, 80, 81, 82])
     thick = SCENES["thick_cable"]
     assert (worldsim._project(thick.cables[0], thick.camera)[3] == 7).all()
     crossing = worldsim.render(SCENES["crossing_equal_radii"]).cable_masks
@@ -417,6 +450,16 @@ def test_render_scenes_cover_the_window_edges():
     bare, _, _, _ = full_frame_render(_scene(tilted.cables, camera=tilted.camera, plane=TILTED))
     assert all(m.any() for m in masks)
     assert sum(m.sum() for m in masks) < sum(m.sum() for m in bare)
+
+
+def test_stamp_of_each_cable_equals_the_full_frame_stamp():
+    # each cable alone in a buffer the size of the frame, its corner at pixel
+    # (0, 0), with centres on half pixels and far off the frame
+    scene = SCENES["half_pixel_and_far_off_centres"]
+    for cable, expected in zip(scene.cables, full_frame_cable_z(scene)):
+        buf = np.full((scene.height, scene.width), np.inf)
+        worldsim._stamp(buf, 0, 0, *worldsim._project(cable, scene.camera))
+        assert buf.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("name", list(SCENES))

@@ -98,6 +98,24 @@ def test_each_cable_radius_is_measured_from_the_depth(tmp_path, radius):
         assert cable["radius"] == truth[nearest]
 
 
+def test_a_cable_under_a_half_pixel_principal_row_is_one_complete_cable(tmp_path):
+    # cy = 239.5, the (h - 1) / 2 convention, puts every centre of this
+    # straight cable on a half pixel; rounding each disk pixel on its own
+    # rendered it as 1-px stripes, which the blur erased
+    doc = scenarios.make_template("cs2_plain", seed=1)
+    doc["camera"]["cy"] = 239.5
+    doc["cables"] = [{
+        "color": [25, 25, 28], "radius": 0.003,
+        "control_points": [[0.40 + 0.06 * i, 0.0, 0.0] for i in range(6)],
+    }]
+    path = tmp_path / "half_pixel_row.yaml"
+    scenarios.save_scenario(path, doc)
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    (cable,) = result.manifest["cables"]
+    assert cable["complete"] and cable["final_segments"] == 1
+
+
 def test_a_failure_in_the_radius_pass_names_its_cable(tmp_path, monkeypatch):
     # the second cable's pixels carry no depth, so its cluster, cable_01, has no cloud
     render = worldsim.render
