@@ -205,7 +205,7 @@ def save_ply(path, cloud: np.ndarray) -> None:
 
 def load_ply(path) -> np.ndarray:
     """The cloud of an ASCII x y z PLY file: its body must be exactly `element vertex`
-    rows of 3 values, or it is a ValueError naming the file."""
+    rows of 3 finite values, or it is a ValueError naming the file."""
     text = Path(path).read_text().splitlines()
     try:
         end = text.index("end_header")
@@ -217,6 +217,6 @@ def load_ply(path) -> np.ndarray:
         count = int(declared[-1]) if declared else 0
         if len(rows) != count or any(len(row) != 3 for row in rows):
             raise ValueError(f"body is not the {count} rows of 3 values its header declares")
-        return np.array([tuple(map(float, row)) for row in rows], dtype=float).reshape(-1, 3)
+        return as_cloud([tuple(map(float, row)) for row in rows])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

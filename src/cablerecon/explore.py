@@ -17,7 +17,7 @@ with the walk that reads it; the simulated probe imports it.
 
 Every probe logs exactly one trace row, so the trace is the probe count:
 a result's `probes_used` is its row count, and a descent stops with
-ProbeBudgetError once the rows reach `probe_budget`.
+ProbeBudgetError once the rows reach PROBE_BUDGET.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ PAD_SHAPE = (6, 2)  # taxel rows along end-effector x, columns along y
 PAD_PITCH = 0.005  # meters between neighbouring taxel centers
 DESCENT_LIMIT = 0.010  # meters below the plane before declaring overrun
 HOVER_HEIGHT = 0.0200  # meters above the plane where a descent's steps start
+PROBE_BUDGET = 10000  # hard cap on probe calls per cable
 EPS_CONTACT = 0.05  # a taxel pressure above this is a touch
 POSE_COLUMNS = tuple("r00 r01 r02 r10 r11 r12 r20 r21 r22 tx ty tz".split())
 TRACE_COLUMNS = (
@@ -143,15 +144,13 @@ def _descend(
     fitted plane. `top` already holds the fitted plane's own error, so no
     surface is higher and a higher probe reads exactly 0 pressure without
     noise (with noise it could only be a false touch). The touching probe
-    is logged by the caller. The unprobed steps cost no budget, so a small
-    budget still counts probes alone; a step so fine that they outnumber
-    the larger of `probe_budget` and its default is ProbeBudgetError
-    before any step, since nothing else bounds them.
+    is logged by the caller. The unprobed steps cost no budget; a step so
+    fine that they outnumber PROBE_BUDGET is ProbeBudgetError before any
+    step, since nothing else bounds them.
     """
-    most = max(params.probe_budget, ReconParams.probe_budget)
-    if (HOVER_HEIGHT - top) / params.delta_z > most:
+    if (HOVER_HEIGHT - top) / params.delta_z > PROBE_BUDGET:
         raise ProbeBudgetError(
-            f"delta_z {params.delta_z:g} m takes more than {most} unprobed steps "
+            f"delta_z {params.delta_z:g} m takes more than {PROBE_BUDGET} unprobed steps "
             f"from {HOVER_HEIGHT:g} m down to {top:.6g} m"
         )
     normal = plane.normal
@@ -162,8 +161,8 @@ def _descend(
         height -= params.delta_z
     while True:
         pose = Pose(rotation, pos)
-        if len(trace) >= params.probe_budget:
-            raise ProbeBudgetError(f"all {params.probe_budget} probes used")
+        if len(trace) >= PROBE_BUDGET:
+            raise ProbeBudgetError(f"all {PROBE_BUDGET} probes used")
         pressures = probe_fn(pose)
         if (pressures > EPS_CONTACT).any():
             return pose, pressures

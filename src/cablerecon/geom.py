@@ -173,18 +173,13 @@ def read(mapping: dict, key, where, rule: str, default=None):
     return checked(mapping.get(key, default), rule, f"{where} {key}")
 
 
-# the rule of each ReconParams field type
-_TYPE_RULES = {"int": "an integer > 0", "float": "a finite number > 0"}
-
-
 @dataclass
 class ReconParams:
-    """Every settable value of the reconstruction pipeline, with its default.
+    """Every settable value of the reconstruction pipeline: the published
+    defaults for cable reconstruction.
 
-    The first seven are the published defaults for cable reconstruction, the
-    last three implementation parameters. Distances are meters, angles degrees.
-    Each field passes the rule of its type in _TYPE_RULES (finite and > 0, an
-    integer where the field is one, never a bool), and theta_deg divides 360.
+    Distances are meters, angles degrees. Each field is a finite number > 0
+    (never a bool), and theta_deg divides 360.
     """
 
     d_min: float = 0.0150       # stop distance to an endpoint
@@ -194,13 +189,10 @@ class ReconParams:
     delta_y: float = 0.0100     # advance step along the cable
     delta_z: float = 0.0015     # descent step toward the surface
     theta_deg: float = 15.0     # retry rotation about the plane normal
-    probe_budget: int = 10000   # hard cap on probe calls per cable
-    min_cluster_size: int = 30  # smaller pixel clusters are noise
-    cut_threshold: float = 60.0  # MST edge length above which clusters separate
 
     def __post_init__(self):
         for f in fields(self):
-            setattr(self, f.name, checked(getattr(self, f.name), _TYPE_RULES[f.type], f.name))
+            setattr(self, f.name, checked(getattr(self, f.name), "a finite number > 0", f.name))
         turns = 360.0 / self.theta_deg  # inf for a subnormal theta_deg
         if not math.isfinite(turns) or abs(turns - round(turns)) > 1e-9:
             raise ValueError(f"theta_deg must divide 360 evenly, not {self.theta_deg!r}")

@@ -18,10 +18,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import EmptyInputError, InsufficientDepthError
-from .geom import Pose, ReconParams
+from .geom import Pose
 
 DEPTH_MAGIC = b"DPTHF32\x00"
 SPATIAL_WEIGHT = 0.5  # pixel coordinates weighted against CIELAB units in clustering
+MIN_CLUSTER_SIZE = 30  # smaller pixel clusters are noise
+CUT_THRESHOLD = 60.0  # MST edge length in that feature space above which clusters separate
 
 
 @dataclass
@@ -225,21 +227,18 @@ def _reach_components(features, rows, cols, k: int, threshold: float) -> np.ndar
     return _components((np.ones(len(ja)), (ja, jb)), labels.max() + 1)[labels]
 
 
-def cluster_pixels(
-    mask_img: ImageGrid, color_img: ImageGrid, params: ReconParams
-) -> PixelClusterSet:
+def cluster_pixels(mask_img: ImageGrid, color_img: ImageGrid) -> PixelClusterSet:
     """Separate cables by color and position with a density MST cut.
 
     Each foreground pixel becomes a feature (s*row, s*col, L, a, b), s
     being SPATIAL_WEIGHT. The partition equals a minimum spanning tree
-    over mutual-reachability distances (core size = `min_cluster_size`) cut
-    at edges longer than `cut_threshold`, computed as the components of the
+    over mutual-reachability distances (core size = MIN_CLUSTER_SIZE) cut
+    at edges longer than CUT_THRESHOLD, computed as the components of the
     threshold graph of those distances in near-linear time, without the
     tree, most core pixels proven from one kd-tree query per 4x4 pixel block.
-    Components smaller than `min_cluster_size` are dropped as noise.
-    The last two come from `params`. With these weights, color
-    dominates, so one cable split spatially by an occluder stays a single
-    cluster while differently colored cables separate.
+    Components smaller than MIN_CLUSTER_SIZE are dropped as noise. With
+    these weights, color dominates, so one cable split spatially by an
+    occluder stays a single cluster while differently colored cables separate.
     """
     mask = _binary(mask_img)
     rows, cols = np.nonzero(mask)
@@ -250,10 +249,10 @@ def cluster_pixels(
     lab = rgb_to_lab(colors)
     features = np.column_stack([SPATIAL_WEIGHT * rows, SPATIAL_WEIGHT * cols, lab])
 
-    labels = _reach_components(features, rows, cols, params.min_cluster_size, params.cut_threshold)
+    labels = _reach_components(features, rows, cols, MIN_CLUSTER_SIZE, CUT_THRESHOLD)
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     clusters = []
-    for index in np.flatnonzero(counts >= params.min_cluster_size):
+    for index in np.flatnonzero(counts >= MIN_CLUSTER_SIZE):
         members = np.flatnonzero(inverse == index)
         pix = np.column_stack([rows[members], cols[members]]).astype(int)
         clusters.append(PixelCluster(pixels=pix, mean_color=colors[members].mean(axis=0)))

@@ -154,9 +154,9 @@ def reconstruct(color, depth, cable_mask, shelf_mask, camera, probe_fn,
         manifest["plane"] = [float(c) for c in plane.coefficients]
 
         cleaned = imgproc.blur_and_clean(cable_mask)
-        clusters = imgproc.cluster_pixels(cleaned, color, params)
+        clusters = imgproc.cluster_pixels(cleaned, color)
         if not clusters.clusters:
-            raise EmptyInputError("no pixel cluster reaches min_cluster_size pixels")
+            raise EmptyInputError("no pixel cluster reaches MIN_CLUSTER_SIZE pixels")
 
         # the render stamps each cable pixel at its centerline's depth, one
         # radius above the plane: a cable's radius is its cloud's median height

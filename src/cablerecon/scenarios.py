@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cloudproc import PlaneModel
+from .cloudproc import PlaneModel, project_to_plane
 from .fitting import bspline_from_control_points
 from .errors import DegenerateGeometryError
 from .geom import UNIT_TOL, Pose, checked, frame_from_y_z, normalize, read
@@ -85,7 +85,7 @@ def build_scene(doc: dict, where: str) -> WorldScene:
         radius = read(cable_doc, "radius", at, "a finite number > 0")
         ctrl = read(cable_doc, "control_points", at,
                     "a list of at least 4 points of 3 finite numbers")
-        on_plane = ctrl - plane.signed_distance(ctrl)[:, None] * plane.normal
+        on_plane = project_to_plane(ctrl, plane)
         cables.append(
             GroundTruthCable(
                 centerline=bspline_from_control_points(on_plane + radius * plane.normal),

@@ -208,13 +208,14 @@ def save_sorted_csv(path, poly: SortedPolyline) -> None:
 
 def load_sorted_csv(path) -> SortedPolyline:
     """The sorted cloud of a `save_sorted_csv` file: one or more rows of 5
-    fields under the header, or it is a ValueError naming the file."""
+    fields under the header, with finite coordinates, or it is a ValueError
+    naming the file."""
     rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:] if line]
     if not rows or any(len(row) != 5 for row in rows):
         raise ValueError(f"{path}: not one or more rows of segment_id,order_index,x,y,z")
     try:
         seg_ids = np.array([int(row[0]) for row in rows])
-        pts = np.array([[float(v) for v in row[2:]] for row in rows])
+        pts = as_cloud([[float(v) for v in row[2:]] for row in rows])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     segments = [np.nonzero(seg_ids == sid)[0] for sid in np.unique(seg_ids)]

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from cablerecon import cloudproc, pipeline, scenarios
+from cablerecon import cloudproc, imgproc, pipeline, scenarios
 from cablerecon.cloudproc import ransac_plane
 from cablerecon.evaluation import icp
 from cablerecon.explore import indicator
@@ -230,11 +230,13 @@ def test_criterion_5d_sorter_matches_arc_length():
     report(5, True, "5d sorter matches arc-length order on 50 smooth curves")
 
 
-def test_criterion_5e_clustering_matches_brute_force_exhaustively():
+def test_criterion_5e_clustering_matches_brute_force_exhaustively(monkeypatch):
     rng = np.random.default_rng(5)
     base = rng.uniform(0, 40, size=(8, 2))
     pix_base = np.round(base).astype(int)
     min_size, cut = 2, 12.0
+    monkeypatch.setattr(imgproc, "MIN_CLUSTER_SIZE", min_size)
+    monkeypatch.setattr(imgproc, "CUT_THRESHOLD", cut)
     cases = 0
     for size in range(1, 9):
         for subset in itertools.combinations(range(8), size):
@@ -244,11 +246,7 @@ def test_criterion_5e_clustering_matches_brute_force_exhaustively():
             mask = np.zeros((45, 45), dtype=bool)
             mask[pix[:, 0], pix[:, 1]] = True
             color = np.full((45, 45, 3), 120.0)
-            out = cluster_pixels(
-                ImageGrid(mask),
-                ImageGrid(color),
-                ReconParams(min_cluster_size=min_size, cut_threshold=cut),
-            )
+            out = cluster_pixels(ImageGrid(mask), ImageGrid(color))
             rows, cols = np.nonzero(mask)
             lab = rgb_to_lab(np.full((len(rows), 3), 120.0))
             feats = np.column_stack([0.5 * rows, 0.5 * cols, lab])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cablerecon import cli, fitting, pipeline, scenarios, worldsim, yamlio
+from cablerecon import cli, explore, fitting, imgproc, pipeline, scenarios, worldsim, yamlio
 from cablerecon.cloudproc import load_ply
 from cablerecon.geom import ReconParams
 from conftest import qvga_template
@@ -130,14 +130,14 @@ class TestRun:
 
     def test_params_file_sets_the_clustering_keys(self, tmp_path, scenario_files):
         params = tmp_path / "params.yaml"
-        params.write_text("min_cluster_size: 25\ncut_threshold: 55\n")
+        params.write_text("t_p: 0.009\ntheta_deg: 30\n")
         out = tmp_path / "out"
         scenario = str(scenario_files["cs1_plain"])
         code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
         assert code == pipeline.EXIT_COMPLETE
         recorded = json.loads((out / "manifest.json").read_text())["params"]
-        assert recorded["min_cluster_size"] == 25
-        assert recorded["cut_threshold"] == 55.0 and type(recorded["cut_threshold"]) is float
+        assert recorded["t_p"] == 0.009
+        assert recorded["theta_deg"] == 30.0 and type(recorded["theta_deg"]) is float
         assert recorded["d_m"] == 0.02
         assert set(recorded) == {f.name for f in dataclasses.fields(ReconParams)}
 
@@ -193,6 +193,13 @@ def manifest_text(plane=(0.0, 0.0, 1.0, 0.0), artifacts=None, **cable):
 SPLINE = "degree: 1\nknots: [0, 0, 1, 1]\ncontrol_points: [[0, 0, 0], [1, 0, 0]]\n"
 
 
+def ply_text(*rows):
+    """An ASCII PLY file whose vertices are `rows`, each the text of one x y z line."""
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}", "property float x",
+              "property float y", "property float z", "end_header"]
+    return "\n".join(header + list(rows)) + "\n"
+
+
 class TestCleanErrors:
     def _run(self, scenario, tmp_path, *extra):
         return cli.main(["run", str(scenario), "--out", str(tmp_path / "out"), *extra])
@@ -201,18 +208,16 @@ class TestCleanErrors:
         "body, named",
         [
             ("d_min: 0.02\nno_such_knob: 3\n", "no_such_knob"),
-            ("cut_threshold: 0\n", "cut_threshold"),
-            ("min_cluster_size: -2\n", "min_cluster_size"),
-            ("min_cluster_size: 2.5\n", "min_cluster_size"),
-            ("cut_threshold: abc\n", "cut_threshold"),
             ("t_h: abc\n", "t_h"),
-            ("probe_budget: true\n", "probe_budget"),
             ("d_m: .nan\n", "d_m"),
             ("voxel_origin: [1]\n", "voxel_origin"),
             ("- d_min: 0.02\n", "must be a mapping"),
             # derived from d_m and theta_deg, or a module constant: not a key
             ("r_search: 0.05\n", "r_search"),
             ("alpha_max_deg: 60\n", "alpha_max_deg"),
+            ("probe_budget: 10000\n", "probe_budget"),
+            ("min_cluster_size: 30\n", "min_cluster_size"),
+            ("cut_threshold: 60.0\n", "cut_threshold"),
             ("max_rotation_attempts: 12\n", "max_rotation_attempts"),
             ("hover_height: 0.03\n", "hover_height"),
             ("spatial_weight: 0.7\n", "spatial_weight"),
@@ -220,10 +225,10 @@ class TestCleanErrors:
             ("theta_deg: 17\n", "theta_deg must divide 360 evenly"),
         ],
         ids=[
-            "unknown_key", "zero_cut", "negative_size", "fractional_size", "text_cut",
-            "text_t_h", "bool_budget", "nan_d_m", "short_origin", "list_document",
-            "r_search", "alpha_max_deg", "max_rotation_attempts", "hover_height",
-            "spatial_weight", "eps_contact", "theta_not_dividing_360",
+            "unknown_key", "text_t_h", "nan_d_m", "short_origin", "list_document",
+            "r_search", "alpha_max_deg", "probe_budget", "min_cluster_size", "cut_threshold",
+            "max_rotation_attempts", "hover_height", "spatial_weight", "eps_contact",
+            "theta_not_dividing_360",
         ],
     )
     def test_bad_params_file_is_one_error_line(
@@ -480,6 +485,20 @@ class TestCleanErrors:
              "cable_00/P_sorted.csv: could not convert string to float: 'a'"),
             ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n",
              "cable_00/P_sorted.csv: not one or more rows of segment_id,order_index,x,y,z"),
+            ("plot", "cable_00/P_sorted.csv",
+             "segment_id,order_index,x,y,z\n0,0,1,2,3\n0,1,nan,0,0\n",
+             "cable_00/P_sorted.csv: point cloud contains non-finite values"),
+            ("plot", "cable_00/P_sorted.csv",
+             "segment_id,order_index,x,y,z\n0,0,1,2,3\n0,1,0,inf,0\n",
+             "cable_00/P_sorted.csv: point cloud contains non-finite values"),
+            ("eval", "cable_00/P_interpolated.ply", ply_text("1 2 3", "nan 0 0"),
+             "cable_00/P_interpolated.ply: point cloud contains non-finite values"),
+            ("eval", "cable_00/P_interpolated.ply", ply_text("1 2 3", "0 0 -inf"),
+             "cable_00/P_interpolated.ply: point cloud contains non-finite values"),
+            ("eval", "cable_00/P_dense.ply", ply_text("1 2 3", "0 nan 0"),
+             "cable_00/P_dense.ply: point cloud contains non-finite values"),
+            ("eval", "cable_00/P_dense.ply", ply_text("1 2 3", "inf 0 0"),
+             "cable_00/P_dense.ply: point cloud contains non-finite values"),
             ("plot", "manifest.json", manifest_text(directory="../run/cable_00"),
              "manifest.json cable 0 directory must be one path component, not '../run/cable_00'"),
             ("eval", "manifest.json", manifest_text(directory="../run/cable_00"),
@@ -540,7 +559,9 @@ class TestCleanErrors:
              "eval_list_spline", "eval_list_sampling_count", "eval_text_vertex_count",
              "eval_text_timing", "eval_nan_timing", "eval_inf_timing", "eval_negative_timing",
              "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
-             "plot_sorted_header_only", "plot_directory_outside_the_run",
+             "plot_sorted_header_only", "plot_nan_sorted_coordinate", "plot_inf_sorted_coordinate",
+             "eval_nan_interpolated_point", "eval_inf_interpolated_point",
+             "eval_nan_dense_point", "eval_inf_dense_point", "plot_directory_outside_the_run",
              "eval_directory_outside_the_run", "plot_directory_with_nul", "plot_two_number_plane",
              "eval_empty_color", "eval_text_color", "plot_zero_normal_plane",
              "eval_spline_key_outside_the_cable", "eval_absolute_artifact",
@@ -600,12 +621,12 @@ class TestFailureManifest:
             assert cli.main(command) == pipeline.EXIT_ERROR
             assert "the run failed (EmptyInputError)" in capsys.readouterr().err
 
-    def test_exhausted_probe_budget_leaves_a_manifest(self, tmp_path, scenario_files, capsys):
-        params = tmp_path / "params.yaml"
-        params.write_text("probe_budget: 20\n")
+    def test_exhausted_probe_budget_leaves_a_manifest(
+        self, tmp_path, scenario_files, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(explore, "PROBE_BUDGET", 20)
         out = tmp_path / "out"
-        scenario = str(scenario_files["cs1_occluded"])
-        code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
+        code = cli.main(["run", str(scenario_files["cs1_occluded"]), "--out", str(out)])
         assert code == pipeline.EXIT_BUDGET
         err = capsys.readouterr().err
         assert err == "error: probe budget exhausted: all 20 probes used\n"
@@ -613,7 +634,6 @@ class TestFailureManifest:
         assert manifest["exit_status"] == pipeline.EXIT_BUDGET
         assert manifest["failure"]["cable"] == "cable_00"
         assert manifest["failure"]["error"] == "ProbeBudgetError"
-        assert manifest["params"]["probe_budget"] == 20
         assert manifest["cables"] == []
         assert any(rel.startswith("cable_00/") for rel in manifest["artifacts"])
 
@@ -690,21 +710,20 @@ class TestFailureManifest:
         assert manifest["exit_status"] == pipeline.EXIT_ERROR
         assert manifest["failure"] == {"cable": None, "error": "MemoryError", "message": message}
 
-    def test_no_kept_cluster_leaves_a_manifest(self, tmp_path, scenario_files, capsys):
-        # every pixel cluster is smaller than min_cluster_size, so no cable is left
-        params = tmp_path / "params.yaml"
-        params.write_text("min_cluster_size: 100000\n")
+    def test_no_kept_cluster_leaves_a_manifest(
+        self, tmp_path, scenario_files, capsys, monkeypatch
+    ):
+        # every pixel cluster is smaller than MIN_CLUSTER_SIZE, so no cable is left
+        monkeypatch.setattr(imgproc, "MIN_CLUSTER_SIZE", 100000)
         out = tmp_path / "out"
-        scenario = str(scenario_files["cs1_plain"])
-        code = cli.main(["run", scenario, "--out", str(out), "--params", str(params)])
+        code = cli.main(["run", str(scenario_files["cs1_plain"]), "--out", str(out)])
         assert code == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: no pixel cluster") and err.count("\n") == 1
+        assert err == "error: no pixel cluster reaches MIN_CLUSTER_SIZE pixels\n"
         manifest = certified_files(out)
         assert manifest["exit_status"] == pipeline.EXIT_ERROR
         assert manifest["failure"]["cable"] is None
         assert manifest["failure"]["error"] == "EmptyInputError"
-        assert manifest["params"]["min_cluster_size"] == 100000
         assert manifest["cables"] == []
 
     def test_successful_run_has_no_failure_record(self, tmp_path, scenario_files):

@@ -38,7 +38,7 @@ def descend_every_step(
     pos = target_on_plane + explore.HOVER_HEIGHT * normal
     while True:
         pose = Pose(rotation.copy(), pos.copy())
-        if len(trace) >= params.probe_budget:
+        if len(trace) >= explore.PROBE_BUDGET:
             raise ProbeBudgetError("probe budget exhausted during exploration")
         pressures = probe_fn(pose)
         touched = (pressures > explore.EPS_CONTACT).any()

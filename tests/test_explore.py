@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cablerecon import pipeline, scenarios
+from cablerecon import explore, pipeline, scenarios
 from cablerecon.errors import ProbeBudgetError
 from cablerecon.explore import (
     EPS_CONTACT,
@@ -164,12 +164,12 @@ class TestExploration:
         assert len(touches) == 2 * params.max_rotation_attempts
         assert all(not r["accepted"] for r in touches)
 
-    def test_probe_budget_enforced(self):
+    def test_probe_budget_enforced(self, monkeypatch):
         scene, poly, _ = gap_fixture()
-        params = ReconParams(probe_budget=5)
-        with pytest.raises(ProbeBudgetError):
+        monkeypatch.setattr(explore, "PROBE_BUDGET", 10)
+        with pytest.raises(ProbeBudgetError, match="all 10 probes used"):
             explore_from_endpoints(
-                poly, PLANE, partial(probe, scene), params, top=TOP
+                poly, PLANE, partial(probe, scene), ReconParams(), top=TOP
             )
 
     def test_trace_csv_written(self, tmp_path):
@@ -233,14 +233,12 @@ class TestTouch:
         heights = [PLANE.signed_distance(pose.translation)[0] for pose in calls]
         assert np.allclose(np.diff(heights), -params.delta_z)
 
-    @pytest.mark.parametrize(
-        "budget, steps, refused",
-        [(20, 9999.5, False), (20, 10000.5, True), (20000, 10000.5, False), (20000, 20000.5, True)],
-    )
-    def test_in_air_steps_past_the_larger_budget_are_refused(self, budget, steps, refused):
+    @pytest.mark.parametrize("steps, refused", [(9999.5, False), (10000.5, True)])
+    def test_in_air_steps_past_the_budget_are_refused(self, steps, refused):
         # down to top = 0 the in-air steps number HOVER_HEIGHT / delta_z; they
-        # cost no budget, and the larger of the budget and its default bounds them
-        params = ReconParams(probe_budget=budget, delta_z=HOVER_HEIGHT / steps)
+        # cost no budget, and PROBE_BUDGET bounds them
+        assert explore.PROBE_BUDGET == 10000
+        params = ReconParams(delta_z=HOVER_HEIGHT / steps)
         touch = np.ones((6, 2))
         if refused:
             with pytest.raises(ProbeBudgetError, match="unprobed steps"):
@@ -321,10 +319,11 @@ def trace_rows(run_dir, cable):
 class TestProbeBudgetBoundary:
     """The trace row count is the probe count, and the budget caps it."""
 
-    def _run_with_budget(self, scenario, out, budget):
-        params = out.parent / f"{out.name}.params.yaml"
-        params.write_text(f"probe_budget: {budget}\n")
-        return pipeline.run_pipeline(scenario, out, params_file=params)
+    @staticmethod
+    def _run_with_budget(scenario, out, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explore, "PROBE_BUDGET", budget)
+            return pipeline.run_pipeline(scenario, out)
 
     def test_budget_of_exactly_the_probes_used_changes_no_artifact(
         self, template_runs, scenario_files, tmp_path
@@ -348,18 +347,22 @@ class TestProbeBudgetBoundary:
         assert manifest["failure"]["error"] == "ProbeBudgetError"
         assert manifest["failure"]["cable"] == cable["directory"]
 
-    def test_the_budget_caps_each_cable_not_the_run(self, tmp_path):
-        # each cable's walk starts its own trace: 8 + 9 probes fit a budget of 9
+    def test_the_budget_caps_each_cable_not_the_run(self, tmp_path, monkeypatch):
+        # each cable's walk starts its own trace: 8 + 9 probes fit a budget of 10
+        # (not 9: the 9.3 unprobed delta_z steps above the cable top outnumber it)
         path = tmp_path / "cs2_occluded.yaml"
         scenarios.save_scenario(path, scenarios.make_template("cs2_occluded", seed=1))
         default = pipeline.run_pipeline(path, tmp_path / "default")
         assert [c["probes_used"] for c in default.manifest["cables"]] == [8, 9]
         assert default.exit_status == pipeline.EXIT_COMPLETE
-        nine = self._run_with_budget(path, tmp_path / "nine", 9)
-        assert nine.exit_status == pipeline.EXIT_COMPLETE
-        assert nine.manifest["artifacts"] == default.manifest["artifacts"]
+        ten = self._run_with_budget(path, tmp_path / "ten", 10)
+        assert ten.exit_status == pipeline.EXIT_COMPLETE
+        assert ten.manifest["artifacts"] == default.manifest["artifacts"]
+        # two delta_z steps lower, the 7.3 unprobed steps fit a budget of 8
+        lower = explore.HOVER_HEIGHT - 2 * ReconParams().delta_z
+        monkeypatch.setattr(explore, "HOVER_HEIGHT", lower)
         out = tmp_path / "eight"
-        with pytest.raises(ProbeBudgetError):
+        with pytest.raises(ProbeBudgetError, match="all 8 probes used"):
             self._run_with_budget(path, out, 8)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["exit_status"] == pipeline.EXIT_BUDGET

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cablerecon import imgproc
 from cablerecon.errors import DegenerateGeometryError
 from cablerecon.geom import (
     RULES,
@@ -118,21 +121,22 @@ class TestReconParams:
         q = dataclasses.replace(p, delta_y=0.02)
         assert q.delta_y == 0.02 and p.delta_y == 0.01
 
-    INTS = [f.name for f in dataclasses.fields(ReconParams) if f.type == "int"]
     FLOATS = [f.name for f in dataclasses.fields(ReconParams) if f.type == "float"]
 
     def test_every_field_is_checked(self):
-        # a field of any other type would escape the checks in __post_init__
+        # __post_init__ holds every field to one rule, a float's
         names = [f.name for f in dataclasses.fields(ReconParams)]
-        assert sorted(names) == sorted(self.INTS + self.FLOATS) and len(names) == 10
-        assert {"min_cluster_size", "probe_budget"} == set(self.INTS)
-        assert {"cut_threshold", "d_m", "theta_deg"} <= set(self.FLOATS)
+        assert names == self.FLOATS
 
-    @pytest.mark.parametrize("value", [0, -2, 2.5, 24.0, True, "3", None, np.nan])
-    def test_int_fields_take_positive_integers_only(self, value):
-        for name in self.INTS:
-            with pytest.raises(ValueError, match=name):
-                ReconParams(**{name: value})
+    def test_the_fields_are_the_seven_published_values(self):
+        names = {f.name for f in dataclasses.fields(ReconParams)}
+        assert names == {"d_min", "d_m", "t_p", "t_h", "delta_y", "delta_z", "theta_deg"}
+
+    def test_imgproc_reads_no_run_parameter(self):
+        tree = ast.parse(Path(imgproc.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "ReconParams" not in imported
 
     @pytest.mark.parametrize(
         "value", [0, 0.0, -1.0, np.nan, np.inf, 10**400, True, "abc", None, [1.0]]
@@ -143,9 +147,9 @@ class TestReconParams:
                 ReconParams(**{name: value})
 
     def test_numpy_scalars_pass_and_are_stored_as_python_numbers(self):
-        p = ReconParams(min_cluster_size=np.int64(12), cut_threshold=np.float32(40.0), d_min=7)
-        assert p.min_cluster_size == 12 and type(p.min_cluster_size) is int
-        assert p.cut_threshold == 40.0 and type(p.cut_threshold) is float
+        p = ReconParams(d_m=np.int64(2), delta_y=np.float32(0.5), d_min=7)
+        assert p.d_m == 2.0 and type(p.d_m) is float
+        assert p.delta_y == 0.5 and type(p.delta_y) is float
         assert p.d_min == 7.0 and type(p.d_min) is float
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from cablerecon import imgproc
 from cablerecon.errors import EmptyInputError, InsufficientDepthError
-from cablerecon.geom import Pose, ReconParams, rotation_about_axis
+from cablerecon.geom import Pose, rotation_about_axis
 from cablerecon.imgproc import (
     CameraIntrinsics,
     ImageGrid,
@@ -98,6 +99,14 @@ def brute_force_clusters(features, min_cluster_size, cut_threshold):
     return sorted(frozenset(g) for g in kept)
 
 
+def cluster_with(mask_img, color_img, min_cluster_size, cut_threshold=imgproc.CUT_THRESHOLD):
+    """cluster_pixels with the module's core size and cut set to these for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imgproc, "MIN_CLUSTER_SIZE", min_cluster_size)
+        mp.setattr(imgproc, "CUT_THRESHOLD", cut_threshold)
+        return cluster_pixels(mask_img, color_img)
+
+
 def clustered(out):
     """Every (row, col) that lies in some cluster of `out`."""
     return {(int(r), int(c)) for cluster in out.clusters for r, c in cluster.pixels}
@@ -111,7 +120,7 @@ class TestClusterPixels:
     def test_single_uniform_blob_is_one_cluster(self):
         mask = np.zeros((30, 30), dtype=bool)
         mask[10:20, 5:25] = True
-        out = cluster_pixels(grid(mask), color_like(mask), ReconParams(min_cluster_size=10))
+        out = cluster_with(grid(mask), color_like(mask), 10)
         assert len(out.clusters) == 1
         assert clustered(out) == foreground(mask)
 
@@ -122,7 +131,7 @@ class TestClusterPixels:
         color = np.zeros((40, 40, 3))
         color[5:12] = (25, 25, 28)     # black cable
         color[28:35] = (40, 80, 200)   # blue cable
-        out = cluster_pixels(grid(mask), ImageGrid(color), ReconParams(min_cluster_size=10))
+        out = cluster_with(grid(mask), ImageGrid(color), 10)
         assert len(out.clusters) == 2
         # sorted by mean color: black first
         assert out.clusters[0].mean_color[2] < out.clusters[1].mean_color[2]
@@ -135,20 +144,20 @@ class TestClusterPixels:
         mask = np.zeros((50, 50), dtype=bool)
         for r, c in [(5, 5), (25, 40), (45, 10)]:
             mask[r, c] = True
-        out = cluster_pixels(grid(mask), color_like(mask), ReconParams(min_cluster_size=10))
+        out = cluster_with(grid(mask), color_like(mask), 10)
         assert len(out.clusters) == 0
         assert not clustered(out) & foreground(mask)
 
     def test_empty_mask_raises(self):
         mask = np.zeros((8, 8), dtype=bool)
         with pytest.raises(EmptyInputError):
-            cluster_pixels(grid(mask), color_like(mask), ReconParams())
+            cluster_pixels(grid(mask), color_like(mask))
 
     def test_clusters_disjoint_and_within_foreground(self):
         mask = np.zeros((30, 30), dtype=bool)
         mask[2:8, 2:28] = True
         mask[20:26, 2:28] = True
-        out = cluster_pixels(grid(mask), color_like(mask), ReconParams(min_cluster_size=5))
+        out = cluster_with(grid(mask), color_like(mask), 5)
         seen = set()
         for cluster in out.clusters:
             for r, c in cluster.pixels:
@@ -176,11 +185,7 @@ class TestClusterPixels:
     @staticmethod
     def clusters_and_oracle(mask, color, min_cluster_size, cut_threshold):
         """cluster_pixels' clusters and the brute-force MST cut's, as index sets."""
-        out = cluster_pixels(
-            grid(mask),
-            ImageGrid(color),
-            ReconParams(min_cluster_size=min_cluster_size, cut_threshold=cut_threshold),
-        )
+        out = cluster_with(grid(mask), ImageGrid(color), min_cluster_size, cut_threshold)
         rows, cols = np.nonzero(mask)
         feats = np.column_stack([0.5 * rows, 0.5 * cols, rgb_to_lab(color[rows, cols])])
         index_of = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
