@@ -8,11 +8,12 @@ the touch (a taxel above EPS_CONTACT) and the contact point. A descent
 keeps its delta_z height lattice from HOVER_HEIGHT but probes only at or
 below `top`, the tallest surface the pad can meet (2r of the thickest
 cable) plus the fitted plane's fit error: higher up a probe reads no
-pressure, so it is not made. Cable contacts extend the walk and re-aim the
-frame; flat contacts rotate the frame about the plane normal to try
-another direction. A walk closes when it comes within d_min of another
-endpoint or exhausts a full turn of 360 / theta_deg rotations (a true
-cable end). The pad's geometry (PAD_SHAPE, PAD_PITCH, TAXELS) lives here,
+pressure, so it is not made. Where `top` is above HOVER_HEIGHT, the
+lattice starts as many whole steps higher as reach `top`. Cable contacts
+extend the walk and re-aim the frame; flat contacts rotate the frame about
+the plane normal to try another direction. A walk closes when it comes
+within d_min of another endpoint or exhausts a full turn of 360 / theta_deg
+rotations (a true cable end). The pad's geometry (PAD_SHAPE, PAD_PITCH, TAXELS) lives here,
 with the walk that reads it; the simulated probe imports it.
 
 Every probe logs exactly one trace row, so the trace is the probe count:
@@ -29,7 +30,7 @@ import numpy as np
 
 from .cloudproc import PlaneModel, project_to_plane
 from .errors import DescentOverrunError, ProbeBudgetError
-from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis
+from .geom import Pose, ReconParams, frame_from_y_z, rotation_about_axis, vector_norm
 from .topology import SortedPolyline
 
 PAD_SHAPE = (6, 2)  # taxel rows along end-effector x, columns along y
@@ -58,6 +59,9 @@ def _taxel_centers() -> np.ndarray:
 # (12, 3) read-only taxel centers in the pad frame, row-major over PAD_SHAPE, face at z = 0;
 # the long side lies along end-effector x
 TAXELS = _taxel_centers()
+# the rows and columns of the 6x2 map that its 8x4 edge-replicated padding reads
+_PAD_ROWS = np.clip(np.arange(-1, PAD_SHAPE[0] + 1), 0, PAD_SHAPE[0] - 1)[:, None]
+_PAD_COLS = np.clip(np.arange(-1, PAD_SHAPE[1] + 1), 0, PAD_SHAPE[1] - 1)
 
 
 def indicator(pressures: np.ndarray) -> float:
@@ -71,7 +75,7 @@ def indicator(pressures: np.ndarray) -> float:
     p = np.asarray(pressures, dtype=float)
     if p.shape != PAD_SHAPE:
         raise ValueError("indicator expects a 6x2 map")
-    padded = np.pad(p, 1, mode="edge")
+    padded = p[_PAD_ROWS, _PAD_COLS]
     h2 = PAD_PITCH * PAD_PITCH
     center = padded[1:-1, 1:-1]
     hxx = (padded[2:, 1:-1] - 2.0 * center + padded[:-2, 1:-1]) / h2
@@ -120,7 +124,7 @@ def _log(trace: list[dict], endpoint_id: int, pose: Pose, ind=None, p_new=None) 
     values = pose.rotation.ravel().tolist() + pose.translation.tolist()
     pose_text = (_POSE_FORMAT % tuple(values)).split(",")
     ind_text = "" if ind is None else _fmt(ind)
-    point = ["", "", ""] if p_new is None else [_fmt(x) for x in p_new]
+    point = ["", "", ""] if p_new is None else [_fmt(x) for x in p_new.tolist()]
     touch = [int(ind is not None), ind_text, int(p_new is not None), *point]
     row = [len(trace), endpoint_id, *pose_text, *touch]
     trace.append(dict(zip(TRACE_COLUMNS, row, strict=True)))
@@ -139,26 +143,31 @@ def _descend(
     """Lower the pad along -normal in delta_z steps until a taxel reads
     above EPS_CONTACT; return that pose and its pressures.
 
-    The steps start HOVER_HEIGHT above the target, but the pad face is
-    only probed (logging a trace row) once it is at most `top` above the
-    fitted plane. `top` already holds the fitted plane's own error, so no
+    The steps start HOVER_HEIGHT above the target, or as many whole
+    steps above it as reach `top`, but the pad face is only probed
+    (logging a trace row) once it is at most `top` above the fitted
+    plane. `top` already holds the fitted plane's own error, so no
     surface is higher and a higher probe reads exactly 0 pressure without
     noise (with noise it could only be a false touch). The touching probe
     is logged by the caller. The unprobed steps cost no budget; a step so
-    fine that they outnumber PROBE_BUDGET is ProbeBudgetError before any
-    step, since nothing else bounds them.
+    fine that they outnumber PROBE_BUDGET, up or down, is ProbeBudgetError
+    before any step, since nothing else bounds them.
     """
-    if (HOVER_HEIGHT - top) / params.delta_z > PROBE_BUDGET:
+    if abs(HOVER_HEIGHT - top) / params.delta_z > PROBE_BUDGET:
         raise ProbeBudgetError(
             f"delta_z {params.delta_z:g} m takes more than {PROBE_BUDGET} unprobed steps "
-            f"from {HOVER_HEIGHT:g} m down to {top:.6g} m"
+            f"from {HOVER_HEIGHT:g} m to {top:.6g} m"
         )
     normal = plane.normal
     pos = target_on_plane + HOVER_HEIGHT * normal
     height = float(plane.signed_distance(pos)[0])
+    # the unprobed steps on Python floats: per coordinate, the roundings of pos -/+ delta_z * normal
+    (x, y, z), (dx, dy, dz) = pos.tolist(), (params.delta_z * normal).tolist()
+    while height < top:  # a cable taller than HOVER_HEIGHT: the lattice starts above it
+        x, y, z, height = x + dx, y + dy, z + dz, height + params.delta_z
     while height > top:
-        pos = pos - params.delta_z * normal
-        height -= params.delta_z
+        x, y, z, height = x - dx, y - dy, z - dz, height - params.delta_z
+    pos = np.array([x, y, z])
     while True:
         pose = Pose(rotation, pos)
         if len(trace) >= PROBE_BUDGET:
@@ -205,7 +214,7 @@ def explore_from_endpoints(
     for eid, (last, heading) in enumerate(zip(ends, ends - poly.neighbors)):
         if eid in visited:
             continue
-        if np.linalg.norm(heading) < 1e-12:  # a singleton segment has no direction
+        if vector_norm(heading) < 1e-12:  # a singleton segment has no direction
             continue
         rotation = frame_from_y_z(heading, plane.normal)
         attempts = 0
@@ -214,7 +223,8 @@ def explore_from_endpoints(
             pose, pressures = _descend(probe_fn, rotation, target, plane, params, trace, eid, top)
             ind = indicator(pressures)
             p_new = _centroid(pressures, pose, plane) if ind > params.t_h else None
-            if p_new is not None and np.linalg.norm(p_new - last) < 1e-12:
+            advance = None if p_new is None else p_new - last
+            if advance is not None and vector_norm(advance) < 1e-12:
                 p_new = None  # no advance
             _log(trace, eid, pose, ind, p_new)
             if p_new is None:  # flat, or no advance: turn and retry from the same point
@@ -222,15 +232,16 @@ def explore_from_endpoints(
                 rotation = rotation @ r_step
                 continue
             tactile.append(p_new)
+            off = p_new - ends
             reached = [
                 oid
-                for oid, pos in enumerate(ends)
-                if oid != eid and np.linalg.norm(p_new - pos) < params.d_min
+                for oid in (np.sqrt(np.vecdot(off, off)) < params.d_min).nonzero()[0].tolist()
+                if oid != eid
             ]
             if reached:
                 visited.update(reached)
                 break
-            rotation = frame_from_y_z(p_new - last, plane.normal)
+            rotation = frame_from_y_z(advance, plane.normal)
             last = p_new
             attempts = 0
         else:  # a full turn without progress: a true cable end

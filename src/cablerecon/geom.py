@@ -19,13 +19,23 @@ import numpy as np
 from .errors import DegenerateGeometryError
 
 UNIT_TOL = 1e-9
+_COS_1_DEG = np.cos(np.radians(1.0))  # frame_from_y_z's least angle between y and z
+_EYE = np.eye(3)
+_EYE_RTOL = 1e-5 * _EYE  # np.allclose's default rtol times |eye|
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D float array, bit for bit, without its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    v = np.asarray(v, dtype=float)
+    n = vector_norm(v)
     if n < UNIT_TOL:
         raise DegenerateGeometryError("cannot normalize a near-zero vector")
-    return np.asarray(v, dtype=float) / n
+    return v / n
 
 
 def is_rotation(mat: np.ndarray, tol: float = UNIT_TOL) -> bool:
@@ -34,8 +44,7 @@ def is_rotation(mat: np.ndarray, tol: float = UNIT_TOL) -> bool:
     if mat.shape != (3, 3):
         return False
     # np.allclose(mat.T @ mat, eye, atol=tol) with its default rtol, less its overhead
-    eye = np.eye(3)
-    if not (np.abs(mat.T @ mat - eye) <= tol + 1e-5 * eye).all():
+    if not (np.abs(mat.T @ mat - _EYE) <= tol + _EYE_RTOL).all():
         return False
     return abs(np.linalg.det(mat) - 1.0) <= tol
 
@@ -89,18 +98,19 @@ def frame_from_y_z(y_dir: np.ndarray, z_dir: np.ndarray) -> np.ndarray:
     """
     z = normalize(z_dir)
     y_raw = np.asarray(y_dir, dtype=float)
-    y_norm = np.linalg.norm(y_raw)
+    y_norm = vector_norm(y_raw)
     if y_norm < UNIT_TOL:
         raise DegenerateGeometryError("y direction is near zero")
-    cos_angle = abs(float(np.dot(y_raw / y_norm, z)))
-    if cos_angle > np.cos(np.radians(1.0)):
+    cos_angle = abs(float((y_raw / y_norm).dot(z)))
+    if cos_angle > _COS_1_DEG:
         raise DegenerateGeometryError(
             "y and z directions are within 1 degree of parallel"
         )
-    y = y_raw - np.dot(y_raw, z) * z
-    y = y / np.linalg.norm(y)
-    x = np.cross(y, z)
-    return np.column_stack([x, y, z])
+    y = y_raw - y_raw.dot(z) * z
+    (y0, y1, y2), (z0, z1, z2) = (y / vector_norm(y)).tolist(), z.tolist()
+    # x = y cross z, each component rounded as np.cross rounds it
+    x0, x1, x2 = y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0
+    return np.array([[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]])
 
 
 def _finite(value, kind=numbers.Real) -> bool:

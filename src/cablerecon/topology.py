@@ -62,43 +62,43 @@ def _grow(
 ) -> None:
     """Extend `order` forward in place until no candidate survives.
 
-    Each step scores all free points at once; `np.vecdot` runs the BLAS dot
-    of a one-point `np.linalg.norm`/`np.dot` per row, so the values match
-    bit for bit. The pick is least deviation, then least distance (both to
-    1e-9), then the first index.
+    Each step measures the tail's distance to every point at once, then
+    scores the free points within r_search against the running direction,
+    the last step over its length. `np.vecdot` runs the BLAS dot of a
+    one-point `np.linalg.norm`/`np.dot` per row, so the values match bit for
+    bit. The pick is made in Python on those same floats: among the
+    candidates within NEAREST_WINDOW of the nearest, least deviation, then
+    least distance (both to 1e-9), then the first index.
     """
+    step, norm = None, 0.0
+    if len(order) >= 2:
+        step = uv[order[-1]] - uv[order[-2]]
+        norm = np.sqrt(step.dot(step))
     while True:
-        idx = np.flatnonzero(free)
-        if idx.size == 0:
-            return
-        tail = uv[order[-1]]
-        direction = None
-        if len(order) >= 2:
-            step = tail - uv[order[-2]]
-            norm = np.sqrt(step.dot(step))
-            if norm > 1e-15:
-                direction = step / norm
-
-        off = uv[idx] - tail
+        direction = step / norm if norm > 1e-15 else None
+        off = uv - uv[order[-1]]
         dist = np.sqrt(np.vecdot(off, off))
-        keep = ~((dist > r_search) | (dist < 1e-15))
-        idx, off, dist = idx[keep], off[keep], dist[keep]
-        if direction is None:
-            dev = np.zeros(len(idx))
-        else:
-            cos_dev = np.vecdot(off / dist[:, None], direction)
-            keep = ~(cos_dev < cos_min)
-            # -cos grows with angular deviation
-            idx, dist, dev = idx[keep], dist[keep], -cos_dev[keep]
-        if idx.size == 0:
+        near = (free & (dist <= r_search) & (dist >= 1e-15)).nonzero()[0]
+        if near.size == 0:
             return
-        keep = dist <= NEAREST_WINDOW * dist.min()
-        idx, dist, dev = idx[keep], dist[keep], dev[keep]
-        keep = dev <= dev.min() + TIE_TOL
-        idx, dist = idx[keep], dist[keep]
-        chosen = int(idx[dist <= dist.min() + TIE_TOL][0])
+        # (distance, deviation, index) per candidate; -cos grows with angular deviation
+        near_dist = dist[near]
+        cands = zip(near_dist.tolist(), [0.0] * near.size, near.tolist())
+        if direction is not None:
+            cos_dev = np.vecdot(off[near] / near_dist[:, None], direction).tolist()
+            cands = [(d, -c, i) for (d, _, i), c in zip(cands, cos_dev) if not c < cos_min]
+        cands = list(cands)
+        if not cands:
+            return
+        window = NEAREST_WINDOW * min(c[0] for c in cands)
+        cands = [c for c in cands if c[0] <= window]
+        least_dev = min(c[1] for c in cands) + TIE_TOL
+        cands = [c for c in cands if c[1] <= least_dev]
+        least_dist = min(c[0] for c in cands) + TIE_TOL
+        chosen = next(i for d, _, i in cands if d <= least_dist)
         order.append(chosen)
         free[chosen] = False
+        step, norm = off[chosen], dist[chosen]  # the next step's direction, from this one
 
 
 def _stitch_crossings(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,28 +28,30 @@ BAND_PIXELS = 1 << 16    # render works on bands of whole rows holding about thi
 
 SHELF_COLOR = np.array([185.0, 170.0, 150.0])
 OCCLUDER_COLOR = np.array([90.0, 90.0, 95.0])
+_SEGMENT_OFFSETS = np.array([[-1], [0]])  # a nearest sample's two segments start here
 
 
-def _point_to_polyline(queries: np.ndarray, samples: np.ndarray, tree: cKDTree) -> np.ndarray:
-    """Distance from each query to the polyline through `samples`.
+def _point_to_polyline(queries: np.ndarray, samples: np.ndarray, tree: cKDTree, bound=np.inf):
+    """Distance from each query to the polyline through `samples`, in 2D or 3D;
+    inf for a query whose nearest sample is `bound` or more away.
 
-    Uses the nearest sample then exact point-to-segment distance on its two
-    adjacent segments; works for 2D and 3D.
+    The two segments next to each query's nearest sample (starting at its
+    index - 1 and at its index, bounded to the polyline) are measured in one
+    (2, n) pass: the foot on each has its parameter t held to [0, 1], and 0
+    on a zero-length segment. A finite `bound` only cuts the kd-tree's
+    search short: a nearest sample found within it is the unbounded one.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
-    _, idx = tree.query(q)
-    best_d = np.full(len(q), np.inf)
-    for off in (-1, 0):
-        i0 = np.clip(idx + off, 0, len(samples) - 2)
-        a = samples[i0]
-        b = samples[i0 + 1]
-        ab = b - a
-        denom = (ab * ab).sum(axis=1)
-        t = ((q - a) * ab).sum(axis=1) / np.maximum(denom, 1e-300)
-        t = np.clip(np.where(denom > 0, t, 0.0), 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        best_d = np.minimum(best_d, np.linalg.norm(q - proj, axis=1))
-    return best_d
+    _, idx = tree.query(q, distance_upper_bound=bound)
+    i0 = np.minimum(np.maximum(idx + _SEGMENT_OFFSETS, 0), len(samples) - 2)
+    a = samples[i0]
+    ab = samples[i0 + 1] - a
+    denom = (ab * ab).sum(axis=2)
+    t = ((q - a) * ab).sum(axis=2) / np.maximum(denom, 1e-300)
+    t = np.minimum(np.maximum(np.where(denom > 0, t, 0.0), 0.0), 1.0)
+    off = q - (a + t[..., None] * ab)
+    dist = np.sqrt((off * off).sum(axis=2))
+    return np.where(idx < len(samples), np.minimum(dist[0], dist[1]), np.inf)
 
 
 @dataclass
@@ -64,7 +67,11 @@ class GroundTruthCable:
         if self.radius <= 0:
             raise ValueError("cable radius must be positive")
         self.dense_samples = sample_curve(self.centerline, DENSE_SAMPLES)
-        self._tree = cKDTree(self.dense_samples)
+
+    @cached_property
+    def _tree(self) -> cKDTree:
+        """The samples' 3D kd-tree, built by the first distance query."""
+        return cKDTree(self.dense_samples)
 
     def distance_to_centerline(self, points: np.ndarray) -> np.ndarray:
         return _point_to_polyline(points, self.dense_samples, self._tree)
@@ -73,7 +80,8 @@ class GroundTruthCable:
 @dataclass
 class WorldScene:
     """Immutable world used both to render images and to answer probes; each
-    cable's plan on the support plane and its kd-tree are built once, here."""
+    cable's plan on the support plane, its kd-tree and the probe's search
+    bound are built once, here."""
 
     support_plane: PlaneModel
     cables: list[GroundTruthCable]
@@ -94,7 +102,9 @@ class WorldScene:
         )
         if cam_height <= 0:
             raise InvalidViewError("camera is on or behind the support plane")
-        self._plans = []  # (plan, its kd-tree) per cable
+        # (plan, its kd-tree, the probe's search bound) per cable: a taxel within r
+        # of the plan has a sample within r + half the plan's longest segment
+        self._plans = []
         for i, cable in enumerate(self.cables):
             heights = self.support_plane.signed_distance(cable.dense_samples)
             if np.max(np.abs(heights - cable.radius)) > 1e-6:
@@ -102,7 +112,8 @@ class WorldScene:
                     f"cable {i} centerline is not one radius above the plane"
                 )
             plan = self.support_plane.to_plane_coords(cable.dense_samples)
-            self._plans.append((plan, cKDTree(plan)))
+            longest = float(np.linalg.norm(np.diff(plan, axis=0), axis=1).max())
+            self._plans.append((plan, cKDTree(plan), cable.radius + longest))
 
 
 @dataclass
@@ -317,11 +328,11 @@ def probe(scene: WorldScene, pad_pose: Pose) -> np.ndarray:
     face_height = plane.signed_distance(centers)
     penetration = -face_height
     uv = plane.to_plane_coords(centers)
-    for cable, (plan, tree) in zip(scene.cables, scene._plans):
-        rho = _point_to_polyline(uv, plan, tree)
+    for cable, (plan, tree, bound) in zip(scene.cables, scene._plans):
+        rho = _point_to_polyline(uv, plan, tree, bound)
+        surf = cable.radius + np.sqrt(np.maximum(cable.radius**2 - rho**2, 0.0))
         under = rho <= cable.radius
-        surf = cable.radius + np.sqrt(np.maximum(cable.radius**2 - rho[under] ** 2, 0.0))
-        penetration[under] = np.maximum(penetration[under], surf - face_height[under])
+        np.copyto(penetration, np.maximum(penetration, surf - face_height), where=under)
 
     pressures = PRESSURE_GAIN * np.maximum(penetration, 0.0)
     if scene.pressure_noise_sigma > 0:

@@ -171,3 +171,38 @@ def test_without_the_fit_error_a_low_fitted_plane_skips_the_first_touch():
     (pose, _, _), (want_pose, _, _) = first_touches(-0.7e-3, 0.7e-3, 2 * RADIUS)
     lowered = want_pose.translation - ReconParams().delta_z * np.array([0.0, 0.0, 1.0])
     assert pose.translation == pytest.approx(lowered, abs=1e-12)
+
+
+def test_a_descent_over_a_15_mm_cable_starts_at_its_top(tmp_path):
+    # top (30 mm plus the fit error) is above HOVER_HEIGHT (20 mm): each
+    # descent's lattice is extended upward, so none first touches inside
+    # the tube. Probing from HOVER_HEIGHT, every descent here first touched
+    # 10 mm under the cable's top and read pressures up to 10
+    doc = scenarios.make_template("cs1_occluded", seed=SEED)
+    for cable in doc["cables"]:
+        cable["radius"] = 0.015
+    path = tmp_path / "thick.yaml"
+    scenarios.save_scenario(path, doc)
+    planes = []
+    ransac_plane = cloudproc.ransac_plane
+
+    def recording_ransac_plane(*args, **kwargs):
+        planes.append(ransac_plane(*args, **kwargs))
+        return planes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cloudproc, "ransac_plane", recording_ransac_plane)
+        result = pipeline.run_pipeline(path, tmp_path / "run")
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    [plane] = planes
+    top = 2 * 0.015 + plane.fit_error
+    lowest = top - ReconParams().delta_z - plane.fit_error
+    touches = 0
+    for cable in result.manifest["cables"]:
+        rows = read_trace(result.out_dir / cable["directory"] / TRACE)
+        faces = height(plane, rows)
+        assert faces.max() <= top
+        touched = [face for row, face in zip(rows, faces) if row["touched"] == "1"]
+        assert min(touched) >= lowest
+        touches += len(touched)
+    assert touches >= 20

@@ -53,7 +53,30 @@ def stencil_oracle(p, pitch):
     return float(np.sqrt(total))
 
 
+def padded_indicator(pressures):
+    """`indicator` with the map padded by np.pad(mode="edge")."""
+    padded = np.pad(np.asarray(pressures, dtype=float), 1, mode="edge")
+    h2 = PAD_PITCH * PAD_PITCH
+    center = padded[1:-1, 1:-1]
+    hxx = (padded[2:, 1:-1] - 2.0 * center + padded[:-2, 1:-1]) / h2
+    hyy = (padded[1:-1, 2:] - 2.0 * center + padded[1:-1, :-2]) / h2
+    hxy = (padded[2:, 2:] - padded[2:, :-2] - padded[:-2, 2:] + padded[:-2, :-2]) / (4.0 * h2)
+    return float(np.linalg.norm(np.sqrt(hxx**2 + 2.0 * hxy**2 + hyy**2)))
+
+
 class TestIndicator:
+    def test_bytes_equal_the_np_pad_formulation(self, rng):
+        maps = [rng.uniform(0, 3, (6, 2)) for _ in range(200)]
+        maps += [rng.exponential(size=(6, 2)) * (rng.uniform(size=(6, 2)) < 0.3) for _ in range(200)]
+        maps += [np.zeros((6, 2)), np.full((6, 2), 1e300), np.arange(12.0).reshape(6, 2)]
+        for corner in [(0, 0), (0, 1), (5, 0), (5, 1), (2, 1)]:
+            peak = np.zeros((6, 2))
+            peak[corner] = 1.0
+            maps.append(peak)
+        for p in maps:
+            assert np.float64(indicator(p)).tobytes() == np.float64(padded_indicator(p)).tobytes()
+        assert indicator(maps[0].tolist()) == padded_indicator(maps[0])
+
     def test_constant_map_scores_zero(self):
         assert indicator(np.full((6, 2), 3.7)) == 0.0
 
@@ -86,6 +109,16 @@ class TestIndicator:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             indicator(np.zeros((5, 2)))
+
+
+def test_vecdot_is_bit_equal_to_the_per_endpoint_norm_in_3d():
+    # the walk measures its reach to every endpoint in one np.vecdot; the
+    # d_min stop must round like np.linalg.norm of each difference
+    rng = np.random.default_rng(8)
+    ends = rng.normal(size=(10_000, 3)) * rng.uniform(1e-3, 1.0, (10_000, 1))
+    p_new = rng.normal(size=3) * 0.01
+    off = p_new - ends
+    assert np.array_equal(np.sqrt(np.vecdot(off, off)), [np.linalg.norm(p_new - e) for e in ends])
 
 
 TOP = 2 * 0.003  # the gap fixture's cable top, the tallest surface in its scene
@@ -204,7 +237,7 @@ class TestExploration:
 class TestTouch:
     """The walk, not the probe, decides a touch: a taxel above EPS_CONTACT."""
 
-    def descend(self, maps, params):
+    def descend(self, maps, params, top=0.0):
         """Descend over `maps` in turn; (returned map, trace rows, probe calls)."""
         calls = []
 
@@ -214,7 +247,7 @@ class TestTouch:
 
         trace = []
         pose, pressures = _descend(
-            fake_probe, np.eye(3), np.zeros(3), PLANE, params, trace, 0, top=0.0
+            fake_probe, np.eye(3), np.zeros(3), PLANE, params, trace, 0, top=top
         )
         assert pose is calls[-1]
         return pressures, trace, calls
@@ -246,6 +279,26 @@ class TestTouch:
         else:
             _, rows, calls = self.descend([touch], params)
             assert len(calls) == 1 and rows == []
+
+    @pytest.mark.parametrize("steps", [0.5, 3.3, 6.9, 7.1])
+    def test_above_hover_height_the_lattice_starts_at_or_above_top(self, steps):
+        # a cable thicker than HOVER_HEIGHT / 2: the first probe is the
+        # highest step of the lattice through HOVER_HEIGHT at or below top
+        # (top off the lattice: on it, rounding decides which side it lies)
+        params = ReconParams()
+        top = HOVER_HEIGHT + steps * params.delta_z
+        air, touch = np.zeros((6, 2)), np.ones((6, 2))
+        _, rows, calls = self.descend([air, touch], params, top=top)
+        first, second = (PLANE.signed_distance(pose.translation)[0] for pose in calls)
+        assert top - params.delta_z < first <= top and len(rows) == 1
+        assert first - second == pytest.approx(params.delta_z)
+        lattice = (first - HOVER_HEIGHT) / params.delta_z
+        assert lattice == pytest.approx(round(lattice)) and round(lattice) == int(steps)
+
+    def test_unprobed_steps_up_past_the_budget_are_refused(self):
+        params = ReconParams()
+        with pytest.raises(ProbeBudgetError, match="unprobed steps"):
+            self.descend([np.ones((6, 2))], params, top=HOVER_HEIGHT + 10000.5 * params.delta_z)
 
     def test_a_taxel_just_above_eps_contact_touches_at_once(self):
         params = ReconParams()

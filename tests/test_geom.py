@@ -14,6 +14,8 @@ from cablerecon.geom import (
     checked,
     frame_from_y_z,
     is_rotation,
+    normalize,
+    vector_norm,
     read,
     rotation_about_axis,
 )
@@ -49,7 +51,61 @@ class TestRotationAboutAxis:
         assert is_rotation(rotation_about_axis(axis, angle))
 
 
+def test_vector_norm_is_bit_equal_to_np_linalg_norm(rng):
+    vectors = rng.normal(size=(5000, 3)) * rng.uniform(1e-12, 1e6, (5000, 1))
+    for v in vectors:
+        assert vector_norm(v) == np.linalg.norm(v)
+    # a strided column and a 2-vector row take the same values as norm's copy
+    for m in rng.normal(size=(200, 3, 3)):
+        assert vector_norm(m[:, 1]) == np.linalg.norm(m[:, 1])
+        assert vector_norm(m[0, :2]) == np.linalg.norm(m[0, :2])
+    assert normalize([3, 4, 0]).tolist() == [0.6, 0.8, 0.0]
+
+
+def frame_oracle(y_dir, z_dir):
+    """`frame_from_y_z` with the 1-degree cosine taken per call and x from np.cross."""
+    z = np.asarray(z_dir, dtype=float) / np.linalg.norm(z_dir)
+    y_raw = np.asarray(y_dir, dtype=float)
+    y_norm = np.linalg.norm(y_raw)
+    if y_norm < 1e-9:
+        raise DegenerateGeometryError("y direction is near zero")
+    if abs(float(np.dot(y_raw / y_norm, z))) > np.cos(np.radians(1.0)):
+        raise DegenerateGeometryError("y and z directions are within 1 degree of parallel")
+    y = y_raw - np.dot(y_raw, z) * z
+    y = y / np.linalg.norm(y)
+    return np.column_stack([np.cross(y, z), y, z])
+
+
+def frame_or_error(frame_fn, y, z):
+    try:
+        return frame_fn(y, z).tobytes()
+    except DegenerateGeometryError:
+        return "degenerate"
+
+
 class TestFrameFromYZ:
+    def test_bytes_equal_the_np_cross_formulation(self, rng):
+        pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(500)]
+        pairs += [(rng.normal(size=3) * 1e-6, rng.normal(size=3) * 1e6) for _ in range(50)]
+        pairs += [(np.array([0.0, 1.0, 0.0]), Z), (np.array([1.0, 1.0, 0.0]), Z), ([0.3, -1, 0], [0, 0, 2])]
+        for y, z in pairs:
+            assert frame_or_error(frame_from_y_z, y, z) == frame_or_error(frame_oracle, y, z)
+        frame = frame_from_y_z(*pairs[0])
+        assert frame.flags.c_contiguous and frame.dtype == np.float64
+
+    @pytest.mark.parametrize("axis", [Z, np.array([0.6, 0.0, 0.8]), np.array([0.0, -1.0, 0.0])])
+    def test_y_and_z_exactly_one_degree_apart(self, axis):
+        # rotations of z by 1 degree and by the neighbouring floats of 1
+        # degree: each side of the bound rounds alike in both formulations
+        outcomes = set()
+        for angle in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.0 - 1e-9):
+            turn = rotation_about_axis(normalize(np.cross(axis, [0.3, 0.5, 0.1])), angle)
+            for y in (turn @ axis, -(turn @ axis)):
+                got = frame_or_error(frame_from_y_z, y, axis)
+                assert got == frame_or_error(frame_oracle, y, axis)
+                outcomes.add(got == "degenerate")
+        assert outcomes == {True, False}
+
     def test_axis_aligned(self):
         f = frame_from_y_z(np.array([0.0, 1, 0]), Z)
         assert np.allclose(f, np.eye(3))

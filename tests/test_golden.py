@@ -12,7 +12,9 @@ seams between render bands. `cs1_occluded` at 640x480 runs the
 self-crossing and a 24-probe walk at full size.
 """
 
+import csv
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -73,6 +75,30 @@ def test_bench_scene_artifacts_match_the_golden_digest(case, tmp_path):
     assert result.exit_status == pipeline.EXIT_COMPLETE
     assert len(result.manifest["cables"]) == len(doc["cables"])
     assert artifacts_digest(result) == digest, MESSAGE
+
+
+# no bench scene draws pressure noise or logs an in-air probe: this run does
+# both, 29 probes of which 2 in the air; the digest was measured before the
+# probe and walk were rewritten to cost fewer numpy calls
+NOISY_SCENE = ("cs1_occluded", 0.02)  # 320x240, seed 1
+NOISY_DIGEST = "6de6b7a47992e4145ca30cee76303e1a1174ca2d09a0f02bed35e33b82545c3d"
+
+
+def test_a_noisy_run_matches_the_golden_digest(tmp_path):
+    template, sigma = NOISY_SCENE
+    doc = qvga_template(template, 1)
+    doc["pressure_noise_sigma"] = sigma
+    path = tmp_path / "noisy.yaml"
+    scenarios.save_scenario(path, doc)
+
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    [cable] = result.manifest["cables"]
+    trace = (result.out_dir / cable["directory"] / "trace.csv").read_text()
+    touched = [row["touched"] for row in csv.DictReader(io.StringIO(trace))]
+    assert len(touched) == cable["probes_used"] == 29 and touched.count("0") == 2
+    assert artifacts_digest(result) == NOISY_DIGEST, MESSAGE
 
 
 # The outputs are about 4.3 MB: the 8-bit color image, the depth image and

@@ -232,6 +232,109 @@ def ridge_oracle(radius, face_h):
     return PRESSURE_GAIN * np.maximum(surf - face_h, 0.0)
 
 
+def polyline_distance_oracle(queries, samples, tree):
+    """`_point_to_polyline` as a loop over the nearest sample's two segments,
+    one at a time, each index and t bounded with np.clip."""
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    _, idx = tree.query(q)
+    best_d = np.full(len(q), np.inf)
+    for off in (-1, 0):
+        i0 = np.clip(idx + off, 0, len(samples) - 2)
+        a = samples[i0]
+        b = samples[i0 + 1]
+        ab = b - a
+        denom = (ab * ab).sum(axis=1)
+        t = ((q - a) * ab).sum(axis=1) / np.maximum(denom, 1e-300)
+        t = np.clip(np.where(denom > 0, t, 0.0), 0.0, 1.0)
+        proj = a + t[:, None] * ab
+        best_d = np.minimum(best_d, np.linalg.norm(q - proj, axis=1))
+    return best_d
+
+
+class TestPointToPolyline:
+    def check(self, queries, samples):
+        tree = cKDTree(samples)
+        got = _point_to_polyline(queries, samples, tree)
+        assert got.tobytes() == polyline_distance_oracle(queries, samples, tree).tobytes()
+        return got
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bytes_equal_the_oracle_on_random_polylines(self, rng, dim):
+        for n in (2, 3, 17, 400):
+            samples = np.cumsum(rng.normal(size=(n, dim)), axis=0)
+            queries = samples[rng.integers(0, n, 50)] + rng.normal(scale=2.0, size=(50, dim))
+            self.check(queries, samples)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nearest_sample_first_or_last(self, dim):
+        samples = np.zeros((5, dim))
+        samples[:, 0] = np.arange(5.0)
+        beyond = np.zeros((4, dim))
+        beyond[:, 0] = [-2.0, -0.5, 4.5, 6.0]
+        beyond[:, 1] = [0.0, 1.0, -1.0, 0.3]
+        got = self.check(beyond, samples)
+        assert got == pytest.approx(np.hypot([2.0, 0.5, 0.5, 2.0], [0.0, 1.0, -1.0, 0.3]))
+        # a single query, not a (1, dim) array
+        assert self.check(beyond[0], samples).shape == (1,)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_length_segments(self, rng, dim):
+        # repeated samples make zero-length segments on either side of the nearest one
+        samples = np.repeat(np.cumsum(rng.normal(size=(6, dim)), axis=0), 2, axis=0)
+        self.check(samples + rng.normal(scale=0.3, size=samples.shape), samples)
+        self.check(samples, samples)
+        point = np.zeros((2, dim))
+        assert np.array_equal(self.check(np.ones(dim), point), [np.sqrt(dim)])
+
+
+    def test_a_bound_gives_inf_beyond_it_and_the_oracle_within(self, rng):
+        samples = np.cumsum(rng.normal(size=(400, 2)) * 0.01, axis=0)
+        tree = cKDTree(samples)
+        queries = samples[rng.integers(0, 400, 300)] + rng.normal(scale=0.05, size=(300, 2))
+        nearest = tree.query(queries)[0]
+        expected = polyline_distance_oracle(queries, samples, tree)
+        for bound in (0.01, 0.03, 0.1):
+            got = _point_to_polyline(queries, samples, tree, bound)
+            within = nearest < bound
+            assert 0 < within.sum() < len(queries)
+            assert got[within].tobytes() == expected[within].tobytes()
+            assert np.isinf(got[~within]).all()
+
+
+def test_a_taxel_just_inside_the_tube_between_two_samples_is_pressed():
+    # its nearest sample lies farther than r: the probe's kd-tree bound, r plus
+    # the plan's longest segment, must still find it
+    radius = 0.003
+    cable = straight_cable(radius=radius)
+    scene = make_scene([cable])
+    plan = scene._plans[0][0]
+    k = int(np.argmax(np.diff(plan[:, 0])))
+    mid = 0.5 * (plan[k, 0] + plan[k + 1, 0])
+    rho = np.nextafter(radius, 0.0)
+    taxel = TAXELS[1]  # row 0, column +2.5 mm
+    pose = face_down_pose([mid - taxel[0], rho - taxel[1], radius / 2])
+    assert np.hypot(plan[k, 0] - mid, rho) > radius
+    pressures = probe(scene, pose)
+    assert pressures.tobytes() == all_taxel_pressures(scene, pose).tobytes()
+    assert pressures[0, 1] > 0
+
+
+def test_a_scene_builds_no_3d_tree_before_the_first_distance_query(tmp_path):
+    # only evaluation measures distance to a centerline; loading and probing do not
+    path = tmp_path / "scene.yaml"
+    save_scenario(path, make_template("cs2_occluded", seed=1))
+    _, scene = load_scenario(path)
+    probe(scene, face_down_pose(scene.cables[0].dense_samples[100]))
+    assert all("_tree" not in vars(cable) for cable in scene.cables)
+    cable = scene.cables[0]
+    query = cable.dense_samples[:3] + [0.0, 0.0, 0.01]
+    got = cable.distance_to_centerline(query)
+    assert isinstance(vars(cable)["_tree"], cKDTree)
+    expected = polyline_distance_oracle(query, cable.dense_samples, cKDTree(cable.dense_samples))
+    assert got.tobytes() == expected.tobytes()
+    assert cable.distance_to_centerline(query).tobytes() == got.tobytes()
+
+
 def all_taxel_pressures(scene, pose):
     """Every taxel against every cable, with the noise draw probe uses; each
     cable's plan on the scene's plane is built here, per call."""
@@ -242,7 +345,7 @@ def all_taxel_pressures(scene, pose):
     uv = plane.to_plane_coords(centers)
     for cable in scene.cables:
         plan = plane.to_plane_coords(cable.dense_samples)
-        rho = _point_to_polyline(uv, plan, cKDTree(plan))
+        rho = polyline_distance_oracle(uv, plan, cKDTree(plan))
         under = rho <= cable.radius
         surf = cable.radius + np.sqrt(
             np.maximum(cable.radius**2 - rho[under] ** 2, 0.0)
