@@ -6,15 +6,18 @@ from cablerecon import pipeline, scenarios
 SEED = 7
 
 
-def qvga_template(name, seed):
-    """The template's scenario at 320x240: its 640x480 camera with fx, fy,
-    cx and cy halved."""
-    doc = scenarios.make_template(name, seed=seed)
+def qvga(doc):
+    """Scenario `doc` at 320x240: its 640x480 camera with fx, fy, cx and cy halved."""
     cam = doc["camera"]
     for key in ("fx", "fy", "cx", "cy"):
         cam[key] = float(cam[key]) * 0.5
     cam["width"], cam["height"] = 320, 240
     return doc
+
+
+def qvga_template(name, seed):
+    """The template's scenario at 320x240."""
+    return qvga(scenarios.make_template(name, seed=seed))
 
 
 @pytest.fixture(scope="session")
