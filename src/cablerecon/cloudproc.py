@@ -121,6 +121,8 @@ def ransac_plane(cloud: np.ndarray, orient_toward: np.ndarray, seed: int) -> Pla
                 break  # full consensus: no later hypothesis can beat it
     if best is None:
         raise DegenerateGeometryError("all RANSAC samples were collinear")
+    if best[0] < 3:  # rounding can leave a hypothesis fewer points than it was drawn through
+        raise DegenerateGeometryError(f"the best plane has a consensus of {best[0]} point(s)")
 
     inliers = pts[np.abs(pts @ best[2][:3] + best[2][3]) <= RANSAC_INLIER_TOL]
     centroid = inliers.mean(axis=0)

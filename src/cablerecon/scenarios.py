@@ -45,18 +45,30 @@ def load_scenario(path, seed: int | None = None) -> tuple[dict, WorldScene]:
     return doc, build_scene(doc, where)
 
 
+def _known(mapping: dict, keys: str, where: str) -> dict:
+    """`mapping`, or a ValueError naming its first key that is not one of `keys`."""
+    for key in mapping:
+        if key not in keys.split():
+            raise ValueError(f"{where} has unknown key {key!r}")
+    return mapping
+
+
 def build_scene(doc: dict, where: str) -> WorldScene:
     """Check and instantiate the world of a scenario document; errors begin with `where`.
 
-    Cable control points are projected onto the declared plane and lifted
-    by one radius along its normal, which pins every centerline exactly one
-    radius above the support surface.
+    Every mapping holds only the keys of its schema, so a misspelled key is
+    an error, not a default. Cable control points are projected onto the
+    declared plane and lifted by one radius along its normal, which pins
+    every centerline exactly one radius above the support surface.
     """
-    plane_doc = read(doc, "plane", where, "a mapping")
+    _known(doc, "schema_version seed plane cables occluders camera pressure_noise_sigma params",
+           where)
+    plane_doc = _known(read(doc, "plane", where, "a mapping"), "point normal", f"{where} plane")
     point = read(plane_doc, "point", f"{where} plane", "3 finite numbers")
     normal = read(plane_doc, "normal", f"{where} plane", "3 finite numbers, not all 0")
-    cam_doc = read(doc, "camera", where, "a mapping")
     cam = f"{where} camera"
+    cam_doc = _known(read(doc, "camera", where, "a mapping"),
+                     "fx fy cx cy width height position look_at up_hint", cam)
     cam_pos = read(cam_doc, "position", cam, "3 finite numbers")
     look_dir = read(cam_doc, "look_at", cam, "3 finite numbers") - cam_pos
     if np.linalg.norm(look_dir) < UNIT_TOL:
@@ -82,6 +94,7 @@ def build_scene(doc: dict, where: str) -> WorldScene:
     cables = []
     for i, cable_doc in enumerate(read(doc, "cables", where, "a list of mappings")):
         at = f"{where} cable {i}"
+        _known(cable_doc, "color radius control_points", at)
         radius = read(cable_doc, "radius", at, "a finite number > 0")
         ctrl = read(cable_doc, "control_points", at,
                     "a list of at least 4 points of 3 finite numbers")
@@ -94,11 +107,12 @@ def build_scene(doc: dict, where: str) -> WorldScene:
             )
         )
 
-    occluders = [
-        (read(box, "min", f"{where} occluder {i}", "3 finite numbers"),
-         read(box, "max", f"{where} occluder {i}", "3 finite numbers"))
-        for i, box in enumerate(read(doc, "occluders", where, "a list of mappings", []))
-    ]
+    occluders = []
+    for i, box in enumerate(read(doc, "occluders", where, "a list of mappings", [])):
+        at = f"{where} occluder {i}"
+        _known(box, "min max", at)
+        occluders.append((read(box, "min", at, "3 finite numbers"),
+                          read(box, "max", at, "3 finite numbers")))
 
     return WorldScene(
         support_plane=plane,

@@ -208,15 +208,25 @@ def save_sorted_csv(path, poly: SortedPolyline) -> None:
 
 def load_sorted_csv(path) -> SortedPolyline:
     """The sorted cloud of a `save_sorted_csv` file: one or more rows of 5
-    fields under the header, with finite coordinates, or it is a ValueError
-    naming the file."""
+    fields under the header, with finite coordinates, segment ids 0, 1, ...
+    in contiguous blocks and order indices 0, 1, ... within each block, or
+    it is a ValueError naming the file."""
     rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:] if line]
     if not rows or any(len(row) != 5 for row in rows):
         raise ValueError(f"{path}: not one or more rows of segment_id,order_index,x,y,z")
     try:
-        seg_ids = np.array([int(row[0]) for row in rows])
         pts = as_cloud([[float(v) for v in row[2:]] for row in rows])
+        ids = np.array([[int(row[0]), int(row[1])] for row in rows])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    segments = [np.nonzero(seg_ids == sid)[0] for sid in np.unique(seg_ids)]
+    # each row continues the segment of the row before it, or opens the next one at 0;
+    # a segment id below 0 would continue the (-1, -1) put before the first row
+    step = np.diff(ids, axis=0, prepend=[[-1, -1]])
+    ok = ((step[:, 0] == 0) & (step[:, 1] == 1)) | ((step[:, 0] == 1) & (ids[:, 1] == 0))
+    ok &= ids[:, 0] >= 0
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"{path}: row {k + 1} has segment_id {ids[k, 0]} and order_index "
+                         f"{ids[k, 1]}, not the next in the order save_sorted_csv writes")
+    segments = [np.nonzero(ids[:, 0] == sid)[0] for sid in np.unique(ids[:, 0])]
     return SortedPolyline(points=pts, segments=segments)

@@ -1,17 +1,12 @@
 """The ledger: every pinned run of the suite, its exit code, digest and accuracy.
 
 A row is one configuration run through `cablerecon run`: its exit code, the
-sha256 of its manifest's `artifacts` map (path -> sha256 of the file) and,
-if the run exits 0 or 2, each cable's row of `cablerecon eval` against the
-run's plain twin (the same scene without its occluders), every float
-written %.9g. `ledger.json` beside this file holds the pinned rows, and
-`test_golden.py` recomputes every one.
-
-A change that moves a row re-pins the file:
-
-    PYTHONPATH=src python tests/ledger.py
-
-then reads its `git diff` and explains each moved row in CHANGES.md.
+sha256 of its manifest's `artifacts` map and, if the run exits 0 or 2, each
+cable's `cablerecon eval` row against the same scene without occluders,
+every float written %.9g. `ledger.json` holds the pinned rows, and
+`test_golden.py` recomputes them. A change meant to move them re-pins the
+file with `PYTHONPATH=src python tests/ledger.py`, then explains each moved
+row of its `git diff` in CHANGES.md.
 """
 
 import contextlib
@@ -52,36 +47,20 @@ CONFIGS = [
 
 
 def name(cfg) -> str:
-    """The row's key, such as cs1_occluded_cross30_640x480_seed7 or
-    cs1_occluded_320x240_seed23_sigma0.01."""
-    parts = [cfg["template"]]
-    if "crossing_angle_deg" in cfg:
-        parts.append(f"cross{cfg['crossing_angle_deg']:g}")
-    parts += [cfg["size"], f"seed{cfg['seed']}"]
-    if cfg["pressure_noise_sigma"]:
-        parts.append(f"sigma{cfg['pressure_noise_sigma']:g}")
-    return "_".join(parts)
+    """The row's key: cs1_occluded_cross30_640x480_seed7, cs1_occluded_320x240_seed23_sigma0.01."""
+    cross = f"_cross{cfg['crossing_angle_deg']:g}" if "crossing_angle_deg" in cfg else ""
+    sigma = f"_sigma{cfg['pressure_noise_sigma']:g}" if cfg["pressure_noise_sigma"] else ""
+    return f"{cfg['template']}{cross}_{cfg['size']}_seed{cfg['seed']}{sigma}"
 
 
 def scenario(cfg) -> dict:
-    seed = cfg["seed"]
     if "crossing_angle_deg" in cfg:
-        doc = scenarios.make_cs1(seed, cfg["template"] == "cs1_occluded", cfg["crossing_angle_deg"])
+        doc = scenarios.make_cs1(cfg["seed"], cfg["template"] == "cs1_occluded",
+                                 cfg["crossing_angle_deg"])
     else:
-        doc = scenarios.make_template(cfg["template"], seed)
+        doc = scenarios.make_template(cfg["template"], cfg["seed"])
     doc["pressure_noise_sigma"] = cfg["pressure_noise_sigma"]
     return qvga(doc) if cfg["size"] == "320x240" else doc
-
-
-def written(value):
-    """`value` with every float written %.9g, as the ledger holds it."""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    if isinstance(value, list):
-        return [written(v) for v in value]
-    if isinstance(value, dict):
-        return {k: written(v) for k, v in value.items()}
-    return value
 
 
 def row(cfg) -> dict:
@@ -93,12 +72,12 @@ def row(cfg) -> dict:
         scenarios.save_scenario(twin, {**doc, "occluders": []})
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["run", str(scene), "--out", str(run)])
-        digest = cables = None
-        if (run / "manifest.json").exists():  # an error before the run leaves none
-            artifacts = json.loads((run / "manifest.json").read_text())["artifacts"]
-            digest = hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest()
+        artifacts = json.loads((run / "manifest.json").read_text())["artifacts"]
+        digest = hashlib.sha256(json.dumps(artifacts, sort_keys=True).encode()).hexdigest()
+        cables = None
         if code in (pipeline.EXIT_COMPLETE, pipeline.EXIT_PARTIAL):
-            cables = written(pipeline.evaluate_run(run, twin)["cables"])
+            report = json.dumps(pipeline.evaluate_run(run, twin)["cables"])
+            cables = json.loads(report, parse_float=lambda text: f"{float(text):.9g}")
     return {"config": cfg, "exit": code, "digest": digest, "cables": cables}
 
 
@@ -108,14 +87,11 @@ def rows() -> dict:
 
 def fields(value, path=""):
     """(path, value) of every number, string or null in `value`: `cables[0].coverage`."""
-    if isinstance(value, dict):
-        for key, v in value.items():
-            yield from fields(v, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            yield from fields(v, f"{path}[{i}]")
+    if isinstance(value, (dict, list)):
+        for key, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from fields(v, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}")
     else:
-        yield path, value
+        yield path.lstrip("."), value
 
 
 def moved(pinned: dict, now: dict) -> list[str]:

@@ -354,6 +354,13 @@ class TestCleanErrors:
             (lambda d: d["camera"].update(
                 up_hint=np.subtract(d["camera"]["look_at"], d["camera"]["position"]).tolist()),
              "camera up_hint"),
+            (lambda d: d.update(occluder=d.pop("occluders")), "has unknown key 'occluder'"),
+            (lambda d: d.update(pressure_noise=0.02), "has unknown key 'pressure_noise'"),
+            (lambda d: d["camera"].update(focal=600.0), "camera has unknown key 'focal'"),
+            (lambda d: d["plane"].update(origin=[0, 0, 0]), "plane has unknown key 'origin'"),
+            (lambda d: d["cables"][0].update(radious=0.005), "cable 0 has unknown key 'radious'"),
+            (lambda d: d["occluders"][0].update(centre=[0, 0, 0]),
+             "occluder 0 has unknown key 'centre'"),
         ],
         ids=[
             "short_min", "text_max", "inf_max", "no_max", "occluders_mapping", "list_radius",
@@ -363,7 +370,9 @@ class TestCleanErrors:
             "three_control_points", "short_control_point",
             "int_control_points", "zero_fx", "negative_fy", "text_seed", "fractional_seed",
             "negative_seed", "zero_normal", "short_plane_point", "look_at_position", "text_cx",
-            "nan_cy", "short_up_hint", "up_hint_along_view",
+            "nan_cy", "short_up_hint", "up_hint_along_view", "misspelled_occluders",
+            "misspelled_pressure_noise_sigma", "camera_focal", "plane_origin", "cable_radious",
+            "occluder_centre",
         ],
     )
     def test_scenario_value_out_of_range_is_one_error_line(
@@ -491,6 +500,16 @@ class TestCleanErrors:
             ("plot", "cable_00/P_sorted.csv",
              "segment_id,order_index,x,y,z\n0,0,1,2,3\n0,1,0,inf,0\n",
              "cable_00/P_sorted.csv: point cloud contains non-finite values"),
+            ("plot", "cable_00/P_sorted.csv",
+             "segment_id,order_index,x,y,z\n0,0,1,2,3\n0,5,1,2,4\n0,1,1,2,5\n0,9,1,2,6\n",
+             "cable_00/P_sorted.csv: row 2 has segment_id 0 and order_index 5, not the next"),
+            ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n0,x,1,2,3\n",
+             "cable_00/P_sorted.csv: invalid literal for int() with base 10: 'x'"),
+            ("plot", "cable_00/P_sorted.csv", "segment_id,order_index,x,y,z\n1,0,1,2,3\n",
+             "cable_00/P_sorted.csv: row 1 has segment_id 1 and order_index 0, not the next"),
+            ("plot", "cable_00/P_sorted.csv",
+             "segment_id,order_index,x,y,z\n0,0,1,2,3\n1,0,1,2,4\n0,1,1,2,5\n",
+             "cable_00/P_sorted.csv: row 3 has segment_id 0 and order_index 1, not the next"),
             ("eval", "cable_00/P_interpolated.ply", ply_text("1 2 3", "nan 0 0"),
              "cable_00/P_interpolated.ply: point cloud contains non-finite values"),
             ("eval", "cable_00/P_interpolated.ply", ply_text("1 2 3", "0 0 -inf"),
@@ -560,6 +579,8 @@ class TestCleanErrors:
              "eval_text_timing", "eval_nan_timing", "eval_inf_timing", "eval_negative_timing",
              "plot_three_field_sorted_row", "plot_text_sorted_coordinate",
              "plot_sorted_header_only", "plot_nan_sorted_coordinate", "plot_inf_sorted_coordinate",
+             "plot_skipped_order_index", "plot_text_order_index", "plot_sorted_from_segment_1",
+             "plot_segment_in_two_blocks",
              "eval_nan_interpolated_point", "eval_inf_interpolated_point",
              "eval_nan_dense_point", "eval_inf_dense_point", "plot_directory_outside_the_run",
              "eval_directory_outside_the_run", "plot_directory_with_nul", "plot_two_number_plane",

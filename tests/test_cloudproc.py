@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cablerecon import cloudproc
+from cablerecon import cloudproc, pipeline, scenarios
 from cablerecon.cloudproc import (
     PlaneModel,
     as_cloud,
@@ -88,6 +88,15 @@ class TestRansacPlane:
         assert plane.inlier_count == 300
         residual = np.abs(plane.signed_distance(noisy)).max()
         assert 1e-4 < plane.fit_error == residual
+
+    def test_a_consensus_of_fewer_than_3_points_is_degenerate(self, tmp_path):
+        # fx = 1e-300 back-projects all but the centre column of the shelf to within a few
+        # ulp of one point 1.5e9 m away; the best hypothesis through it keeps 1 point
+        doc = scenarios.make_template("cs1_occluded", seed=1)
+        doc["camera"]["fx"] = 1e-300
+        scenarios.save_scenario(tmp_path / "scene.yaml", doc)
+        with pytest.raises(DegenerateGeometryError, match="consensus of 1 point"):
+            pipeline.run_pipeline(tmp_path / "scene.yaml", tmp_path / "run")
 
     def test_normal_points_toward_reference(self, rng):
         pts = np.column_stack(

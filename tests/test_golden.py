@@ -1,14 +1,11 @@
-"""The ledger, the oracle for changes meant to keep output, and the render's memory.
+"""The oracle for changes meant to keep output, and the render's memory.
 
-`ledger.py` runs every pinned configuration end to end: the six bench
-scenes, a noisy run, criterion 8's scene at both sizes and the pressure-noise
-envelope. Among them, a small one-cable occluded scene, and the two-cable
-plain and occluded scenes at the full 640x480. The two-cable VGA scenes
-reach what the first does not: two pixel clusters, the winner between two
-cables' depth buffers, a render window spanning two cables and, on the
-occluded one, occluder footprints and a window cut by the seams between
-render bands. `cs1_occluded` at 640x480 runs the self-crossing and a
-24-probe walk at full size.
+`ledger.py` runs every pinned configuration end to end. Its two-cable VGA
+scenes reach what the one-cable 320x240 scene does not: two pixel clusters,
+the winner between two cables' depth buffers, a render window spanning two
+cables and, on the occluded one, occluder footprints and a window cut by
+the seams between render bands. `cs1_occluded` at 640x480 runs the
+self-crossing and a 24-probe walk at full size.
 """
 
 import json
@@ -17,11 +14,9 @@ import tracemalloc
 import ledger
 from cablerecon import scenarios, worldsim
 
-MESSAGE = (
-    "ledger rows moved. If the output change is intended, re-pin with "
-    "`PYTHONPATH=src python tests/ledger.py` and explain each moved row in "
-    "CHANGES.md; otherwise the change broke byte-identity:\n"
-)
+MESSAGE = ("ledger rows moved. If that is intended, re-pin with `PYTHONPATH=src python "
+           "tests/ledger.py` and explain each moved row in CHANGES.md; otherwise the "
+           "change broke byte-identity:\n")
 
 
 def test_every_ledger_row_is_reproduced():
