@@ -8,11 +8,15 @@ the seams between render bands. `cs1_occluded` at 640x480 runs the
 self-crossing and a 24-probe walk at full size.
 """
 
+import csv
+import io
 import json
 import tracemalloc
 
+import pytest
+
 import ledger
-from cablerecon import scenarios, worldsim
+from cablerecon import pipeline, scenarios, worldsim
 
 MESSAGE = ("ledger rows moved. If that is intended, re-pin with `PYTHONPATH=src python "
            "tests/ledger.py` and explain each moved row in CHANGES.md; otherwise the "
@@ -22,6 +26,57 @@ MESSAGE = ("ledger rows moved. If that is intended, re-pin with `PYTHONPATH=src 
 def test_every_ledger_row_is_reproduced():
     moved = ledger.moved(json.loads(ledger.LEDGER.read_text()), ledger.rows())
     assert not moved, MESSAGE + "\n".join(moved)
+
+
+def reproduced_row(cfg) -> dict:
+    """The ledger row of `cfg`, computed afresh, once it matches its pinned row."""
+    rid = ledger.name(cfg)
+    pinned = json.loads(ledger.LEDGER.read_text())
+    now = ledger.computed(cfg)
+    moved = ledger.moved({rid: pinned[rid]} if rid in pinned else {}, {rid: now})
+    assert not moved, MESSAGE + "\n".join(moved)
+    return now
+
+
+# every bench scene configuration, seed 1; 320x240 is the template camera
+# (640x480) with its intrinsics scaled by 0.5
+BENCH_SCENES = {
+    "cs1_occluded_qvga": ledger.config("cs1_occluded", 1),
+    "cs2_plain_vga": ledger.config("cs2_plain", 1, vga=True),
+    "cs2_occluded_vga": ledger.config("cs2_occluded", 1, vga=True),
+    "cs1_plain_vga": ledger.config("cs1_plain", 1, vga=True),
+    "cs1_occluded_vga": ledger.config("cs1_occluded", 1, vga=True),
+    "cs2_occluded_qvga": ledger.config("cs2_occluded", 1),
+}
+
+
+@pytest.mark.parametrize("case", BENCH_SCENES)
+def test_bench_scene_artifacts_match_the_golden_digest(case):
+    cfg = BENCH_SCENES[case]
+    row = reproduced_row(cfg)
+    assert row["exit"] == pipeline.EXIT_COMPLETE
+    assert len(row["cables"]) == len(ledger.scenario(cfg)["cables"])
+
+
+# no bench scene draws pressure noise or logs an in-air probe: this run does
+# both, 29 probes of which 2 in the air
+NOISY_SCENE = ledger.config("cs1_occluded", 1, sigma=0.02)
+
+
+def test_a_noisy_run_matches_the_golden_digest(tmp_path):
+    path = tmp_path / "noisy.yaml"
+    scenarios.save_scenario(path, ledger.scenario(NOISY_SCENE))
+
+    result = pipeline.run_pipeline(path, tmp_path / "run")
+
+    assert result.exit_status == pipeline.EXIT_COMPLETE
+    [cable] = result.manifest["cables"]
+    trace = (result.out_dir / cable["directory"] / "trace.csv").read_text()
+    touched = [row["touched"] for row in csv.DictReader(io.StringIO(trace))]
+    assert len(touched) == cable["probes_used"] == 29 and touched.count("0") == 2
+    row = reproduced_row(NOISY_SCENE)
+    assert row["cables"][0]["probe_count"] == 29
+    assert ledger.artifacts_digest(result.manifest["artifacts"]) == row["digest"], MESSAGE
 
 
 # The outputs are about 4.3 MB: the 8-bit color image, the depth image and

@@ -7,11 +7,13 @@ cloud re-sorts into two segments (partial). Noise also makes a flat
 contact read as cable (its indicator is far above `t_h`), so a walk that
 misses the endpoint it heads for never dead-ends: on seed 34 one walks on
 across the plane until the default probe budget runs out. The table is
-the one in README.md; a change that moves any seed must say why.
+the one in README.md; the runs are the ledger's
+`cs1_occluded_320x240_seed<N>_sigma0.01` rows, which also pin each seed's
+digest and accuracy.
 """
 
-from cablerecon import cli, pipeline, scenarios
-from conftest import qvga_template
+import ledger
+from cablerecon import pipeline
 
 SIGMA = 0.01
 SEEDS = range(60)
@@ -19,15 +21,9 @@ PARTIAL = {23, 41, 57}
 BUDGET = {34}
 
 
-def test_cs1_occluded_qvga_noise_envelope(tmp_path, capsys):
-    codes = {}
-    for seed in SEEDS:
-        doc = qvga_template("cs1_occluded", seed)
-        doc["pressure_noise_sigma"] = SIGMA
-        path = tmp_path / f"seed{seed}.yaml"
-        scenarios.save_scenario(path, doc)
-        codes[seed] = cli.main(["run", str(path), "--out", str(tmp_path / f"run{seed}")])
-    capsys.readouterr()
+def test_cs1_occluded_qvga_noise_envelope():
+    codes = {seed: ledger.computed(ledger.config("cs1_occluded", seed, sigma=SIGMA))["exit"]
+             for seed in SEEDS}
 
     expected = {
         seed: pipeline.EXIT_PARTIAL if seed in PARTIAL
