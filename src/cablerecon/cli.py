@@ -2,7 +2,8 @@
 
 Exit codes for `run`: 0 every cable reconstructed to one segment, 2 some
 cable stayed fragmented (partial), 3 probe budget exhausted, 1 any other
-error. The seed precedence is --seed, then DLO_SEED, then the scenario.
+error, a malformed command line included. The seed precedence is --seed,
+then DLO_SEED, then the scenario.
 """
 
 from __future__ import annotations
@@ -79,8 +80,16 @@ def cmd_plot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are a ValueError, so a malformed command line is one
+    `error:` line and exit 1, never the partial run's exit 2; subparsers are of this class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cablerecon",
         description="Reconstruct cable shapes from occluded synthetic scenes.",
     )
@@ -115,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -208,14 +208,13 @@ def save_ply(path, cloud: np.ndarray) -> None:
 def load_ply(path) -> np.ndarray:
     """The cloud of an ASCII x y z PLY file: its body must be exactly `element vertex`
     rows of 3 finite values, or it is a ValueError naming the file."""
-    text = Path(path).read_text().splitlines()
     try:
+        text = Path(path).read_text().splitlines()
+        if "end_header" not in text:
+            raise ValueError("missing PLY header terminator")
         end = text.index("end_header")
-    except ValueError:
-        raise ValueError(f"{path}: missing PLY header terminator")
-    declared = [line.split()[-1] for line in text[:end] if line.startswith("element vertex")]
-    rows = [line.split() for line in text[end + 1 :] if line.strip()]
-    try:
+        declared = [line.split()[-1] for line in text[:end] if line.startswith("element vertex")]
+        rows = [line.split() for line in text[end + 1 :] if line.strip()]
         count = int(declared[-1]) if declared else 0
         if len(rows) != count or any(len(row) != 3 for row in rows):
             raise ValueError(f"body is not the {count} rows of 3 values its header declares")

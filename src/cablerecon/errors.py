@@ -11,8 +11,8 @@ class DegenerateGeometryError(ValueError):
 
 
 class InsufficientDepthError(RuntimeError):
-    """Too few pixels carry valid depth to back-project a cloud; the caller
-    should widen exploration instead of trusting a sparse result."""
+    """Too few pixels carry valid depth to back-project a cloud. Nothing catches
+    it: the run fails with exit 1, and the manifest's failure record names it."""
 
 
 class InvalidViewError(ValueError):

@@ -254,6 +254,8 @@ def _read_manifest(run: Path) -> dict:
         manifest = checked(json.loads(path.read_text()), "a mapping", path)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if "failure" in manifest:
         failure = read(manifest, "failure", path, "a mapping")
         raise ValueError(f"{run}: the run failed ({failure.get('error')})")

@@ -211,10 +211,10 @@ def load_sorted_csv(path) -> SortedPolyline:
     fields under the header, with finite coordinates, segment ids 0, 1, ...
     in contiguous blocks and order indices 0, 1, ... within each block, or
     it is a ValueError naming the file."""
-    rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:] if line]
-    if not rows or any(len(row) != 5 for row in rows):
-        raise ValueError(f"{path}: not one or more rows of segment_id,order_index,x,y,z")
     try:
+        rows = [line.split(",") for line in Path(path).read_text().splitlines()[1:] if line]
+        if not rows or any(len(row) != 5 for row in rows):
+            raise ValueError("not one or more rows of segment_id,order_index,x,y,z")
         pts = as_cloud([[float(v) for v in row[2:]] for row in rows])
         ids = np.array([[int(row[0]), int(row[1])] for row in rows])
     except ValueError as exc:

@@ -23,7 +23,8 @@ DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def load_yaml(path):
-    """The document in `path`; a YAML syntax error is a one-line ValueError."""
+    """The document in `path`; a YAML syntax error or bytes that are not UTF-8 are a
+    one-line ValueError naming the file."""
     try:
         return yaml.load(Path(path).read_text(), Loader=LOADER)
     except yaml.YAMLError as exc:
@@ -31,6 +32,8 @@ def load_yaml(path):
         where = f"{path}, line {mark.line + 1}, column {mark.column + 1}" if mark else path
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
         raise ValueError(f"invalid YAML in {where}: {problem}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_yaml(path, doc) -> None:

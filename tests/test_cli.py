@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from cablerecon import cli, explore, fitting, imgproc, pipeline, scenarios, worldsim, yamlio
 from cablerecon.cloudproc import load_ply
+from cablerecon.topology import load_sorted_csv
 from cablerecon.geom import ReconParams
 from conftest import qvga_template
 
@@ -67,7 +68,8 @@ class TestGenScene:
     def test_unknown_template_fails_naming_the_valid_ones(self, tmp_path, capsys):
         assert cli.main(["gen-scene", "nosuch", "--out", str(tmp_path / "x.yaml")]) == 1
         err = capsys.readouterr().err
-        assert "cs1_plain" in err and "cs2_occluded" in err
+        assert "cs1_plain" in err and "cs2_occluded" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.yaml").exists()
 
 
 class TestRun:
@@ -78,6 +80,9 @@ class TestRun:
     def test_no_tactile_is_partial(self, no_tactile_run):
         assert no_tactile_run.exit_status == pipeline.EXIT_PARTIAL
         assert all(c["final_endpoints"] > 2 for c in no_tactile_run.manifest["cables"])
+        for cable in no_tactile_run.manifest["cables"]:
+            trace = no_tactile_run.out_dir / cable["directory"] / "trace.csv"
+            assert trace.read_text().count("\n") == 1  # the header alone: no probe
 
     @pytest.mark.parametrize(
         "template, extra, state",
@@ -149,13 +154,20 @@ class TestRun:
             assert (run_dir / rel).exists()
         assert len(manifest["plane"]) == 4
 
-    def test_canonical_artifacts_present(self, template_runs):
+    def test_canonical_artifacts_present(self, template_runs, no_tactile_run):
         cable_dir = template_runs["cs2_occluded"].out_dir / "cable_00"
         for name in pipeline.CANONICAL_CLOUDS:
             suffix = ".csv" if name == "P_sorted" else ".ply"
             assert (cable_dir / f"{name}{suffix}").exists()
         assert (cable_dir / "P_dense.ply").exists()
         assert (cable_dir / "trace.csv").exists()
+        # the fused cloud is the stack of the sorted visual cloud and the tactile one
+        for run in [*template_runs.values(), no_tactile_run]:
+            for cable in run.manifest["cables"]:
+                d = run.out_dir / cable["directory"]
+                visual = len(load_sorted_csv(d / "P_sorted.csv").points)
+                tactile = len(load_ply(d / "P_tactile.ply"))
+                assert len(load_ply(d / "P_merged.ply")) == visual + tactile
 
     def test_cs2_plain_yields_one_spline_per_cable(self, template_runs):
         run = template_runs["cs2_plain"]
@@ -299,17 +311,26 @@ class TestCleanErrors:
         assert "cable 1" in err and "'radius'" in err
 
 
-    @pytest.mark.parametrize("broken", ["scenario", "params"])
-    def test_broken_yaml_is_one_error_line(self, tmp_path, scenario_files, capsys, broken):
+    @pytest.mark.parametrize(
+        "broken, body, message",
+        [("scenario", b"schema_version: 1\nd_min: [1\n", "invalid YAML in {}, line 3, column 1: "),
+         ("params", b"schema_version: 1\nd_min: [1\n", "invalid YAML in {}, line 3, column 1: "),
+         ("scenario", b"\xff\xfe", "{}: 'utf-8' codec can't decode byte 0xff in position 0"),
+         ("params", b"\xff\xfe", "{}: 'utf-8' codec can't decode byte 0xff in position 0")],
+        ids=["scenario", "params", "scenario_not_utf8", "params_not_utf8"],
+    )
+    def test_broken_yaml_is_one_error_line(
+        self, tmp_path, scenario_files, capsys, broken, body, message
+    ):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("schema_version: 1\nd_min: [1\n")
+        bad.write_bytes(body)
         if broken == "scenario":
             code = self._run(bad, tmp_path)
         else:
             code = self._run(scenario_files["cs1_plain"], tmp_path, "--params", str(bad))
         assert code == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid YAML in {bad}, line 3, column 1: ")
+        assert err.startswith("error: " + message.format(bad))
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -409,6 +430,30 @@ class TestCleanErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert err.startswith(named) and "scenario" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "x.yaml", "--out", "o", "--seed", "abc"],
+             "argument --seed: invalid int value: 'abc'"),
+            (["run", "x.yaml"], "the following arguments are required: --out"),
+            ([], "the following arguments are required: command"),
+            (["gen-scene", "cs1_plain", "--seed", "1.5"],
+             "argument --seed: invalid int value: '1.5'"),
+        ],
+        ids=["text_run_seed", "run_without_out", "no_command", "fractional_gen_scene_seed"],
+    )
+    def test_a_malformed_command_line_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        # argparse would exit 2, which reads as a partial run
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == pipeline.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SystemExit) as help_exit:
+            cli.main([*argv[:1], "--help"])
+        assert help_exit.value.code == 0
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -572,6 +617,14 @@ class TestCleanErrors:
             ("eval", "cable_00/spline_seg00.yaml",
              SPLINE.replace("degree: 1", "degree: 2").replace("[0, 0, 1, 1]", "[0, 0, 0, 1, 1]"),
              "cable_00/spline_seg00.yaml: need at least degree+1 control points"),
+            # the bytes ff fe are not UTF-8 text
+            ("eval", "manifest.json", b"\xff\xfe", "manifest.json: 'utf-8' codec can't decode"),
+            ("eval", "cable_00/P_interpolated.ply", b"\xff\xfe",
+             "cable_00/P_interpolated.ply: 'utf-8' codec can't decode"),
+            ("eval", "cable_00/spline_seg00.yaml", b"\xff\xfe",
+             "cable_00/spline_seg00.yaml: 'utf-8' codec can't decode"),
+            ("plot", "cable_00/P_sorted.csv", b"\xff\xfe",
+             "cable_00/P_sorted.csv: 'utf-8' codec can't decode"),
         ],
         ids=["eval_empty_manifest", "plot_list_manifest", "plot_truncated_manifest",
              "eval_null_plane", "plot_cable_without_directory", "eval_spline_without_knots",
@@ -590,20 +643,23 @@ class TestCleanErrors:
              "eval_negative_segments", "eval_fractional_endpoints", "eval_bool_probes",
              "eval_text_failure", "eval_bool_degree", "eval_negative_degree", "eval_text_knot",
              "eval_two_number_control_points", "eval_short_knots", "eval_decreasing_knots",
-             "eval_unclamped_knots", "eval_empty_domain", "eval_too_few_control_points"],
+             "eval_unclamped_knots", "eval_empty_domain", "eval_too_few_control_points",
+             "eval_manifest_not_utf8", "eval_interpolated_not_utf8", "eval_spline_not_utf8",
+             "plot_sorted_not_utf8"],
     )
     def test_damaged_run_directory_is_one_error_line(
         self, template_runs, tmp_path, capsys, command, damaged, text, named
     ):
         run = tmp_path / "run"
         shutil.copytree(template_runs["cs1_plain"].out_dir, run)
-        (run / damaged).write_text(text)
+        (run / damaged).write_bytes(text if isinstance(text, bytes) else text.encode())
         args = [command, str(run)] + ([str(run), "--out", str(tmp_path / "r.yaml")]
                                       if command == "eval" else [])
         assert cli.main(args) == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{run}/{named}" in err
+        assert not (tmp_path / "r.yaml").exists()
 
 
 def certified_files(run_dir):
@@ -783,7 +839,10 @@ class TestEval:
         )
         assert code == 0
         assert "icp_rmse" in capsys.readouterr().out
-        assert (tmp_path / "report.yaml").exists()
+        rows = yamlio.load_yaml(tmp_path / "report.yaml")["cables"]
+        cables = template_runs["cs1_occluded"].manifest["cables"]
+        assert [row["cable"] for row in rows] == [c["directory"] for c in cables]
+        assert all(isinstance(row["icp_rmse"], float) for row in rows)
 
     def test_eval_accepts_a_scenario_as_reference(self, template_runs, scenario_files, tmp_path):
         report = pipeline.evaluate_run(
