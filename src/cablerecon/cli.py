@@ -2,16 +2,18 @@
 
 Exit codes for `run`: 0 every cable reconstructed to one segment, 2 some
 cable stayed fragmented (partial), 3 probe budget exhausted, 1 any other
-error, a malformed command line included. The seed precedence is --seed,
-then DLO_SEED, then the scenario.
+error, a malformed command line included. A --seed replaces the
+scenario's seed. A floating-point overflow, division by zero or invalid
+operation in any command is an error, not a warning.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import pipeline, scenarios
 from .errors import ProbeBudgetError
@@ -19,22 +21,12 @@ from .geom import checked
 
 
 def _seed_from(args) -> int | None:
-    """The --seed or DLO_SEED override, checked before any file is written; None if unset."""
-    if args.seed is not None:
-        return checked(args.seed, "an integer >= 0", "--seed")
-    env = os.environ.get("DLO_SEED")
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        value = env
-    return checked(value, "an integer >= 0", "DLO_SEED")
+    """The --seed override, checked before any file is written; None if unset."""
+    return None if args.seed is None else checked(args.seed, "an integer >= 0", "--seed")
 
 
 def cmd_gen_scene(args) -> int:
-    seed = 0 if args.seed is None else checked(args.seed, "an integer >= 0", "--seed")
-    doc = scenarios.make_template(args.template, seed=seed)
+    doc = scenarios.make_template(args.template, seed=_seed_from(args))
     out = Path(args.out or f"{args.template}.yaml")
     scenarios.save_scenario(out, doc)
     print(out)
@@ -97,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-scene", help="write a scenario from a template")
     p_gen.add_argument("template", help=f"one of: {', '.join(scenarios.TEMPLATES)}")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None, help="output scenario path")
     p_gen.set_defaults(func=cmd_gen_scene)
 
@@ -126,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (OSError, ValueError, RuntimeError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return pipeline.EXIT_ERROR
 

@@ -61,14 +61,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_params(scenario_doc: dict, params_file=None) -> ReconParams:
-    """The scenario's `params`, then the params file's, over the defaults."""
-    sources = [("scenario params", scenario_doc.get("params"))]
-    if params_file is not None:
-        sources.append((f"params file {params_file}", load_yaml(params_file)))
-    overrides = {}
-    for where, doc in sources:
-        overrides.update(checked({} if doc is None else doc, "a mapping", where))
+def _load_params(params_file=None) -> ReconParams:
+    """The params file's values over the defaults."""
+    doc = {} if params_file is None else load_yaml(params_file)
+    overrides = checked({} if doc is None else doc, "a mapping", f"params file {params_file}")
     unknown = sorted(map(str, set(overrides) - {f.name for f in fields(ReconParams)}))
     if unknown:
         raise ValueError(f"unknown reconstruction parameter(s): {', '.join(unknown)}")
@@ -91,7 +87,7 @@ def run_pipeline(
     `reconstruct` from the images and the scene's tactile pad."""
     t_start = time.perf_counter()
     doc, scene = scenarios.load_scenario(scenario_path, seed)
-    params = _load_params(doc, params_file)
+    params = _load_params(params_file)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -61,8 +61,7 @@ def build_scene(doc: dict, where: str) -> WorldScene:
     declared plane and lifted by one radius along its normal, which pins
     every centerline exactly one radius above the support surface.
     """
-    _known(doc, "schema_version seed plane cables occluders camera pressure_noise_sigma params",
-           where)
+    _known(doc, "schema_version seed plane cables occluders camera pressure_noise_sigma", where)
     plane_doc = _known(read(doc, "plane", where, "a mapping"), "point normal", f"{where} plane")
     point = read(plane_doc, "point", f"{where} plane", "3 finite numbers")
     normal = read(plane_doc, "normal", f"{where} plane", "3 finite numbers, not all 0")

@@ -20,7 +20,7 @@ from cablerecon import cli, explore, fitting, imgproc, pipeline, scenarios, worl
 from cablerecon.cloudproc import load_ply
 from cablerecon.topology import load_sorted_csv
 from cablerecon.geom import ReconParams
-from conftest import qvga_template
+from conftest import SEED, qvga_template
 
 # scenario keys that may be left out: each has a default
 OPTIONAL = {"seed", "pressure_noise_sigma", "occluders", "up_hint"}
@@ -116,16 +116,15 @@ class TestRun:
         stale = [k for k in artifacts if k.startswith("cable_01/")]
         assert stale == [] and "images/mask_cable_01.pgm" not in artifacts
 
-    def test_cli_run_and_seed_precedence(self, tmp_path, scenario_files, monkeypatch):
-        monkeypatch.setenv("DLO_SEED", "123")
-        out = tmp_path / "envseed"
+    def test_cli_run_and_seed_precedence(self, tmp_path, scenario_files):
+        out = tmp_path / "scenarioseed"
         code = cli.main(
             ["run", str(scenario_files["cs1_plain"]), "--out", str(out)]
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 123
-        # --seed wins over the environment
+        assert manifest["seed"] == SEED
+        # --seed wins over the scenario
         out2 = tmp_path / "argseed"
         cli.main(
             ["run", str(scenario_files["cs1_plain"]), "--out", str(out2), "--seed", "5"]
@@ -255,16 +254,6 @@ class TestCleanErrors:
         assert named in err and "d_min" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_scenario_params_that_are_not_a_mapping_are_one_error_line(self, tmp_path, capsys):
-        doc = scenarios.make_template("cs1_plain", seed=1)
-        doc["params"] = [1, 2]
-        path = tmp_path / "listed.yaml"
-        scenarios.save_scenario(path, doc)
-        assert self._run(path, tmp_path) == pipeline.EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == "error: scenario params must be a mapping, not [1, 2]\n"
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
         "drop",
         [("plane",), ("camera",), ("cables",), ("plane", "normal"), ("camera", "fx")],
@@ -382,6 +371,7 @@ class TestCleanErrors:
             (lambda d: d["cables"][0].update(radious=0.005), "cable 0 has unknown key 'radious'"),
             (lambda d: d["occluders"][0].update(centre=[0, 0, 0]),
              "occluder 0 has unknown key 'centre'"),
+            (lambda d: d.update(params={"d_m": 0.02}), "has unknown key 'params'"),
         ],
         ids=[
             "short_min", "text_max", "inf_max", "no_max", "occluders_mapping", "list_radius",
@@ -393,7 +383,7 @@ class TestCleanErrors:
             "negative_seed", "zero_normal", "short_plane_point", "look_at_position", "text_cx",
             "nan_cy", "short_up_hint", "up_hint_along_view", "misspelled_occluders",
             "misspelled_pressure_noise_sigma", "camera_focal", "plane_origin", "cable_radious",
-            "occluder_centre",
+            "occluder_centre", "scenario_params",
         ],
     )
     def test_scenario_value_out_of_range_is_one_error_line(
@@ -410,21 +400,13 @@ class TestCleanErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "env, extra, named",
-        [
-            (None, ("--seed", "-1"), "error: --seed must be an integer >= 0, not -1"),
-            ("-1", (), "error: DLO_SEED must be an integer >= 0, not -1"),
-            ("abc", (), "error: DLO_SEED must be an integer >= 0, not 'abc'"),
-            ("1.5", (), "error: DLO_SEED must be an integer >= 0, not '1.5'"),
-        ],
-        ids=["negative_flag", "negative_env", "text_env", "fractional_env"],
+        "extra, named",
+        [(("--seed", "-1"), "error: --seed must be an integer >= 0, not -1")],
+        ids=["negative_flag"],
     )
     def test_bad_seed_override_is_one_error_line(
-        self, tmp_path, scenario_files, capsys, monkeypatch, env, extra, named
+        self, tmp_path, scenario_files, capsys, extra, named
     ):
-        monkeypatch.delenv("DLO_SEED", raising=False)
-        if env is not None:
-            monkeypatch.setenv("DLO_SEED", env)
         assert self._run(scenario_files["cs1_plain"], tmp_path, *extra) == pipeline.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -749,6 +731,27 @@ class TestFailureManifest:
         code = cli.main(["run", str(scenario), "--out", str(out), "--params", str(params)])
         assert code == status
         assert certified_files(out)["params"]["delta_z"] == float(value)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda d: d["camera"].update(fx=1e300), lambda d: d["camera"].update(fy=1e-300),
+         lambda d: d.update(pressure_noise_sigma=1e300)],
+        ids=["huge_fx", "tiny_fy", "huge_sigma"],
+    )
+    def test_a_floating_point_overflow_is_one_error_line_and_leaves_a_manifest(
+        self, tmp_path, capsys, mutate
+    ):
+        # each value passes its rule and overflows only in a later stage of the run
+        doc = qvga_template("cs1_occluded", 1)
+        mutate(doc)
+        scenario, out = tmp_path / "scene.yaml", tmp_path / "out"
+        scenarios.save_scenario(scenario, doc)
+        assert cli.main(["run", str(scenario), "--out", str(out)]) == pipeline.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        manifest = certified_files(out)
+        assert manifest["exit_status"] == pipeline.EXIT_ERROR
+        assert manifest["failure"]["error"] == "FloatingPointError"
 
     def test_a_tiny_voxel_size_is_one_error_line_and_leaves_a_manifest(
         self, tmp_path, capsys

@@ -41,14 +41,14 @@ def qvga_scenario(tmp_path_factory):
 def _reconstruct(scenario, out, probe_fn, images=None):
     """`reconstruct` on `images` (color, depth, union mask, shelf mask): by
     default the scenario's render, as the bench hands it over."""
-    doc, scene = scenarios.load_scenario(scenario)
+    _, scene = scenarios.load_scenario(scenario)
     if images is None:
         rendered = worldsim.render(scene)
         images = (rendered.color, rendered.depth, rendered.union_cable_mask(), rendered.shelf_mask)
     out.mkdir()
     manifest = {"plane": None, "cables": []}
     status = pipeline.reconstruct(
-        *images, scene.camera, probe_fn, pipeline._load_params(doc), scene.seed, out, manifest,
+        *images, scene.camera, probe_fn, pipeline._load_params(), scene.seed, out, manifest,
     )
     return status, manifest
 
